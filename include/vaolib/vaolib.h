@@ -68,6 +68,7 @@
 /// \defgroup vaolib_engine Continuous-query engine
 /// Declarative \ref vaolib::engine::Query (with the fluent
 /// \ref vaolib::engine::Query::Builder), relations/schemas, the
+/// \ref vaolib::engine::QueryPlan compiler both executors share, the
 /// single-query \ref vaolib::engine::CqExecutor, the shared-result
 /// \ref vaolib::engine::MultiQueryExecutor, and the budget-aware
 /// \ref vaolib::engine::WorkScheduler with its fair-share / EDF / greedy
@@ -80,6 +81,7 @@
 #include "engine/executor.h"             // IWYU pragma: export
 #include "engine/multi_query.h"          // IWYU pragma: export
 #include "engine/query.h"                // IWYU pragma: export
+#include "engine/query_plan.h"           // IWYU pragma: export
 #include "engine/relation.h"             // IWYU pragma: export
 #include "engine/sampling/sampled_sum.h" // IWYU pragma: export
 #include "engine/sampling/sampler.h"     // IWYU pragma: export

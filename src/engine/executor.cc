@@ -5,39 +5,16 @@
 
 #include "common/macros.h"
 #include "engine/report_capture.h"
-#include "engine/sampling/sampled_sum.h"
-#include "engine/sampling/sampler.h"
-#include "operators/iteration_task.h"
 #include "obs/trace.h"
-#include "operators/min_max.h"
+#include "operators/iteration_task.h"
 #include "operators/selection.h"
 #include "operators/sum_ave.h"
-#include "operators/top_k.h"
 #include "operators/traditional.h"
 #include "vao/parallel.h"
 
 namespace vaolib::engine {
 
 namespace {
-
-// Per-object Iterate() budget for the parallel coarse pre-phase. Iteration
-// cost roughly doubles per refinement step, so a cap this small keeps the
-// coarse work on rows the serial greedy loop would have pruned early to a
-// few percent of the total, while still fanning the broad early refinement
-// out across the pool.
-constexpr std::uint64_t kCoarseMaxSteps = 4;
-
-// Copies the operator-phase section of \p stats into \p report.
-void FillOperatorSection(const operators::OperatorStats& stats,
-                         obs::ExecutionReport* report) {
-  report->iterations = stats.iterations;
-  report->coarse_iterations = stats.coarse_iterations;
-  report->greedy_iterations = stats.greedy_iterations;
-  report->finalize_iterations = stats.finalize_iterations;
-  report->choose_steps = stats.choose_steps;
-  report->objects_touched = stats.objects_touched;
-  report->stalled_objects = stats.stalled_objects;
-}
 
 // VAO failures the kDegrade policy may answer through the black-box
 // fallback: numeric breakdowns, exhausted iteration budgets, refinement
@@ -52,11 +29,11 @@ bool IsDegradableFailure(const Status& status) {
 }  // namespace
 
 CqExecutor::CqExecutor(const Relation* relation, Schema stream_schema,
-                       Query query, ExecutionMode mode, int threads,
+                       QueryPlan plan, ExecutionMode mode, int threads,
                        ResiliencePolicy resilience)
     : relation_(relation),
       stream_schema_(std::move(stream_schema)),
-      query_(std::move(query)),
+      plan_(std::move(plan)),
       mode_(mode),
       threads_(std::max(threads, 1)),
       resilience_(resilience) {}
@@ -64,125 +41,19 @@ CqExecutor::CqExecutor(const Relation* relation, Schema stream_schema,
 Result<std::unique_ptr<CqExecutor>> CqExecutor::Create(
     const Relation* relation, Schema stream_schema, Query query,
     ExecutionMode mode, int threads, ResiliencePolicy resilience) {
-  if (relation == nullptr) {
-    return Status::InvalidArgument("executor requires a relation");
+  if (query.approx.has_value() && mode == ExecutionMode::kTraditional) {
+    return Status::InvalidArgument("approximate execution requires VAO mode");
   }
-  if (query.function == nullptr) {
-    return Status::InvalidArgument("query has no function bound");
-  }
-  if (static_cast<int>(query.args.size()) != query.function->arity()) {
-    return Status::InvalidArgument(
-        "query binds " + std::to_string(query.args.size()) +
-        " args but function '" + query.function->name() + "' expects " +
-        std::to_string(query.function->arity()));
-  }
-  if (query.approx.has_value()) {
-    if (mode == ExecutionMode::kTraditional) {
-      return Status::InvalidArgument(
-          "approximate execution requires VAO mode");
-    }
-    if (query.kind != QueryKind::kSum && query.kind != QueryKind::kAve &&
-        query.kind != QueryKind::kTopK) {
-      return Status::InvalidArgument(
-          "APPROX applies to SUM/AVE/TOP-K queries only");
-    }
-    if (!(query.approx->confidence > 0.0) ||
-        !(query.approx->confidence < 1.0)) {
-      return Status::InvalidArgument(
-          "APPROX confidence must be in (0, 1), got " +
-          std::to_string(query.approx->confidence));
-    }
-    if (!(query.approx->target_rel_error > 0.0)) {
-      return Status::InvalidArgument(
-          "APPROX target relative error must be > 0, got " +
-          std::to_string(query.approx->target_rel_error));
-    }
-  }
-
+  VAOLIB_ASSIGN_OR_RETURN(QueryPlan plan,
+                          QueryPlan::Create(query, stream_schema, relation));
   auto executor = std::unique_ptr<CqExecutor>(
-      new CqExecutor(relation, std::move(stream_schema), std::move(query),
+      new CqExecutor(relation, std::move(stream_schema), std::move(plan),
                      mode, threads, resilience));
-
-  for (const ArgRef& ref : executor->query_.args) {
-    BoundArg bound;
-    bound.source = ref.source;
-    bound.constant = ref.constant;
-    switch (ref.source) {
-      case ArgRef::Source::kStreamField: {
-        VAOLIB_ASSIGN_OR_RETURN(bound.index,
-                                executor->stream_schema_.IndexOf(ref.field));
-        break;
-      }
-      case ArgRef::Source::kRelationField: {
-        VAOLIB_ASSIGN_OR_RETURN(
-            bound.index, executor->relation_->schema().IndexOf(ref.field));
-        break;
-      }
-      case ArgRef::Source::kConstant:
-        break;
-    }
-    executor->bound_args_.push_back(bound);
-  }
-
-  if (executor->query_.weight_column.has_value()) {
-    VAOLIB_ASSIGN_OR_RETURN(
-        const std::size_t idx,
-        executor->relation_->schema().IndexOf(*executor->query_.weight_column));
-    executor->weight_column_index_ = idx;
-  }
-
   if (mode == ExecutionMode::kTraditional) {
     executor->black_box_ =
-        std::make_unique<vao::CalibratedBlackBox>(executor->query_.function);
+        std::make_unique<vao::CalibratedBlackBox>(executor->query().function);
   }
   return executor;
-}
-
-Result<std::vector<double>> CqExecutor::BuildArgs(const Tuple& stream_tuple,
-                                                  std::size_t row) const {
-  std::vector<double> args;
-  args.reserve(bound_args_.size());
-  for (const BoundArg& bound : bound_args_) {
-    switch (bound.source) {
-      case ArgRef::Source::kStreamField: {
-        if (bound.index >= stream_tuple.size()) {
-          return Status::OutOfRange("stream tuple too short for binding");
-        }
-        VAOLIB_ASSIGN_OR_RETURN(const double v,
-                                stream_tuple[bound.index].AsDouble());
-        args.push_back(v);
-        break;
-      }
-      case ArgRef::Source::kRelationField: {
-        VAOLIB_ASSIGN_OR_RETURN(const Value cell,
-                                relation_->At(row, bound.index));
-        VAOLIB_ASSIGN_OR_RETURN(const double v, cell.AsDouble());
-        args.push_back(v);
-        break;
-      }
-      case ArgRef::Source::kConstant:
-        args.push_back(bound.constant);
-        break;
-    }
-  }
-  return args;
-}
-
-Result<std::vector<double>> CqExecutor::ResolveWeights() const {
-  const std::size_t n = relation_->size();
-  if (!weight_column_index_.has_value()) {
-    if (query_.kind == QueryKind::kAve) return operators::AveWeights(n);
-    return operators::SumWeights(n);
-  }
-  std::vector<double> weights;
-  weights.reserve(n);
-  for (std::size_t row = 0; row < n; ++row) {
-    VAOLIB_ASSIGN_OR_RETURN(const Value cell,
-                            relation_->At(row, *weight_column_index_));
-    VAOLIB_ASSIGN_OR_RETURN(const double w, cell.AsDouble());
-    weights.push_back(w);
-  }
-  return weights;
 }
 
 Result<TickResult> CqExecutor::ProcessTick(const Tuple& stream_tuple) {
@@ -193,318 +64,104 @@ Result<TickResult> CqExecutor::ProcessTick(const Tuple& stream_tuple) {
     return Status::FailedPrecondition("relation is empty");
   }
   if (mode_ != ExecutionMode::kVao) return RunTraditional(stream_tuple);
-  if (query_.approx.has_value()) return RunApproximate(stream_tuple);
-  return RunVao(stream_tuple);
+  const QueryKind kind = query().kind;
+  if (kind == QueryKind::kSelect || kind == QueryKind::kSelectRange) {
+    return RunSelection(stream_tuple);
+  }
+  return RunAggregate(stream_tuple);
 }
 
-Result<TickResult> CqExecutor::RunVao(const Tuple& stream_tuple) {
-  const obs::ScopedSpan tick_span("tick", QueryKindName(query_.kind));
+Result<TickResult> CqExecutor::RunSelection(const Tuple& stream_tuple) {
+  const Query& query = plan_.query();
+  const obs::ScopedSpan tick_span("tick", QueryKindName(query.kind));
   TickResult result;
-  result.kind = query_.kind;
+  result.kind = query.kind;
   const std::uint64_t work_before = meter_.Total();
-  const ReportCapture capture(meter_, ReportCapture::CacheOf(query_.function));
+  const ReportCapture capture(meter_, ReportCapture::CacheOf(query.function));
   const std::size_t n = relation_->size();
+  VAOLIB_ASSIGN_OR_RETURN(const std::vector<std::vector<double>> rows,
+                          plan_.BuildRows(stream_tuple));
 
-  // Per-row argument vectors for this tick (also the batch-path input).
-  std::vector<std::vector<double>> rows;
-  rows.reserve(n);
+  // Under kDegrade, failing rows are quarantined by the batch operator
+  // instead of failing the tick.
+  std::vector<Status> row_status;
+  std::vector<Status>* row_status_ptr =
+      resilience_ == ResiliencePolicy::kDegrade ? &row_status : nullptr;
+  std::vector<operators::SelectionOutcome> outcomes;
+  if (query.kind == QueryKind::kSelect) {
+    const operators::SelectionVao vao(query.cmp, query.constant);
+    VAOLIB_ASSIGN_OR_RETURN(
+        outcomes, vao.EvaluateBatch(*query.function, rows, threads_, &meter_,
+                                    row_status_ptr));
+  } else {
+    const operators::RangeSelectionVao vao(query.range_lo, query.range_hi,
+                                           query.range_inclusive);
+    VAOLIB_ASSIGN_OR_RETURN(
+        outcomes, vao.EvaluateBatch(*query.function, rows, threads_, &meter_,
+                                    row_status_ptr));
+  }
+  std::uint64_t short_circuited = 0;
   for (std::size_t row = 0; row < n; ++row) {
-    VAOLIB_ASSIGN_OR_RETURN(std::vector<double> args,
-                            BuildArgs(stream_tuple, row));
-    rows.push_back(std::move(args));
-  }
-
-  if (query_.kind == QueryKind::kSelect ||
-      query_.kind == QueryKind::kSelectRange) {
-    const operators::SelectionVao point_vao(query_.cmp, query_.constant);
-    const operators::RangeSelectionVao range_vao(
-        query_.range_lo, query_.range_hi, query_.range_inclusive);
-    // Under kDegrade, failing rows are quarantined by the batch operator
-    // instead of failing the tick.
-    std::vector<Status> row_status;
-    std::vector<Status>* row_status_ptr =
-        resilience_ == ResiliencePolicy::kDegrade ? &row_status : nullptr;
-    std::vector<operators::SelectionOutcome> outcomes;
-    if (query_.kind == QueryKind::kSelect) {
-      VAOLIB_ASSIGN_OR_RETURN(
-          outcomes, point_vao.EvaluateBatch(*query_.function, rows, threads_,
-                                            &meter_, row_status_ptr));
-    } else {
-      VAOLIB_ASSIGN_OR_RETURN(
-          outcomes, range_vao.EvaluateBatch(*query_.function, rows, threads_,
-                                            &meter_, row_status_ptr));
+    if (row_status_ptr != nullptr && !row_status[row].ok()) {
+      result.quarantined_rows.push_back(row);
+      result.degraded = true;
+      if (result.degradation_cause.ok()) {
+        result.degradation_cause = row_status[row];
+      }
+      continue;  // a quarantined row never enters passing_rows
     }
-    std::uint64_t short_circuited = 0;
-    for (std::size_t row = 0; row < n; ++row) {
-      if (row_status_ptr != nullptr && !row_status[row].ok()) {
-        result.quarantined_rows.push_back(row);
-        result.degraded = true;
-        if (result.degradation_cause.ok()) {
-          result.degradation_cause = row_status[row];
-        }
-        continue;  // a quarantined row never enters passing_rows
-      }
-      if (outcomes[row].passes) result.passing_rows.push_back(row);
-      if (outcomes[row].short_circuited) ++short_circuited;
-      result.stats.Merge(outcomes[row].stats);
-    }
-    result.work_units = meter_.Total() - work_before;
-    result.report.query_kind = QueryKindName(query_.kind);
-    result.report.rows_scanned = n;
-    result.report.rows_short_circuited = short_circuited;
-    result.report.rows_quarantined = result.quarantined_rows.size();
-    FillOperatorSection(result.stats, &result.report);
-    FillProgressSection(result, query_.epsilon, &result.report);
-    capture.Finish(meter_, &result.report);
-    obs::RecordTickMetrics(result.report);
-    return result;
-  }
-
-  // Aggregates: materialize one result object per relation row (bulk
-  // invoke runs row-parallel when threads_ > 1).
-  auto invoked = vao::InvokeAll(*query_.function, rows, threads_, &meter_);
-  if (!invoked.ok()) return FallbackOrError(stream_tuple, invoked.status());
-  std::vector<vao::ResultObjectPtr> owned = std::move(invoked).value();
-  std::vector<vao::ResultObject*> objects;
-  objects.reserve(n);
-  for (const auto& object : owned) objects.push_back(object.get());
-
-  switch (query_.kind) {
-    case QueryKind::kMax:
-    case QueryKind::kMin: {
-      operators::MinMaxOptions options;
-      options.kind = query_.kind == QueryKind::kMax
-                         ? operators::ExtremeKind::kMax
-                         : operators::ExtremeKind::kMin;
-      options.epsilon = query_.epsilon;
-      options.meter = &meter_;
-      if (threads_ > 1) {
-        options.threads = threads_;
-        options.coarse_width = query_.epsilon;
-        options.coarse_max_steps = kCoarseMaxSteps;
-      }
-      const operators::MinMaxVao vao(options);
-      auto evaluated = vao.Evaluate(objects);
-      if (!evaluated.ok()) {
-        return FallbackOrError(stream_tuple, evaluated.status());
-      }
-      const operators::MinMaxOutcome outcome = std::move(evaluated).value();
-      result.winner_row = outcome.winner_index;
-      result.tie = outcome.tie;
-      result.aggregate_bounds = outcome.winner_bounds;
-      result.stats = outcome.stats;
-      if (outcome.precision_degraded) {
-        result.degraded = true;
-        result.degradation_cause = Status::ResourceExhausted(
-            "MIN/MAX quarantined stalled result objects; winner bounds may "
-            "be wider than epsilon");
-      }
-      break;
-    }
-    case QueryKind::kSum:
-    case QueryKind::kAve: {
-      VAOLIB_ASSIGN_OR_RETURN(const std::vector<double> weights,
-                              ResolveWeights());
-      operators::SumAveOptions options;
-      options.epsilon = query_.epsilon;
-      options.meter = &meter_;
-      if (threads_ > 1) {
-        options.threads = threads_;
-        options.coarse_width = query_.epsilon;
-        options.coarse_max_steps = kCoarseMaxSteps;
-      }
-      const operators::SumAveVao vao(options);
-      auto evaluated = vao.Evaluate(objects, weights);
-      if (!evaluated.ok()) {
-        return FallbackOrError(stream_tuple, evaluated.status());
-      }
-      const operators::SumOutcome outcome = std::move(evaluated).value();
-      result.aggregate_bounds = outcome.sum_bounds;
-      result.stats = outcome.stats;
-      if (outcome.stats.stalled_objects > 0) {
-        result.degraded = true;
-        result.degradation_cause = Status::ResourceExhausted(
-            "SUM/AVE quarantined stalled result objects; output bounds may "
-            "be wider than epsilon");
-      }
-      break;
-    }
-    case QueryKind::kTopK: {
-      operators::TopKOptions options;
-      options.k = query_.k;
-      options.epsilon = query_.epsilon;
-      options.meter = &meter_;
-      const operators::TopKVao vao(options);
-      auto evaluated = vao.Evaluate(objects);
-      if (!evaluated.ok()) {
-        return FallbackOrError(stream_tuple, evaluated.status());
-      }
-      const operators::TopKOutcome outcome = std::move(evaluated).value();
-      result.top_rows = outcome.winners;
-      result.top_bounds = outcome.winner_bounds;
-      result.tie = outcome.tie;
-      if (!outcome.winners.empty()) {
-        result.winner_row = outcome.winners.front();
-        result.aggregate_bounds = outcome.winner_bounds.front();
-      }
-      result.stats = outcome.stats;
-      if (outcome.precision_degraded) {
-        result.degraded = true;
-        result.degradation_cause = Status::ResourceExhausted(
-            "TOP-K quarantined stalled result objects; winner bounds may be "
-            "wider than epsilon");
-      }
-      break;
-    }
-    case QueryKind::kSelect:
-    case QueryKind::kSelectRange:
-      return Status::Internal("unreachable select in aggregate path");
+    if (outcomes[row].passes) result.passing_rows.push_back(row);
+    if (outcomes[row].short_circuited) ++short_circuited;
+    result.stats.Merge(outcomes[row].stats);
   }
   result.work_units = meter_.Total() - work_before;
-  result.report.query_kind = QueryKindName(query_.kind);
+  result.report.query_kind = QueryKindName(query.kind);
   result.report.rows_scanned = n;
-  // Rows the adaptive operator never had to iterate: their initial bounds
-  // alone were enough to rule them out of the answer.
-  result.report.rows_short_circuited = n - result.stats.objects_touched;
+  result.report.rows_short_circuited = short_circuited;
+  result.report.rows_quarantined = result.quarantined_rows.size();
   FillOperatorSection(result.stats, &result.report);
-  FillProgressSection(result, query_.epsilon, &result.report);
+  FillProgressSection(result, query.epsilon, &result.report);
   capture.Finish(meter_, &result.report);
   obs::RecordTickMetrics(result.report);
   return result;
 }
 
-Result<TickResult> CqExecutor::RunApproximate(const Tuple& stream_tuple) {
-  const obs::ScopedSpan tick_span("tick", "approx");
+Result<TickResult> CqExecutor::RunAggregate(const Tuple& stream_tuple) {
+  const Query& query = plan_.query();
+  const obs::ScopedSpan tick_span(
+      "tick", query.approx.has_value() ? "approx" : QueryKindName(query.kind));
   TickResult result;
-  result.kind = query_.kind;
   const std::uint64_t work_before = meter_.Total();
-  const ReportCapture capture(meter_, ReportCapture::CacheOf(query_.function));
-  const std::size_t n = relation_->size();
-  const ApproxSpec& spec = *query_.approx;
+  const ReportCapture capture(meter_, ReportCapture::CacheOf(query.function));
 
-  switch (query_.kind) {
-    case QueryKind::kSum:
-    case QueryKind::kAve: {
-      VAOLIB_ASSIGN_OR_RETURN(const std::vector<double> weights,
-                              ResolveWeights());
-      sampling::SampledAggregateOptions options;
-      options.spec = spec;
-      options.epsilon = query_.epsilon;
-      options.meter = &meter_;
-      auto factory =
-          [this, &stream_tuple](std::size_t row) -> Result<vao::ResultObjectPtr> {
-        VAOLIB_ASSIGN_OR_RETURN(const std::vector<double> args,
-                                BuildArgs(stream_tuple, row));
-        return query_.function->Invoke(args, &meter_);
-      };
-      auto weight = [&weights](std::size_t row) { return weights[row]; };
-      auto created =
-          sampling::SampledSumTask::Create(options, n, factory, weight);
-      if (!created.ok()) {
-        // Create() also draws the initial sample, so row-level numeric
-        // failures can surface here and stay degradable; genuine config
-        // errors are not degradable and fall straight through.
-        return FallbackOrError(stream_tuple, created.status());
-      }
-      const std::unique_ptr<sampling::SampledSumTask> task =
-          std::move(created).value();
-      operators::OperatorOptions drive;
-      drive.meter = &meter_;
-      auto driven = operators::DriveTask(task.get(), drive);
-      if (!driven.ok()) return FallbackOrError(stream_tuple, driven.status());
-      const sampling::SampledSumOutcome outcome = task->Snapshot();
-      result.aggregate_bounds = outcome.answer;
-      result.converged = outcome.converged;
-      result.stats = outcome.stats;
-      if (outcome.limited_by_min_width) {
-        result.degraded = true;
-        result.degradation_cause = Status::ResourceExhausted(
-            "sampled SUM/AVE exhausted the sample without reaching the "
-            "error target; interval is as tight as the min-width floors "
-            "allow");
-      }
-      result.report.rows_scanned = outcome.answer.sample_size;
-      break;
-    }
-    case QueryKind::kTopK: {
-      if (query_.k < 1 || query_.k > n) {
-        return Status::InvalidArgument("top-k k out of range");
-      }
-      std::size_t want = spec.max_samples != 0
-                             ? spec.max_samples
-                             : std::max(spec.initial_samples, n / 10);
-      want = std::min(std::max(want, query_.k), n);
-      const std::vector<std::size_t> sampled =
-          sampling::ReservoirSample(n, want, spec.seed);
-
-      std::vector<std::vector<double>> rows;
-      rows.reserve(sampled.size());
-      for (const std::size_t row : sampled) {
-        VAOLIB_ASSIGN_OR_RETURN(std::vector<double> args,
-                                BuildArgs(stream_tuple, row));
-        rows.push_back(std::move(args));
-      }
-      auto invoked = vao::InvokeAll(*query_.function, rows, threads_, &meter_);
-      if (!invoked.ok()) {
-        return FallbackOrError(stream_tuple, invoked.status());
-      }
-      const std::vector<vao::ResultObjectPtr> owned =
-          std::move(invoked).value();
-      std::vector<vao::ResultObject*> objects;
-      objects.reserve(owned.size());
-      for (const auto& object : owned) objects.push_back(object.get());
-
-      operators::TopKOptions options;
-      options.k = query_.k;
-      options.epsilon = query_.epsilon;
-      options.meter = &meter_;
-      const operators::TopKVao vao(options);
-      auto evaluated = vao.Evaluate(objects);
-      if (!evaluated.ok()) {
-        return FallbackOrError(stream_tuple, evaluated.status());
-      }
-      const operators::TopKOutcome outcome = std::move(evaluated).value();
-      for (const std::size_t winner : outcome.winners) {
-        result.top_rows.push_back(sampled[winner]);
-      }
-      result.top_bounds = outcome.winner_bounds;
-      result.tie = outcome.tie;
-      if (!result.top_rows.empty()) {
-        result.winner_row = result.top_rows.front();
-        // A heuristic tier: the interval is the sampled winner's hard
-        // bounds; `approximate` marks that rows outside the sample were
-        // never considered. No per-rank CLT guarantee is computed, so the
-        // answer carries confidence 0 rather than the spec's level -- the
-        // wire token must not read as a probabilistic coverage claim.
-        result.aggregate_bounds = vao::Answer::Approximate(
-            outcome.winner_bounds.front(), /*confidence=*/0.0, sampled.size(),
-            n, outcome.winner_bounds.front().Width(), 0.0);
-      }
-      result.stats = outcome.stats;
-      if (outcome.precision_degraded) {
-        result.degraded = true;
-        result.degradation_cause = Status::ResourceExhausted(
-            "TOP-K quarantined stalled result objects; winner bounds may be "
-            "wider than epsilon");
-      }
-      result.report.rows_scanned = sampled.size();
-      break;
-    }
-    default:
-      return Status::Internal("approximate execution on non-aggregate kind");
+  // Exact aggregates read one result object per relation row (bulk invoke
+  // runs row-parallel when threads_ > 1); sampled ones create their own.
+  std::vector<vao::ResultObjectPtr> owned;
+  if (!query.approx.has_value()) {
+    VAOLIB_ASSIGN_OR_RETURN(const std::vector<std::vector<double>> rows,
+                            plan_.BuildRows(stream_tuple));
+    auto invoked = vao::InvokeAll(*query.function, rows, threads_, &meter_);
+    if (!invoked.ok()) return FallbackOrError(stream_tuple, invoked.status());
+    owned = std::move(invoked).value();
   }
+  std::vector<vao::ResultObject*> objects;
+  objects.reserve(owned.size());
+  for (const auto& object : owned) objects.push_back(object.get());
+
+  TickInputs inputs;
+  inputs.stream_tuple = &stream_tuple;
+  inputs.objects = &objects;
+  inputs.meter = &meter_;
+  inputs.threads = threads_;
+  auto compiled = plan_.Compile(inputs);
+  if (!compiled.ok()) return FallbackOrError(stream_tuple, compiled.status());
+  operators::OperatorOptions drive;
+  drive.meter = &meter_;
+  const auto driven = operators::DriveTask(compiled->task(), drive);
+  if (!driven.ok()) return FallbackOrError(stream_tuple, driven.status());
+  compiled->Decode(&result);
 
   result.work_units = meter_.Total() - work_before;
-  result.report.query_kind = QueryKindName(query_.kind);
-  FillOperatorSection(result.stats, &result.report);
-  const vao::Answer& answer = result.aggregate_bounds;
-  result.report.answer_mode = vao::AnswerModeName(answer.mode);
-  result.report.answer_confidence = answer.confidence;
-  result.report.sample_size = answer.sample_size;
-  result.report.sample_population = answer.population_size;
-  result.report.deterministic_width = answer.deterministic_width;
-  result.report.sampling_width = answer.sampling_width;
-  FillProgressSection(result, query_.epsilon, &result.report);
   capture.Finish(meter_, &result.report);
   obs::RecordTickMetrics(result.report);
   return result;
@@ -517,7 +174,7 @@ Result<TickResult> CqExecutor::FallbackOrError(const Tuple& stream_tuple,
     return cause;
   }
   if (black_box_ == nullptr) {
-    black_box_ = std::make_unique<vao::CalibratedBlackBox>(query_.function);
+    black_box_ = std::make_unique<vao::CalibratedBlackBox>(query().function);
   }
   auto fallback = RunTraditional(stream_tuple);
   if (!fallback.ok()) {
@@ -534,24 +191,20 @@ Result<TickResult> CqExecutor::FallbackOrError(const Tuple& stream_tuple,
 }
 
 Result<TickResult> CqExecutor::RunTraditional(const Tuple& stream_tuple) {
+  const Query& query = plan_.query();
   const obs::ScopedSpan tick_span("tick", "traditional");
   TickResult result;
-  result.kind = query_.kind;
+  result.kind = query.kind;
   const std::uint64_t work_before = meter_.Total();
-  const ReportCapture capture(meter_, ReportCapture::CacheOf(query_.function));
+  const ReportCapture capture(meter_, ReportCapture::CacheOf(query.function));
   const std::size_t n = relation_->size();
 
-  std::vector<std::vector<double>> rows;
-  rows.reserve(n);
-  for (std::size_t row = 0; row < n; ++row) {
-    VAOLIB_ASSIGN_OR_RETURN(std::vector<double> args,
-                            BuildArgs(stream_tuple, row));
-    rows.push_back(std::move(args));
-  }
+  VAOLIB_ASSIGN_OR_RETURN(const std::vector<std::vector<double>> rows,
+                          plan_.BuildRows(stream_tuple));
 
-  switch (query_.kind) {
+  switch (query.kind) {
     case QueryKind::kSelect: {
-      const operators::TraditionalSelection op(query_.cmp, query_.constant);
+      const operators::TraditionalSelection op(query.cmp, query.constant);
       for (std::size_t row = 0; row < n; ++row) {
         VAOLIB_ASSIGN_OR_RETURN(const bool passes,
                                 op.Evaluate(*black_box_, rows[row], &meter_));
@@ -564,16 +217,16 @@ Result<TickResult> CqExecutor::RunTraditional(const Tuple& stream_tuple) {
         VAOLIB_ASSIGN_OR_RETURN(const double value,
                                 black_box_->Call(rows[row], &meter_));
         const bool passes =
-            query_.range_inclusive
-                ? value >= query_.range_lo && value <= query_.range_hi
-                : value > query_.range_lo && value < query_.range_hi;
+            query.range_inclusive
+                ? value >= query.range_lo && value <= query.range_hi
+                : value > query.range_lo && value < query.range_hi;
         if (passes) result.passing_rows.push_back(row);
       }
       break;
     }
     case QueryKind::kMax:
     case QueryKind::kMin: {
-      const auto kind = query_.kind == QueryKind::kMax
+      const auto kind = query.kind == QueryKind::kMax
                             ? operators::ExtremeKind::kMax
                             : operators::ExtremeKind::kMin;
       VAOLIB_ASSIGN_OR_RETURN(
@@ -586,7 +239,7 @@ Result<TickResult> CqExecutor::RunTraditional(const Tuple& stream_tuple) {
     case QueryKind::kSum:
     case QueryKind::kAve: {
       VAOLIB_ASSIGN_OR_RETURN(const std::vector<double> weights,
-                              ResolveWeights());
+                              plan_.ResolveWeights());
       VAOLIB_ASSIGN_OR_RETURN(
           const operators::TraditionalSumOutcome outcome,
           operators::TraditionalWeightedSum(*black_box_, rows, weights,
@@ -595,7 +248,7 @@ Result<TickResult> CqExecutor::RunTraditional(const Tuple& stream_tuple) {
       break;
     }
     case QueryKind::kTopK: {
-      if (query_.k < 1 || query_.k > n) {
+      if (query.k < 1 || query.k > n) {
         return Status::InvalidArgument("top-k k out of range");
       }
       std::vector<std::pair<double, std::size_t>> valued(n);
@@ -606,7 +259,7 @@ Result<TickResult> CqExecutor::RunTraditional(const Tuple& stream_tuple) {
       }
       std::sort(valued.begin(), valued.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });
-      for (std::size_t i = 0; i < query_.k; ++i) {
+      for (std::size_t i = 0; i < query.k; ++i) {
         result.top_rows.push_back(valued[i].second);
         result.top_bounds.push_back(Bounds::Point(valued[i].first));
       }
@@ -616,10 +269,10 @@ Result<TickResult> CqExecutor::RunTraditional(const Tuple& stream_tuple) {
     }
   }
   result.work_units = meter_.Total() - work_before;
-  result.report.query_kind = QueryKindName(query_.kind);
+  result.report.query_kind = QueryKindName(query.kind);
   result.report.rows_scanned = n;  // traditional mode never short-circuits
   FillOperatorSection(result.stats, &result.report);
-  FillProgressSection(result, query_.epsilon, &result.report);
+  FillProgressSection(result, query.epsilon, &result.report);
   capture.Finish(meter_, &result.report);
   obs::RecordTickMetrics(result.report);
   return result;

@@ -6,18 +6,13 @@
 #ifndef VAOLIB_ENGINE_EXECUTOR_H_
 #define VAOLIB_ENGINE_EXECUTOR_H_
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include "common/work_meter.h"
 #include "engine/query.h"
+#include "engine/query_plan.h"
 #include "engine/relation.h"
 #include "engine/schema.h"
-#include "obs/execution_report.h"
-#include "vao/answer.h"
 #include "vao/black_box.h"
 
 namespace vaolib::engine {
@@ -40,88 +35,6 @@ enum class ResiliencePolicy {
   /// with an attached cause, never silent wrong results.
   kDegrade,
 };
-
-/// \brief Output of one stream tick.
-struct TickResult {
-  QueryKind kind = QueryKind::kSelect;
-
-  /// kSelect: indices of relation rows whose predicate passed.
-  std::vector<std::size_t> passing_rows;
-
-  /// kMax/kMin: the winning relation row.
-  std::optional<std::size_t> winner_row;
-
-  /// kTopK: selected rows (most extreme first) and their bounds.
-  std::vector<std::size_t> top_rows;
-  std::vector<Bounds> top_bounds;
-  /// True when the winner is only determined up to minWidth ties.
-  bool tie = false;
-
-  /// Aggregate output: hard bounds in exact mode (degenerate [v, v] in
-  /// traditional mode), a probabilistic combined interval with provenance
-  /// when the query requested approximate execution. Assigning a plain
-  /// Bounds keeps the exact semantics (mode = kExact, confidence 1).
-  vao::Answer aggregate_bounds;
-
-  operators::OperatorStats stats;
-  /// Work units charged during this tick (all WorkKinds).
-  std::uint64_t work_units = 0;
-
-  /// False when a scheduled tick's work budget ran out before this query
-  /// finished: the answer above is then a sound partial result (aggregate
-  /// bounds are an envelope containing the true value; undecided selection
-  /// rows resolve by their current bounds). Always true for unscheduled
-  /// execution, which drives every query to convergence.
-  bool converged = true;
-
-  /// \name Resilience accounting. Row quarantine and black-box fallback
-  /// happen only under ResiliencePolicy::kDegrade; the degraded flag is
-  /// also set (in any policy) when an aggregate quarantined stalled
-  /// objects, since the answer is then sound but coarser than requested.
-  /// @{
-  /// True when any quarantine or black-box fallback happened this tick.
-  bool degraded = false;
-  /// The first failure that triggered degradation (OK when !degraded).
-  Status degradation_cause;
-  /// kSelect/kSelectRange: rows whose evaluation failed; they are excluded
-  /// from passing_rows (ascending order).
-  std::vector<std::size_t> quarantined_rows;
-  /// @}
-
-  /// Structured observability account of this tick; report.work.Total()
-  /// always equals work_units.
-  obs::ExecutionReport report;
-};
-
-/// \brief Fills \p report's convergence-progress section (obs/health.h feeds
-/// these into per-query ProgressRings) from one query's finished tick.
-/// Interval-valued kinds (extremes, aggregates, TOP-K) report the answer
-/// interval's width and relative width; selections report 0.
-/// limited_by_min_width marks a tick that finished (not cut off by a
-/// scheduler budget) yet could not reach the requested precision: an
-/// aggregate still wider than epsilon, or an extreme/TOP-K decided only up
-/// to minWidth ties. More budget cannot tighten such an answer.
-inline void FillProgressSection(const TickResult& result, double epsilon,
-                                obs::ExecutionReport* report) {
-  const bool interval_kind = result.kind != QueryKind::kSelect &&
-                             result.kind != QueryKind::kSelectRange;
-  double width = 0.0;
-  double rel = 0.0;
-  if (interval_kind) {
-    width = result.aggregate_bounds.Width();
-    const double scale = std::max(std::fabs(result.aggregate_bounds.lo),
-                                  std::fabs(result.aggregate_bounds.hi));
-    if (!std::isfinite(width)) width = 0.0;  // unbounded: no useful sample
-    if (scale > 0.0 && std::isfinite(scale)) rel = width / scale;
-  }
-  report->answer_width = width;
-  report->answer_rel_width = rel;
-  const bool epsilon_kind =
-      result.kind == QueryKind::kSum || result.kind == QueryKind::kAve;
-  report->limited_by_min_width =
-      result.converged &&
-      ((epsilon_kind && width > epsilon) || (interval_kind && result.tie));
-}
 
 /// \brief Single-query continuous executor.
 ///
@@ -155,27 +68,21 @@ class CqExecutor {
   void ResetMeter() { meter_.Reset(); }
 
   ExecutionMode mode() const { return mode_; }
-  const Query& query() const { return query_; }
+  const Query& query() const { return plan_.query(); }
   int threads() const { return threads_; }
   ResiliencePolicy resilience() const { return resilience_; }
 
  private:
-  CqExecutor(const Relation* relation, Schema stream_schema, Query query,
+  CqExecutor(const Relation* relation, Schema stream_schema, QueryPlan plan,
              ExecutionMode mode, int threads, ResiliencePolicy resilience);
 
-  /// Resolves ArgRefs into per-row argument vectors for this tick.
-  Result<std::vector<double>> BuildArgs(const Tuple& stream_tuple,
-                                        std::size_t row) const;
-
-  Result<TickResult> RunVao(const Tuple& stream_tuple);
+  /// Selections stream the relation row by row (one live result object
+  /// per row), quarantining failing rows under kDegrade.
+  Result<TickResult> RunSelection(const Tuple& stream_tuple);
+  /// Aggregates, exact and approximate: compile the plan over this tick's
+  /// objects, drive its task to completion, decode.
+  Result<TickResult> RunAggregate(const Tuple& stream_tuple);
   Result<TickResult> RunTraditional(const Tuple& stream_tuple);
-
-  /// Approximate tier (query_.approx engaged): SUM/AVE answer from a
-  /// growing row sample via SampledSumTask; TOP-K runs the exact operator
-  /// over an upfront uniform sample (a heuristic tier -- its interval
-  /// provenance marks the answer approximate but carries no per-rank CLT
-  /// guarantee). Falls back like RunVao on degradable failures.
-  Result<TickResult> RunApproximate(const Tuple& stream_tuple);
 
   /// kDegrade handling of a failed VAO aggregate: when \p cause is a
   /// degradable code, re-answers the tick through the calibrated black-box
@@ -185,24 +92,13 @@ class CqExecutor {
   Result<TickResult> FallbackOrError(const Tuple& stream_tuple,
                                      const Status& cause);
 
-  Result<std::vector<double>> ResolveWeights() const;
-
   const Relation* relation_;
   Schema stream_schema_;
-  Query query_;
+  QueryPlan plan_;
   ExecutionMode mode_;
   int threads_;
   ResiliencePolicy resilience_;
   WorkMeter meter_;
-
-  /// Pre-resolved argument bindings: (source, column index or constant).
-  struct BoundArg {
-    ArgRef::Source source;
-    std::size_t index = 0;
-    double constant = 0.0;
-  };
-  std::vector<BoundArg> bound_args_;
-  std::optional<std::size_t> weight_column_index_;
 
   /// Calibrated baseline for traditional mode (lazy per-args cache inside).
   std::unique_ptr<vao::CalibratedBlackBox> black_box_;

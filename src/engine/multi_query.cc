@@ -1,20 +1,13 @@
 #include "engine/multi_query.h"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 #include <utility>
 
 #include "common/macros.h"
 #include "engine/report_capture.h"
-#include "engine/sampling/sampler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "operators/iteration_task.h"
-#include "operators/min_max.h"
-#include "operators/selection.h"
-#include "operators/sum_ave.h"
-#include "operators/top_k.h"
 #include "vao/parallel.h"
 
 namespace vaolib::engine {
@@ -26,45 +19,17 @@ bool SameBinding(const ArgRef& a, const ArgRef& b) {
          a.constant == b.constant;
 }
 
-// Per-object Iterate() budget for the parallel coarse pre-phase; see the
-// identical constant in executor.cc for the rationale.
-constexpr std::uint64_t kCoarseMaxSteps = 4;
-
-// Copies an answer's provenance into the report's answer section.
-void FillAnswerSection(const vao::Answer& answer,
-                       obs::ExecutionReport* report) {
-  report->answer_mode = vao::AnswerModeName(answer.mode);
-  report->answer_confidence = answer.confidence;
-  report->sample_size = answer.sample_size;
-  report->sample_population = answer.population_size;
-  report->deterministic_width = answer.deterministic_width;
-  report->sampling_width = answer.sampling_width;
-}
-
-// True when \p query runs in the approximate tier (private sampled objects,
-// never the shared per-row set).
-bool IsApprox(const Query& query) { return query.approx.has_value(); }
-
 }  // namespace
 
 MultiQueryExecutor::MultiQueryExecutor(const Relation* relation,
                                        Schema stream_schema,
-                                       std::vector<Query> queries,
+                                       std::vector<QueryPlan> plans,
                                        MultiQueryOptions options)
     : relation_(relation),
       stream_schema_(std::move(stream_schema)),
-      queries_(std::move(queries)),
+      plans_(std::move(plans)),
       options_(std::move(options)) {
   options_.threads = std::max(options_.threads, 1);
-}
-
-Result<std::unique_ptr<MultiQueryExecutor>> MultiQueryExecutor::Create(
-    const Relation* relation, Schema stream_schema,
-    std::vector<Query> queries, int threads) {
-  MultiQueryOptions options;
-  options.threads = threads;
-  return Create(relation, std::move(stream_schema), std::move(queries),
-                options);
 }
 
 Result<std::unique_ptr<MultiQueryExecutor>> MultiQueryExecutor::Create(
@@ -77,17 +42,15 @@ Result<std::unique_ptr<MultiQueryExecutor>> MultiQueryExecutor::Create(
     return Status::InvalidArgument("multi-query executor with no queries");
   }
   const Query& first = queries.front();
-  if (first.function == nullptr) {
-    return Status::InvalidArgument("query has no function bound");
-  }
+  std::vector<QueryPlan> plans;
+  plans.reserve(queries.size());
   for (const Query& query : queries) {
+    VAOLIB_ASSIGN_OR_RETURN(QueryPlan plan,
+                            QueryPlan::Create(query, stream_schema, relation));
+    // Same function means same arity, so the bindings line up one to one.
     if (query.function != first.function) {
       return Status::InvalidArgument(
           "shared execution requires all queries to use the same function");
-    }
-    if (query.args.size() != first.args.size()) {
-      return Status::InvalidArgument(
-          "shared execution requires identical argument bindings");
     }
     for (std::size_t i = 0; i < query.args.size(); ++i) {
       if (!SameBinding(query.args[i], first.args[i])) {
@@ -95,32 +58,7 @@ Result<std::unique_ptr<MultiQueryExecutor>> MultiQueryExecutor::Create(
             "shared execution requires identical argument bindings");
       }
     }
-    if (query.weight_column.has_value() &&
-        !relation->schema().IndexOf(*query.weight_column).ok()) {
-      return Status::NotFound("weight column '" + *query.weight_column +
-                              "' not in relation");
-    }
-    if (query.approx.has_value()) {
-      if (query.kind != QueryKind::kSum && query.kind != QueryKind::kAve &&
-          query.kind != QueryKind::kTopK) {
-        return Status::InvalidArgument(
-            "APPROX applies to SUM/AVE/TOP-K queries only");
-      }
-      if (!(query.approx->confidence > 0.0) ||
-          !(query.approx->confidence < 1.0)) {
-        return Status::InvalidArgument(
-            "APPROX confidence must be in (0, 1), got " +
-            std::to_string(query.approx->confidence));
-      }
-      if (!(query.approx->target_rel_error > 0.0)) {
-        return Status::InvalidArgument(
-            "APPROX target relative error must be > 0, got " +
-            std::to_string(query.approx->target_rel_error));
-      }
-    }
-  }
-  if (static_cast<int>(first.args.size()) != first.function->arity()) {
-    return Status::InvalidArgument("argument binding arity mismatch");
+    plans.push_back(std::move(plan));
   }
   if (!options.schedules.empty() &&
       options.schedules.size() != queries.size()) {
@@ -136,201 +74,8 @@ Result<std::unique_ptr<MultiQueryExecutor>> MultiQueryExecutor::Create(
     return Status::InvalidArgument(
         "owners must be empty or parallel to the query list");
   }
-
-  auto executor = std::unique_ptr<MultiQueryExecutor>(new MultiQueryExecutor(
-      relation, std::move(stream_schema), std::move(queries), options));
-  for (const ArgRef& ref : executor->queries_.front().args) {
-    BoundArg bound;
-    bound.source = ref.source;
-    bound.constant = ref.constant;
-    switch (ref.source) {
-      case ArgRef::Source::kStreamField: {
-        VAOLIB_ASSIGN_OR_RETURN(bound.index,
-                                executor->stream_schema_.IndexOf(ref.field));
-        break;
-      }
-      case ArgRef::Source::kRelationField: {
-        VAOLIB_ASSIGN_OR_RETURN(
-            bound.index, executor->relation_->schema().IndexOf(ref.field));
-        break;
-      }
-      case ArgRef::Source::kConstant:
-        break;
-    }
-    executor->bound_args_.push_back(bound);
-  }
-  return executor;
-}
-
-void MultiQueryExecutor::ApplyPredictiveOptions(
-    operators::OperatorOptions* options) const {
-  options->strategy = options_.strategy;
-  options->sentinel_probes = options_.sentinel_probes;
-  options->feedback = options_.history.get();
-  options->object_ids = &object_ids_;
-}
-
-Result<std::vector<double>> MultiQueryExecutor::BuildArgs(
-    const Tuple& stream_tuple, std::size_t row) const {
-  std::vector<double> args;
-  args.reserve(bound_args_.size());
-  for (const BoundArg& bound : bound_args_) {
-    switch (bound.source) {
-      case ArgRef::Source::kStreamField: {
-        if (bound.index >= stream_tuple.size()) {
-          return Status::OutOfRange("stream tuple too short for binding");
-        }
-        VAOLIB_ASSIGN_OR_RETURN(const double v,
-                                stream_tuple[bound.index].AsDouble());
-        args.push_back(v);
-        break;
-      }
-      case ArgRef::Source::kRelationField: {
-        VAOLIB_ASSIGN_OR_RETURN(const Value cell,
-                                relation_->At(row, bound.index));
-        VAOLIB_ASSIGN_OR_RETURN(const double v, cell.AsDouble());
-        args.push_back(v);
-        break;
-      }
-      case ArgRef::Source::kConstant:
-        args.push_back(bound.constant);
-        break;
-    }
-  }
-  return args;
-}
-
-Result<std::vector<vao::ResultObjectPtr>>
-MultiQueryExecutor::CreateSharedObjects(const Tuple& stream_tuple,
-                                        std::uint64_t* creation_cost,
-                                        obs::WorkByKind* creation_work) {
-  // One shared result object per relation row, created in bulk (row-parallel
-  // on the shared pool when threads > 1; work totals are identical either
-  // way because every object charges meter_ directly).
-  const std::size_t n = relation_->size();
-  const auto* function = queries_.front().function;
-  const std::uint64_t creation_before = meter_.Total();
-  const obs::WorkByKind creation_work_before =
-      obs::WorkByKind::Capture(meter_);
-  std::vector<std::vector<double>> rows;
-  rows.reserve(n);
-  for (std::size_t row = 0; row < n; ++row) {
-    VAOLIB_ASSIGN_OR_RETURN(std::vector<double> args,
-                            BuildArgs(stream_tuple, row));
-    rows.push_back(std::move(args));
-  }
-  VAOLIB_ASSIGN_OR_RETURN(
-      std::vector<vao::ResultObjectPtr> owned,
-      vao::InvokeAll(*function, rows, options_.threads, &meter_));
-  *creation_cost = meter_.Total() - creation_before;
-  *creation_work =
-      obs::WorkByKind::Capture(meter_).DeltaSince(creation_work_before);
-  return owned;
-}
-
-Result<std::unique_ptr<sampling::SampledSumTask>>
-MultiQueryExecutor::MakeSampledSumTask(const Tuple& stream_tuple,
-                                       const Query& query) {
-  const std::size_t n = relation_->size();
-  std::vector<double> weights;
-  if (query.weight_column.has_value()) {
-    VAOLIB_ASSIGN_OR_RETURN(weights,
-                            relation_->NumericColumn(*query.weight_column));
-  } else if (query.kind == QueryKind::kAve) {
-    weights = operators::AveWeights(n);
-  } else {
-    weights = operators::SumWeights(n);
-  }
-  sampling::SampledAggregateOptions options;
-  options.spec = *query.approx;
-  options.epsilon = query.epsilon;
-  options.meter = &meter_;
-  auto factory =
-      [this, &stream_tuple](std::size_t row) -> Result<vao::ResultObjectPtr> {
-    VAOLIB_ASSIGN_OR_RETURN(const std::vector<double> args,
-                            BuildArgs(stream_tuple, row));
-    return queries_.front().function->Invoke(args, &meter_);
-  };
-  auto weight = [weights = std::move(weights)](std::size_t row) {
-    return weights[row];
-  };
-  return sampling::SampledSumTask::Create(options, n, std::move(factory),
-                                          std::move(weight));
-}
-
-Status MultiQueryExecutor::EvaluateApproxSum(const Tuple& stream_tuple,
-                                             const Query& query,
-                                             TickResult* result) {
-  VAOLIB_ASSIGN_OR_RETURN(const std::unique_ptr<sampling::SampledSumTask> task,
-                          MakeSampledSumTask(stream_tuple, query));
-  operators::OperatorOptions drive;
-  drive.meter = &meter_;
-  VAOLIB_RETURN_IF_ERROR(operators::DriveTask(task.get(), drive).status());
-  const sampling::SampledSumOutcome outcome = task->Snapshot();
-  result->aggregate_bounds = outcome.answer;
-  result->converged = outcome.converged;
-  result->stats = outcome.stats;
-  if (outcome.limited_by_min_width) {
-    result->degraded = true;
-    result->degradation_cause = Status::ResourceExhausted(
-        "sampled SUM/AVE exhausted the sample without reaching the error "
-        "target");
-  }
-  return Status::OK();
-}
-
-Status MultiQueryExecutor::EvaluateApproxTopK(const Tuple& stream_tuple,
-                                              const Query& query,
-                                              TickResult* result) {
-  const std::size_t n = relation_->size();
-  const ApproxSpec& spec = *query.approx;
-  if (query.k < 1 || query.k > n) {
-    return Status::InvalidArgument("top-k k out of range");
-  }
-  std::size_t want = spec.max_samples != 0
-                         ? spec.max_samples
-                         : std::max(spec.initial_samples, n / 10);
-  want = std::min(std::max(want, query.k), n);
-  const std::vector<std::size_t> sampled =
-      sampling::ReservoirSample(n, want, spec.seed);
-
-  std::vector<std::vector<double>> rows;
-  rows.reserve(sampled.size());
-  for (const std::size_t row : sampled) {
-    VAOLIB_ASSIGN_OR_RETURN(std::vector<double> args,
-                            BuildArgs(stream_tuple, row));
-    rows.push_back(std::move(args));
-  }
-  VAOLIB_ASSIGN_OR_RETURN(
-      const std::vector<vao::ResultObjectPtr> owned,
-      vao::InvokeAll(*queries_.front().function, rows, options_.threads,
-                     &meter_));
-  std::vector<vao::ResultObject*> objects;
-  objects.reserve(owned.size());
-  for (const auto& object : owned) objects.push_back(object.get());
-
-  operators::TopKOptions options;
-  options.k = query.k;
-  options.epsilon = query.epsilon;
-  options.meter = &meter_;
-  const operators::TopKVao vao(options);
-  VAOLIB_ASSIGN_OR_RETURN(const operators::TopKOutcome outcome,
-                          vao.Evaluate(objects));
-  for (const std::size_t winner : outcome.winners) {
-    result->top_rows.push_back(sampled[winner]);
-  }
-  result->top_bounds = outcome.winner_bounds;
-  result->tie = outcome.tie;
-  if (!result->top_rows.empty()) {
-    result->winner_row = result->top_rows.front();
-    // Heuristic tier: sampled winner's hard bounds, no CLT guarantee, so
-    // confidence 0 (see protocol.h on conf=0).
-    result->aggregate_bounds = vao::Answer::Approximate(
-        outcome.winner_bounds.front(), /*confidence=*/0.0, sampled.size(), n,
-        outcome.winner_bounds.front().Width(), 0.0);
-  }
-  result->stats = outcome.stats;
-  return Status::OK();
+  return std::unique_ptr<MultiQueryExecutor>(new MultiQueryExecutor(
+      relation, std::move(stream_schema), std::move(plans), options));
 }
 
 Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
@@ -338,538 +83,70 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   if (stream_tuple.size() != stream_schema_.size()) {
     return Status::InvalidArgument("stream tuple does not match schema");
   }
-  if (relation_->size() == 0) {
+  const std::size_t n = relation_->size();
+  if (n == 0) {
     return Status::FailedPrecondition("relation is empty");
   }
-  if (object_ids_.size() != relation_->size()) {
-    object_ids_.resize(relation_->size());
+  if (object_ids_.size() != n) {
+    object_ids_.resize(n);
     std::iota(object_ids_.begin(), object_ids_.end(), std::uint64_t{0});
   }
   // Tick boundary for the cross-tick cost history: decay last tick's
   // learned ratios before this tick's operators read or extend them.
   if (options_.history != nullptr) options_.history->BeginTick();
-  return options_.scheduled ? ProcessTickScheduled(stream_tuple)
-                            : ProcessTickShared(stream_tuple);
-}
 
-Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTickShared(
-    const Tuple& stream_tuple) {
-  const obs::ScopedSpan tick_span("tick", "multi_shared");
-  const std::size_t n = relation_->size();
-  const auto* function = queries_.front().function;
-  const ReportCapture tick_capture(meter_, ReportCapture::CacheOf(function));
+  const obs::ScopedSpan tick_span("tick", "multi");
+  const QueryPlan& lead = plans_.front();
+  const ReportCapture tick_capture(
+      meter_, ReportCapture::CacheOf(lead.query().function));
 
-  // Sampled aggregates materialize their own per-row objects, so a tick
-  // whose queries are all approximate never builds the shared pool.
-  bool need_shared = false;
-  for (const Query& query : queries_) need_shared |= !IsApprox(query);
-
-  std::uint64_t creation_cost = 0;
-  obs::WorkByKind creation_work;
+  // One shared result object per relation row, created in bulk (row-parallel
+  // on the shared pool when threads > 1; work totals are identical either
+  // way). Sampled aggregates materialize private objects for their sampled
+  // rows instead, so a tick whose queries are all approximate skips this.
+  const bool need_shared =
+      std::any_of(plans_.begin(), plans_.end(), [](const QueryPlan& plan) {
+        return !plan.query().approx.has_value();
+      });
   std::vector<vao::ResultObjectPtr> owned;
   if (need_shared) {
-    VAOLIB_ASSIGN_OR_RETURN(
-        owned,
-        CreateSharedObjects(stream_tuple, &creation_cost, &creation_work));
+    VAOLIB_ASSIGN_OR_RETURN(const std::vector<std::vector<double>> rows,
+                            lead.BuildRows(stream_tuple));
+    VAOLIB_ASSIGN_OR_RETURN(owned,
+                            vao::InvokeAll(*lead.query().function, rows,
+                                           options_.threads, &meter_));
   }
   std::vector<vao::ResultObject*> objects;
   objects.reserve(owned.size());
   for (const auto& object : owned) objects.push_back(object.get());
 
-  std::vector<TickResult> results(queries_.size());
-  for (auto& result : results) result.kind = QueryKind::kSelect;
-
-  // Phase 1: batch all point-selection predicates per object.
-  std::vector<std::size_t> select_query_indices;
-  std::vector<operators::MultiSelectionVao::Predicate> predicates;
-  for (std::size_t q = 0; q < queries_.size(); ++q) {
-    if (queries_[q].kind == QueryKind::kSelect) {
-      select_query_indices.push_back(q);
-      predicates.push_back({queries_[q].cmp, queries_[q].constant});
-    }
-  }
-  if (!predicates.empty()) {
-    const std::uint64_t before = meter_.Total();
-    const obs::WorkByKind work_before = obs::WorkByKind::Capture(meter_);
-    const operators::MultiSelectionVao shared(predicates);
-    VAOLIB_ASSIGN_OR_RETURN(const auto outcomes,
-                            shared.EvaluateBatch(objects, options_.threads));
-    operators::OperatorStats batch_stats;
-    std::uint64_t short_circuited = 0;
-    for (std::size_t row = 0; row < n; ++row) {
-      const auto& outcome = outcomes[row];
-      batch_stats.Merge(outcome.stats);
-      if (outcome.short_circuited) ++short_circuited;
-      for (std::size_t p = 0; p < select_query_indices.size(); ++p) {
-        if (outcome.passes[p]) {
-          results[select_query_indices[p]].passing_rows.push_back(row);
-        }
-      }
-    }
-    const obs::WorkByKind batch_work =
-        obs::WorkByKind::Capture(meter_).DeltaSince(work_before);
-    for (const std::size_t q : select_query_indices) {
-      results[q].kind = QueryKind::kSelect;
-      results[q].stats = batch_stats;
-      // The selection batch (plus object creation) is attributed to the
-      // selection group as a whole.
-      results[q].work_units = meter_.Total() - before + creation_cost;
-      results[q].report.query_kind = QueryKindName(QueryKind::kSelect);
-      results[q].report.work = batch_work;
-      results[q].report.work.exec += creation_work.exec;
-      results[q].report.work.get_state += creation_work.get_state;
-      results[q].report.work.store_state += creation_work.store_state;
-      results[q].report.work.choose_iter += creation_work.choose_iter;
-      results[q].report.rows_scanned = n;
-      results[q].report.rows_short_circuited = short_circuited;
-    }
-  }
-
-  // Phase 2: remaining query kinds over the (already tightened) objects.
-  for (std::size_t q = 0; q < queries_.size(); ++q) {
-    const Query& query = queries_[q];
-    TickResult& result = results[q];
-    result.kind = query.kind;
-    const std::uint64_t before = meter_.Total();
-    const obs::WorkByKind work_before = obs::WorkByKind::Capture(meter_);
-    std::uint64_t short_circuited = 0;
-    switch (query.kind) {
-      case QueryKind::kSelect:
-        break;  // handled in phase 1
-      case QueryKind::kSelectRange: {
-        const operators::RangeSelectionVao vao(
-            query.range_lo, query.range_hi, query.range_inclusive);
-        for (std::size_t row = 0; row < n; ++row) {
-          VAOLIB_ASSIGN_OR_RETURN(const auto outcome,
-                                  vao.Evaluate(objects[row]));
-          if (outcome.passes) result.passing_rows.push_back(row);
-          if (outcome.short_circuited) ++short_circuited;
-          result.stats.Merge(outcome.stats);
-        }
-        break;
-      }
-      case QueryKind::kMax:
-      case QueryKind::kMin: {
-        operators::MinMaxOptions options;
-        options.kind = query.kind == QueryKind::kMax
-                           ? operators::ExtremeKind::kMax
-                           : operators::ExtremeKind::kMin;
-        options.epsilon = query.epsilon;
-        options.meter = &meter_;
-        if (options_.threads > 1) {
-          options.threads = options_.threads;
-          options.coarse_width = query.epsilon;
-          options.coarse_max_steps = kCoarseMaxSteps;
-        }
-        ApplyPredictiveOptions(&options);
-        const operators::MinMaxVao vao(options);
-        VAOLIB_ASSIGN_OR_RETURN(const auto outcome, vao.Evaluate(objects));
-        result.winner_row = outcome.winner_index;
-        result.tie = outcome.tie;
-        result.aggregate_bounds = outcome.winner_bounds;
-        result.stats = outcome.stats;
-        break;
-      }
-      case QueryKind::kSum:
-      case QueryKind::kAve: {
-        if (IsApprox(query)) {
-          VAOLIB_RETURN_IF_ERROR(
-              EvaluateApproxSum(stream_tuple, query, &result));
-          break;
-        }
-        std::vector<double> weights;
-        if (query.weight_column.has_value()) {
-          VAOLIB_ASSIGN_OR_RETURN(
-              weights, relation_->NumericColumn(*query.weight_column));
-        } else if (query.kind == QueryKind::kAve) {
-          weights = operators::AveWeights(n);
-        } else {
-          weights = operators::SumWeights(n);
-        }
-        operators::SumAveOptions options;
-        options.epsilon = query.epsilon;
-        options.meter = &meter_;
-        if (options_.threads > 1) {
-          options.threads = options_.threads;
-          options.coarse_width = query.epsilon;
-          options.coarse_max_steps = kCoarseMaxSteps;
-        }
-        ApplyPredictiveOptions(&options);
-        const operators::SumAveVao vao(options);
-        VAOLIB_ASSIGN_OR_RETURN(const auto outcome,
-                                vao.Evaluate(objects, weights));
-        result.aggregate_bounds = outcome.sum_bounds;
-        result.stats = outcome.stats;
-        break;
-      }
-      case QueryKind::kTopK: {
-        if (IsApprox(query)) {
-          VAOLIB_RETURN_IF_ERROR(
-              EvaluateApproxTopK(stream_tuple, query, &result));
-          break;
-        }
-        operators::TopKOptions options;
-        options.k = query.k;
-        options.epsilon = query.epsilon;
-        options.meter = &meter_;
-        ApplyPredictiveOptions(&options);
-        const operators::TopKVao vao(options);
-        VAOLIB_ASSIGN_OR_RETURN(const auto outcome, vao.Evaluate(objects));
-        result.top_rows = outcome.winners;
-        result.top_bounds = outcome.winner_bounds;
-        result.tie = outcome.tie;
-        if (!outcome.winners.empty()) {
-          result.winner_row = outcome.winners.front();
-          result.aggregate_bounds = outcome.winner_bounds.front();
-        }
-        result.stats = outcome.stats;
-        break;
-      }
-    }
-    if (query.kind != QueryKind::kSelect) {
-      result.work_units = meter_.Total() - before;
-      result.report.query_kind = QueryKindName(query.kind);
-      result.report.work =
-          obs::WorkByKind::Capture(meter_).DeltaSince(work_before);
-      result.report.rows_scanned = n;
-      result.report.rows_short_circuited =
-          query.kind == QueryKind::kSelectRange
-              ? short_circuited
-              // Shared objects the operator never had to iterate further.
-              : n - result.stats.objects_touched;
-    }
-    if (IsApprox(query)) {
-      const vao::Answer& answer = result.aggregate_bounds;
-      result.report.rows_scanned = answer.sample_size;
-      result.report.rows_short_circuited = 0;
-      FillAnswerSection(answer, &result.report);
-    }
-    result.report.iterations = result.stats.iterations;
-    result.report.coarse_iterations = result.stats.coarse_iterations;
-    result.report.greedy_iterations = result.stats.greedy_iterations;
-    result.report.finalize_iterations = result.stats.finalize_iterations;
-    result.report.choose_steps = result.stats.choose_steps;
-    result.report.objects_touched = result.stats.objects_touched;
-    FillProgressSection(result, query.epsilon, &result.report);
-  }
-
-  // Tick-wide account: whole-tick work (creation included), cache and pool
-  // deltas, operator section summed over every query's phase.
-  last_tick_report_ = obs::ExecutionReport();
-  last_tick_report_.query_kind = "multi";
-  last_tick_report_.rows_scanned = n;
-  for (const TickResult& result : results) {
-    last_tick_report_.iterations += result.report.iterations;
-    last_tick_report_.coarse_iterations += result.report.coarse_iterations;
-    last_tick_report_.greedy_iterations += result.report.greedy_iterations;
-    last_tick_report_.finalize_iterations +=
-        result.report.finalize_iterations;
-    last_tick_report_.choose_steps += result.report.choose_steps;
-    last_tick_report_.objects_touched += result.report.objects_touched;
-    last_tick_report_.rows_short_circuited =
-        std::max(last_tick_report_.rows_short_circuited,
-                 result.report.rows_short_circuited);
-  }
-  tick_capture.Finish(meter_, &last_tick_report_);
-  obs::RecordTickMetrics(last_tick_report_);
-  return results;
-}
-
-Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTickScheduled(
-    const Tuple& stream_tuple) {
-  const obs::ScopedSpan tick_span("tick", "multi_scheduled");
-  const std::size_t n = relation_->size();
-  const auto* function = queries_.front().function;
-  const ReportCapture tick_capture(meter_, ReportCapture::CacheOf(function));
-
-  // Sampled aggregates never touch the shared pool (they materialize
-  // private objects for their sampled rows), so skip creation when every
-  // query is approximate.
-  bool need_shared = false;
-  for (const Query& query : queries_) need_shared |= !IsApprox(query);
-
-  std::uint64_t creation_cost = 0;
-  obs::WorkByKind creation_work;
-  std::vector<vao::ResultObjectPtr> owned;
-  if (need_shared) {
-    VAOLIB_ASSIGN_OR_RETURN(
-        owned,
-        CreateSharedObjects(stream_tuple, &creation_cost, &creation_work));
-  }
-  std::vector<vao::ResultObject*> objects;
-  objects.reserve(owned.size());
-  for (const auto& object : owned) objects.push_back(object.get());
-
-  std::vector<TickResult> results(queries_.size());
-
-  // Approximate TOP-K queries own their sampled objects for the tick;
-  // declared before `tasks` so tasks never outlive the objects they read.
-  std::vector<std::vector<vao::ResultObjectPtr>> private_owned(
-      queries_.size());
-  std::vector<std::vector<std::size_t>> private_rows(queries_.size());
-
-  // One resumable task per query over the SHARED objects: a step granted to
-  // one query tightens bounds every other query reads, so work composes
-  // across the set exactly as in the classic path -- the scheduler only
-  // decides the order and how far the budget reaches. Approximate queries
-  // instead contribute their private sampled task to the same run, so the
-  // scheduler trades exact refinement against sampling work head-to-head.
-  std::vector<std::unique_ptr<operators::IterationTask>> tasks(
-      queries_.size());
-  // Fills the query's answer from its task after the scheduler run (sound
-  // at any point: tasks snapshot partial answers).
-  std::vector<std::function<void(TickResult&)>> decode(queries_.size());
-  std::vector<bool> is_selection(queries_.size(), false);
-
-  for (std::size_t q = 0; q < queries_.size(); ++q) {
-    const Query& query = queries_[q];
-    switch (query.kind) {
-      case QueryKind::kSelect: {
-        is_selection[q] = true;
-        const operators::Comparator cmp = query.cmp;
-        const double constant = query.constant;
-        VAOLIB_ASSIGN_OR_RETURN(
-            auto task,
-            operators::MultiRowDecisionTask::Create(
-                objects, "selection",
-                [constant](const Bounds& b) { return b.Contains(constant); },
-                options_.threads));
-        task->SetFeedback(options_.history.get(), &object_ids_);
-        auto* raw = task.get();
-        tasks[q] = std::move(task);
-        decode[q] = [raw, cmp, constant, &objects](TickResult& result) {
-          for (std::size_t row = 0; row < objects.size(); ++row) {
-            const Bounds b = objects[row]->bounds();
-            // Same decision rules as SelectionVao: cleared bounds decide
-            // exactly; bounds still containing the constant resolve with
-            // the minWidth equality rule (also the sound default for rows
-            // the budget left undecided -- flagged by converged = false).
-            const bool passes =
-                b.Contains(constant)
-                    ? operators::CompareExact(constant, cmp, constant)
-                    : operators::CompareExact(b.Mid(), cmp, constant);
-            if (passes) result.passing_rows.push_back(row);
-            if (raw->RowSettled(row) &&
-                !objects[row]->AtStoppingCondition()) {
-              ++result.report.rows_short_circuited;
-            }
-          }
-          result.stats = raw->stats();
-          result.converged = raw->Converged();
-        };
-        break;
-      }
-      case QueryKind::kSelectRange: {
-        is_selection[q] = true;
-        if (!Bounds(query.range_lo, query.range_hi).IsValid()) {
-          return Status::InvalidArgument("range selection needs lo <= hi");
-        }
-        const Bounds range(query.range_lo, query.range_hi);
-        const bool inclusive = query.range_inclusive;
-        VAOLIB_ASSIGN_OR_RETURN(
-            auto task, operators::MultiRowDecisionTask::Create(
-                           objects, "range selection",
-                           [range](const Bounds& b) {
-                             return b.Contains(range.lo) ||
-                                    b.Contains(range.hi);
-                           },
-                           options_.threads));
-        task->SetFeedback(options_.history.get(), &object_ids_);
-        auto* raw = task.get();
-        tasks[q] = std::move(task);
-        decode[q] = [raw, range, inclusive, &objects](TickResult& result) {
-          for (std::size_t row = 0; row < objects.size(); ++row) {
-            const Bounds b = objects[row]->bounds();
-            // RangeSelectionVao's rules: both endpoints cleared decides by
-            // interval membership, a straddled endpoint resolves by the
-            // endpoint-equality rule (inclusive passes, exclusive fails).
-            const bool passes =
-                (!b.Contains(range.lo) && !b.Contains(range.hi))
-                    ? range.Contains(b.Mid())
-                    : inclusive;
-            if (passes) result.passing_rows.push_back(row);
-            if (raw->RowSettled(row) &&
-                !objects[row]->AtStoppingCondition()) {
-              ++result.report.rows_short_circuited;
-            }
-          }
-          result.stats = raw->stats();
-          result.converged = raw->Converged();
-        };
-        break;
-      }
-      case QueryKind::kMax:
-      case QueryKind::kMin: {
-        operators::MinMaxOptions options;
-        options.kind = query.kind == QueryKind::kMax
-                           ? operators::ExtremeKind::kMax
-                           : operators::ExtremeKind::kMin;
-        options.epsilon = query.epsilon;
-        options.meter = &meter_;
-        if (options_.threads > 1) {
-          options.threads = options_.threads;
-          options.coarse_width = query.epsilon;
-          options.coarse_max_steps = kCoarseMaxSteps;
-        }
-        ApplyPredictiveOptions(&options);
-        VAOLIB_ASSIGN_OR_RETURN(
-            auto task, operators::MinMaxIterationTask::Create(options,
-                                                              objects));
-        auto* raw = task.get();
-        tasks[q] = std::move(task);
-        decode[q] = [raw](TickResult& result) {
-          const operators::MinMaxOutcome outcome = raw->Snapshot();
-          result.winner_row = outcome.winner_index;
-          result.tie = outcome.tie;
-          result.aggregate_bounds = outcome.winner_bounds;
-          result.stats = outcome.stats;
-          result.converged = outcome.converged;
-        };
-        break;
-      }
-      case QueryKind::kSum:
-      case QueryKind::kAve: {
-        if (IsApprox(query)) {
-          VAOLIB_ASSIGN_OR_RETURN(auto task,
-                                  MakeSampledSumTask(stream_tuple, query));
-          auto* raw = task.get();
-          tasks[q] = std::move(task);
-          decode[q] = [raw](TickResult& result) {
-            const sampling::SampledSumOutcome outcome = raw->Snapshot();
-            result.aggregate_bounds = outcome.answer;
-            result.stats = outcome.stats;
-            result.converged = outcome.converged;
-            if (outcome.limited_by_min_width) {
-              result.degraded = true;
-              result.degradation_cause = Status::ResourceExhausted(
-                  "sampled SUM/AVE exhausted the sample without reaching "
-                  "the error target");
-            }
-          };
-          break;
-        }
-        std::vector<double> weights;
-        if (query.weight_column.has_value()) {
-          VAOLIB_ASSIGN_OR_RETURN(
-              weights, relation_->NumericColumn(*query.weight_column));
-        } else if (query.kind == QueryKind::kAve) {
-          weights = operators::AveWeights(n);
-        } else {
-          weights = operators::SumWeights(n);
-        }
-        operators::SumAveOptions options;
-        options.epsilon = query.epsilon;
-        options.meter = &meter_;
-        if (options_.threads > 1) {
-          options.threads = options_.threads;
-          options.coarse_width = query.epsilon;
-          options.coarse_max_steps = kCoarseMaxSteps;
-        }
-        ApplyPredictiveOptions(&options);
-        VAOLIB_ASSIGN_OR_RETURN(
-            auto task, operators::SumAveIterationTask::Create(
-                           options, objects, std::move(weights)));
-        auto* raw = task.get();
-        tasks[q] = std::move(task);
-        decode[q] = [raw](TickResult& result) {
-          const operators::SumOutcome outcome = raw->Snapshot();
-          result.aggregate_bounds = outcome.sum_bounds;
-          result.stats = outcome.stats;
-          result.converged = outcome.converged;
-        };
-        break;
-      }
-      case QueryKind::kTopK: {
-        operators::TopKOptions options;
-        options.k = query.k;
-        options.epsilon = query.epsilon;
-        options.meter = &meter_;
-        if (IsApprox(query)) {
-          // Upfront uniform sample; the task then refines only the sampled
-          // objects (predictive feedback skipped: its ids are row-indexed).
-          const ApproxSpec& spec = *query.approx;
-          if (query.k < 1 || query.k > n) {
-            return Status::InvalidArgument("top-k k out of range");
-          }
-          std::size_t want = spec.max_samples != 0
-                                 ? spec.max_samples
-                                 : std::max(spec.initial_samples, n / 10);
-          want = std::min(std::max(want, query.k), n);
-          private_rows[q] = sampling::ReservoirSample(n, want, spec.seed);
-          std::vector<std::vector<double>> rows;
-          rows.reserve(private_rows[q].size());
-          for (const std::size_t row : private_rows[q]) {
-            VAOLIB_ASSIGN_OR_RETURN(std::vector<double> args,
-                                    BuildArgs(stream_tuple, row));
-            rows.push_back(std::move(args));
-          }
-          VAOLIB_ASSIGN_OR_RETURN(
-              private_owned[q],
-              vao::InvokeAll(*queries_.front().function, rows,
-                             options_.threads, &meter_));
-          std::vector<vao::ResultObject*> sampled_objects;
-          sampled_objects.reserve(private_owned[q].size());
-          for (const auto& object : private_owned[q]) {
-            sampled_objects.push_back(object.get());
-          }
-          VAOLIB_ASSIGN_OR_RETURN(auto task,
-                                  operators::TopKIterationTask::Create(
-                                      options, sampled_objects));
-          auto* raw = task.get();
-          tasks[q] = std::move(task);
-          const std::vector<std::size_t>* sampled = &private_rows[q];
-          decode[q] = [raw, sampled, n](TickResult& result) {
-            const operators::TopKOutcome outcome = raw->Snapshot();
-            result.top_bounds = outcome.winner_bounds;
-            result.tie = outcome.tie;
-            for (const std::size_t winner : outcome.winners) {
-              result.top_rows.push_back((*sampled)[winner]);
-            }
-            if (!result.top_rows.empty()) {
-              result.winner_row = result.top_rows.front();
-              // Heuristic tier: no CLT guarantee, so confidence 0 (see
-              // protocol.h on conf=0).
-              result.aggregate_bounds = vao::Answer::Approximate(
-                  outcome.winner_bounds.front(), /*confidence=*/0.0,
-                  sampled->size(), n,
-                  outcome.winner_bounds.front().Width(), 0.0);
-            }
-            result.stats = outcome.stats;
-            result.converged = outcome.converged;
-          };
-          break;
-        }
-        ApplyPredictiveOptions(&options);
-        VAOLIB_ASSIGN_OR_RETURN(
-            auto task,
-            operators::TopKIterationTask::Create(options, objects));
-        auto* raw = task.get();
-        tasks[q] = std::move(task);
-        decode[q] = [raw](TickResult& result) {
-          const operators::TopKOutcome outcome = raw->Snapshot();
-          result.top_rows = outcome.winners;
-          result.top_bounds = outcome.winner_bounds;
-          result.tie = outcome.tie;
-          if (!outcome.winners.empty()) {
-            result.winner_row = outcome.winners.front();
-            result.aggregate_bounds = outcome.winner_bounds.front();
-          }
-          result.stats = outcome.stats;
-          result.converged = outcome.converged;
-        };
-        break;
-      }
-    }
-  }
-
-  std::vector<WorkScheduler::Entry> entries(queries_.size());
-  for (std::size_t q = 0; q < queries_.size(); ++q) {
-    entries[q].task = tasks[q].get();
+  // One task per query over the SHARED objects: a step granted to one query
+  // tightens bounds every other query reads, so work composes across the
+  // set -- the scheduler only decides the order and how far the budget
+  // reaches. Approximate queries contribute their private sampled task to
+  // the same run, so the scheduler trades exact refinement against
+  // sampling work head-to-head.
+  TickInputs inputs;
+  inputs.stream_tuple = &stream_tuple;
+  inputs.objects = &objects;
+  inputs.meter = &meter_;
+  inputs.threads = options_.threads;
+  inputs.strategy = options_.strategy;
+  inputs.sentinel_probes = options_.sentinel_probes;
+  inputs.feedback = options_.history.get();
+  inputs.object_ids = &object_ids_;
+  std::vector<CompiledQuery> compiled;
+  compiled.reserve(plans_.size());
+  std::vector<WorkScheduler::Entry> entries(plans_.size());
+  for (std::size_t q = 0; q < plans_.size(); ++q) {
+    VAOLIB_ASSIGN_OR_RETURN(CompiledQuery query, plans_[q].Compile(inputs));
+    compiled.push_back(std::move(query));
+    entries[q].task = compiled[q].task();
     if (!options_.schedules.empty()) {
       entries[q].schedule = options_.schedules[q];
     }
     if (!options_.owners.empty()) {
-      tasks[q]->set_owner(options_.owners[q]);
+      entries[q].task->set_owner(options_.owners[q]);
     }
   }
   WorkScheduler scheduler(options_.scheduler);
@@ -877,83 +154,58 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTickScheduled(
                           scheduler.Run(entries, &meter_));
 
   const char* policy_name = SchedulerPolicyName(options_.scheduler.policy);
-  for (std::size_t q = 0; q < queries_.size(); ++q) {
-    const Query& query = queries_[q];
+  last_tick_report_ = obs::ExecutionReport();
+  obs::ExecutionReport& tick = last_tick_report_;
+  tick.query_kind = "multi";
+  tick.rows_scanned = n;
+  tick.scheduled = true;
+  tick.scheduler_policy = policy_name;
+  tick.scheduler_budget = options_.scheduler.budget;
+  std::vector<TickResult> results(plans_.size());
+  for (std::size_t q = 0; q < plans_.size(); ++q) {
     TickResult& result = results[q];
-    result.kind = query.kind;
-    decode[q](result);
+    compiled[q].Decode(&result);
+    const TaskScheduleStats& stats = sched_stats[q];
 
-    // Exact attribution: the work units the scheduler granted this query
-    // (object creation is accounted in the tick-wide report below).
-    result.work_units = sched_stats[q].spent;
-    result.report.query_kind = QueryKindName(query.kind);
-    result.report.work = sched_stats[q].work;
-    result.report.rows_scanned = n;
-    if (!is_selection[q]) {
-      result.report.rows_short_circuited = n - result.stats.objects_touched;
-    }
-    if (IsApprox(query)) {
-      const vao::Answer& answer = result.aggregate_bounds;
-      result.report.rows_scanned = answer.sample_size;
-      result.report.rows_short_circuited = 0;
-      FillAnswerSection(answer, &result.report);
-    }
-    result.report.iterations = result.stats.iterations;
-    result.report.coarse_iterations = result.stats.coarse_iterations;
-    result.report.greedy_iterations = result.stats.greedy_iterations;
-    result.report.finalize_iterations = result.stats.finalize_iterations;
-    result.report.choose_steps = result.stats.choose_steps;
-    result.report.objects_touched = result.stats.objects_touched;
-    result.report.stalled_objects = result.stats.stalled_objects;
-
-    result.report.scheduled = true;
-    result.report.scheduler_policy = policy_name;
-    result.report.scheduler_budget = options_.scheduler.budget;
-    result.report.scheduler_spent = sched_stats[q].spent;
-    result.report.scheduler_steps = sched_stats[q].steps;
-    result.report.scheduler_finished_at = sched_stats[q].finished_at;
-    result.report.converged = result.converged;
-    result.report.starved = sched_stats[q].starved;
-    result.report.missed_deadline = sched_stats[q].missed_deadline;
-    FillProgressSection(result, query.epsilon, &result.report);
+    // Exact attribution: the work units the scheduler granted this query.
+    result.work_units = stats.spent;
+    obs::ExecutionReport& report = result.report;
+    report.work = stats.work;
+    report.scheduled = true;
+    report.scheduler_policy = policy_name;
+    report.scheduler_budget = options_.scheduler.budget;
+    report.scheduler_spent = stats.spent;
+    report.scheduler_steps = stats.steps;
+    report.scheduler_finished_at = stats.finished_at;
+    report.converged = result.converged;
+    report.starved = stats.starved;
+    report.missed_deadline = stats.missed_deadline;
     if (!options_.owners.empty()) {
-      result.report.tenant = options_.owners[q];
+      report.tenant = options_.owners[q];
       obs::MetricsRegistry::Global()
           .GetCounter("vaolib_owner_work_units_total",
                       {{"owner", options_.owners[q]}})
-          ->Add(sched_stats[q].spent);
+          ->Add(stats.spent);
     }
-  }
 
-  last_tick_report_ = obs::ExecutionReport();
-  last_tick_report_.query_kind = "multi";
-  last_tick_report_.rows_scanned = n;
-  last_tick_report_.scheduled = true;
-  last_tick_report_.scheduler_policy = policy_name;
-  last_tick_report_.scheduler_budget = options_.scheduler.budget;
-  for (std::size_t q = 0; q < queries_.size(); ++q) {
-    const TickResult& result = results[q];
-    last_tick_report_.iterations += result.report.iterations;
-    last_tick_report_.coarse_iterations += result.report.coarse_iterations;
-    last_tick_report_.greedy_iterations += result.report.greedy_iterations;
-    last_tick_report_.finalize_iterations +=
-        result.report.finalize_iterations;
-    last_tick_report_.choose_steps += result.report.choose_steps;
-    last_tick_report_.objects_touched += result.report.objects_touched;
-    last_tick_report_.rows_short_circuited =
-        std::max(last_tick_report_.rows_short_circuited,
-                 result.report.rows_short_circuited);
-    last_tick_report_.scheduler_spent += sched_stats[q].spent;
-    last_tick_report_.scheduler_steps += sched_stats[q].steps;
-    last_tick_report_.converged =
-        last_tick_report_.converged && result.converged;
-    last_tick_report_.starved =
-        last_tick_report_.starved || sched_stats[q].starved;
-    last_tick_report_.missed_deadline =
-        last_tick_report_.missed_deadline || sched_stats[q].missed_deadline;
+    // Tick-wide account: operator section summed over every query.
+    tick.iterations += report.iterations;
+    tick.coarse_iterations += report.coarse_iterations;
+    tick.greedy_iterations += report.greedy_iterations;
+    tick.finalize_iterations += report.finalize_iterations;
+    tick.choose_steps += report.choose_steps;
+    tick.objects_touched += report.objects_touched;
+    tick.rows_short_circuited =
+        std::max(tick.rows_short_circuited, report.rows_short_circuited);
+    tick.scheduler_spent += stats.spent;
+    tick.scheduler_steps += stats.steps;
+    tick.converged = tick.converged && result.converged;
+    tick.starved = tick.starved || stats.starved;
+    tick.missed_deadline = tick.missed_deadline || stats.missed_deadline;
   }
-  tick_capture.Finish(meter_, &last_tick_report_);
-  obs::RecordTickMetrics(last_tick_report_);
+  // Whole-tick work (shared object creation included), cache and pool.
+  tick_capture.Finish(meter_, &tick);
+  obs::RecordTickMetrics(tick);
   return results;
 }
 

@@ -5,12 +5,15 @@
 //
 // All registered queries must bind the SAME function with the SAME argument
 // references; that is exactly what makes sharing sound: per stream tick one
-// result object is created per relation row, every query's operator works
-// over those shared objects, and since bounds only tighten, work done for
-// one query is free for the next. Point-selection predicates are batched
-// through MultiSelectionVao so each object is iterated once for ALL
-// selection constants (cost tracks the hardest predicate, not the query
-// count).
+// result object is created per relation row, every query compiles (via its
+// QueryPlan) into a resumable IterationTask over those shared objects, and
+// since bounds only tighten, work done for one query is free for the next.
+// A WorkScheduler steps the tasks. Without a budget the default kDeadline
+// policy runs them to completion one after another in query order, so
+// point selections cost what their hardest predicate costs, not the query
+// count; with a budget every query still answers, soundly, when the budget
+// runs out. Approximate queries compile into tasks over private row
+// samples and compete for the same budget.
 
 #ifndef VAOLIB_ENGINE_MULTI_QUERY_H_
 #define VAOLIB_ENGINE_MULTI_QUERY_H_
@@ -22,10 +25,9 @@
 
 #include "common/work_meter.h"
 #include "engine/cost_history.h"
-#include "engine/executor.h"
 #include "engine/query.h"
+#include "engine/query_plan.h"
 #include "engine/relation.h"
-#include "engine/sampling/sampled_sum.h"
 #include "engine/schema.h"
 #include "engine/scheduler.h"
 #include "operators/operator_base.h"
@@ -38,24 +40,19 @@ struct MultiQueryOptions {
   /// row-parallel phases on the shared pool.
   int threads = 1;
 
-  /// When true, each tick turns every query into a resumable IterationTask
-  /// over the shared objects and drives them through a WorkScheduler
-  /// instead of converging queries one after another: the `scheduler`
-  /// policy decides who gets each work grant, and when its budget runs out
-  /// every unfinished query still reports a sound partial answer with
-  /// TickResult::converged = false. When false (default), ticks run the
-  /// classic two-phase converge-everything path and `scheduler`/`schedules`
-  /// are ignored.
-  bool scheduled = false;
-  SchedulerOptions scheduler;
+  /// Who gets each work grant and how far the tick's budget reaches. The
+  /// default, kDeadline with no budget and no deadlines, steps every query
+  /// to completion in query order; greedy interleaving would let a broad
+  /// SUM lock onto objects other queries refined deeply (DESIGN.md 4d).
+  SchedulerOptions scheduler{.policy = SchedulerPolicy::kDeadline};
   /// Per-query scheduling parameters, parallel to the query list; empty
   /// means defaults (priority 1, no deadline, no reserve) for every query.
   std::vector<QuerySchedule> schedules;
 
   /// Per-query owner labels (tenant ids in multi-tenant serving), parallel
-  /// to the query list or empty. In scheduled mode each owner's exact
-  /// per-tick spend is attributed on the query's ExecutionReport (`tenant`)
-  /// and on its IterationTask, and accumulated into the
+  /// to the query list or empty. Each owner's exact per-tick spend is
+  /// attributed on the query's ExecutionReport (`tenant`) and on its
+  /// IterationTask, and accumulated into the
   /// vaolib_owner_work_units_total{owner=...} counter.
   std::vector<std::string> owners;
 
@@ -78,35 +75,23 @@ struct MultiQueryOptions {
 /// \brief Shared-execution runner for a set of standing queries.
 class MultiQueryExecutor {
  public:
-  /// Builds the executor; every query must have the same `function` and
-  /// `args` bindings (InvalidArgument otherwise). Traditional mode is not
-  /// supported here -- use one CqExecutor per query for baselines.
-  /// With options.threads > 1 the per-tick shared objects are created
-  /// through InvokeAll and the batched selection predicates resolve
-  /// row-parallel on the shared pool; aggregate operators then run serially
-  /// over the tightened objects with a parallel coarse phase (see
-  /// MinMaxOptions/SumAveOptions). options.scheduled switches ticks to
-  /// budget-aware scheduled execution (see MultiQueryOptions).
+  /// Builds the executor; every query must pass QueryPlan validation and
+  /// have the same `function` and `args` bindings (InvalidArgument
+  /// otherwise). Traditional mode is not supported here -- use one
+  /// CqExecutor per query for baselines. With options.threads > 1 the
+  /// per-tick shared objects are created through InvokeAll, selection rows
+  /// refine row-parallel on the shared pool, and MIN/MAX/SUM/AVE run a
+  /// parallel coarse phase (see MinMaxOptions/SumAveOptions).
   static Result<std::unique_ptr<MultiQueryExecutor>> Create(
       const Relation* relation, Schema stream_schema,
-      std::vector<Query> queries, const MultiQueryOptions& options);
-
-  /// Pre-scheduler signature, kept so existing call sites compile
-  /// unchanged; equivalent to passing MultiQueryOptions{.threads = threads}.
-  static Result<std::unique_ptr<MultiQueryExecutor>> Create(
-      const Relation* relation, Schema stream_schema,
-      std::vector<Query> queries, int threads = 1);
+      std::vector<Query> queries, const MultiQueryOptions& options = {});
 
   /// Re-evaluates every query for \p stream_tuple over shared result
-  /// objects. Results are parallel to the constructor's query list; each
-  /// TickResult's work_units reports the work attributable to that query's
-  /// operator phase (object creation is charged to the first phase).
-  ///
-  /// In scheduled mode each TickResult's work_units is instead the exact
-  /// work-unit spend the scheduler granted that query (the spends sum to
-  /// the scheduler run's meter delta; object creation is accounted in the
-  /// tick-wide report), and converged reflects whether the query finished
-  /// within the budget.
+  /// objects. Results are parallel to the constructor's query list. Each
+  /// TickResult's work_units is the exact work the scheduler granted that
+  /// query (the spends sum to the scheduler run's meter delta); creating
+  /// the shared objects is accounted only in last_tick_report(). converged
+  /// reflects whether the query finished within the budget.
   Result<std::vector<TickResult>> ProcessTick(const Tuple& stream_tuple);
 
   /// Cumulative work across all ticks and queries.
@@ -122,64 +107,21 @@ class MultiQueryExecutor {
     return last_tick_report_;
   }
 
-  std::size_t query_count() const { return queries_.size(); }
+  std::size_t query_count() const { return plans_.size(); }
   int threads() const { return options_.threads; }
   const MultiQueryOptions& options() const { return options_; }
 
  private:
   MultiQueryExecutor(const Relation* relation, Schema stream_schema,
-                     std::vector<Query> queries, MultiQueryOptions options);
-
-  Result<std::vector<double>> BuildArgs(const Tuple& stream_tuple,
-                                        std::size_t row) const;
-
-  /// Stamps the predictive-planning knobs (strategy, sentinel budget,
-  /// feedback store, stable object ids) onto an aggregate's options.
-  void ApplyPredictiveOptions(operators::OperatorOptions* options) const;
-
-  /// Creates the tick's shared result objects (one per relation row) and
-  /// reports their creation cost (total and by kind).
-  Result<std::vector<vao::ResultObjectPtr>> CreateSharedObjects(
-      const Tuple& stream_tuple, std::uint64_t* creation_cost,
-      obs::WorkByKind* creation_work);
-
-  /// Classic path: converge every query, selections batched first.
-  Result<std::vector<TickResult>> ProcessTickShared(const Tuple& stream_tuple);
-  /// Budget-aware path: one IterationTask per query under a WorkScheduler.
-  Result<std::vector<TickResult>> ProcessTickScheduled(
-      const Tuple& stream_tuple);
-
-  /// \name Approximate tier (Query::approx engaged). Sampled aggregates
-  /// never read the shared object set: they materialize private objects for
-  /// their sampled rows, so a tick whose queries are ALL approximate skips
-  /// shared-object creation entirely.
-  /// @{
-  /// Builds the resumable sampled-SUM/AVE task for \p query. \p stream_tuple
-  /// is captured by reference and must outlive the task (tick scope).
-  Result<std::unique_ptr<sampling::SampledSumTask>> MakeSampledSumTask(
-      const Tuple& stream_tuple, const Query& query);
-  /// Shared-mode sampled SUM/AVE: drives the task to completion.
-  Status EvaluateApproxSum(const Tuple& stream_tuple, const Query& query,
-                           TickResult* result);
-  /// Approximate TOP-K: the exact operator over an upfront uniform row
-  /// sample (heuristic tier; see CqExecutor::RunApproximate).
-  Status EvaluateApproxTopK(const Tuple& stream_tuple, const Query& query,
-                            TickResult* result);
-  /// @}
+                     std::vector<QueryPlan> plans, MultiQueryOptions options);
 
   const Relation* relation_;
   Schema stream_schema_;
-  std::vector<Query> queries_;
+  std::vector<QueryPlan> plans_;
   MultiQueryOptions options_;
   WorkMeter meter_;
   obs::ExecutionReport last_tick_report_;
 
-  struct BoundArg {
-    ArgRef::Source source;
-    std::size_t index = 0;
-    double constant = 0.0;
-  };
-  std::vector<BoundArg> bound_args_;  ///< shared bindings (validated equal)
   /// Stable per-row identities for the cost history (row index: the
   /// relation row a shared object was built from, constant across ticks).
   std::vector<std::uint64_t> object_ids_;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/macros.h"
+#include "engine/query_plan.h"
 #include "engine/report_capture.h"
 #include "obs/metrics.h"
 #include "server/protocol.h"
@@ -180,20 +181,15 @@ AdmissionDecision Dispatcher::Register(std::uint64_t session,
         "query id '" + query_id + "' is already registered on this session");
     return decision;
   }
-  // Validate the query against this dispatcher's relation/schemas NOW, with
-  // a single-query probe executor, so a bad registration fails its own
-  // REGISTER instead of failing the whole group's next tick.
-  {
-    engine::MultiQueryOptions probe;
-    probe.scheduled = true;
-    probe.scheduler.policy = config_.policy;
-    const auto validated = engine::MultiQueryExecutor::Create(
-        relation_, stream_schema_, {query}, probe);
-    if (!validated.ok()) {
-      decision.outcome = AdmissionDecision::Outcome::kRejected;
-      decision.reason = validated.status();
-      return decision;
-    }
+  // Validate the query against this dispatcher's relation/schemas NOW, so a
+  // bad registration fails its own REGISTER instead of failing the whole
+  // group's next tick.
+  const auto validated =
+      engine::QueryPlan::Create(query, stream_schema_, relation_);
+  if (!validated.ok()) {
+    decision.outcome = AdmissionDecision::Outcome::kRejected;
+    decision.reason = validated.status();
+    return decision;
   }
   decision = admission_.AdmitQuery(tenant, relation_->size());
   if (decision.outcome != AdmissionDecision::Outcome::kAdmitted) {
@@ -259,7 +255,6 @@ Status Dispatcher::RebuildGroups() {
             : 0;
     engine::MultiQueryOptions options;
     options.threads = config_.threads;
-    options.scheduled = true;
     options.scheduler.policy = config_.policy;
     options.scheduler.budget = group.budget;
     options.strategy = config_.strategy;

@@ -792,7 +792,6 @@ Status DifferentialRunner::RunSchedulerSweep(std::uint64_t seed,
   auto run_once = [&](engine::SchedulerPolicy policy,
                       std::uint64_t budget) -> Result<ScheduledRun> {
     engine::MultiQueryOptions mq;
-    mq.scheduled = true;
     mq.scheduler.policy = policy;
     mq.scheduler.budget = budget;
     VAOLIB_ASSIGN_OR_RETURN(

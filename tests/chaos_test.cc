@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "engine/executor.h"
+#include "engine/multi_query.h"
 #include "operators/min_max.h"
 #include "operators/selection.h"
 #include "operators/sum_ave.h"
@@ -419,6 +420,46 @@ TEST_F(ChaosExecutorTest, EveryFaultKindDegradesGracefully) {
       }
     }
   }
+}
+
+TEST_F(ChaosExecutorTest, StalledMaxIsDegradedInBothExecutors) {
+  // A MAX whose objects stall above minWidth still answers soundly, but
+  // coarser than epsilon: both executors must flag that the same way.
+  ChaosOptions options;
+  options.fault_probability = 1.0;
+  options.kinds = {FaultKind::kStalledConvergence};
+  const ChaosFunction chaos(workload_.function.get(), options);
+  engine::Query max;
+  max.kind = engine::QueryKind::kMax;
+  max.function = &chaos;
+  max.args = {engine::ArgRef::RelationField("id")};
+  max.epsilon = 0.05;
+
+  auto solo = engine::CqExecutor::Create(&workload_.relation,
+                                         engine::Schema{}, max,
+                                         engine::ExecutionMode::kVao);
+  ASSERT_TRUE(solo.ok()) << solo.status();
+  const auto solo_tick = solo.value()->ProcessTick({});
+  ASSERT_TRUE(solo_tick.ok()) << solo_tick.status();
+
+  auto multi = engine::MultiQueryExecutor::Create(&workload_.relation,
+                                                  engine::Schema{}, {max});
+  ASSERT_TRUE(multi.ok()) << multi.status();
+  const auto multi_ticks = multi.value()->ProcessTick({});
+  ASSERT_TRUE(multi_ticks.ok()) << multi_ticks.status();
+  const engine::TickResult& multi_tick = (*multi_ticks)[0];
+
+  for (const engine::TickResult* tick : {&*solo_tick, &multi_tick}) {
+    EXPECT_GT(tick->stats.stalled_objects, 0u);
+    EXPECT_TRUE(tick->degraded);
+    EXPECT_EQ(tick->degradation_cause.code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_TRUE(InvariantChecker::CheckTickAccounting(*tick).ok())
+        << InvariantChecker::CheckTickAccounting(*tick);
+  }
+  EXPECT_EQ(multi_tick.degradation_cause.message(),
+            solo_tick->degradation_cause.message());
+  EXPECT_EQ(multi_tick.winner_row, solo_tick->winner_row);
 }
 
 TEST(InvariantCheckerTest, CheckRefinementAcceptsHonestObject) {

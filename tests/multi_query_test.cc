@@ -144,6 +144,59 @@ TEST_F(MultiQueryTest, SharedBeatsSeparateAcrossTicks) {
   EXPECT_LT((*shared)->meter().Total(), separate);
 }
 
+TEST(MultiQueryDefaultPathTest, SumBearingMixMetersBelowSeparateExecution) {
+  // Regression guard on the default (unbudgeted) tick: the standing-query
+  // example's mix -- two alerts, the best bond, a top-3 leaderboard and a
+  // weighted portfolio SUM over 80 bonds -- must stay cheaper than running
+  // each query through its own CqExecutor. Running the tasks to completion
+  // in query order meters ~15.7M units per tick against ~18.1M separate; a
+  // default that interleaved greedily would let the broad SUM lock onto
+  // the deeply refined objects and meter ~10x more (DESIGN.md 4d).
+  workload::PortfolioSpec spec;
+  spec.count = 80;
+  const auto bonds = workload::GeneratePortfolio(/*seed=*/55, spec);
+  const finance::BondPricingFunction model(bonds, finance::BondModelConfig{});
+  Relation relation(Schema({{"bond_index", ColumnType::kDouble},
+                            {"position", ColumnType::kDouble}}));
+  for (std::size_t i = 0; i < bonds.size(); ++i) {
+    ASSERT_TRUE(
+        relation.Append({static_cast<double>(i), i % 9 == 0 ? 8.0 : 1.0})
+            .ok());
+  }
+  const Schema stream_schema({{"rate", ColumnType::kDouble}});
+  auto base = [&] {
+    return Query::Builder(&model).Args({ArgRef::StreamField("rate"),
+                                        ArgRef::RelationField("bond_index")});
+  };
+  const std::vector<Query> queries{
+      base().Select(operators::Comparator::kGreaterThan, 100.0).Build(),
+      base().Select(operators::Comparator::kLessThan, 90.0).Build(),
+      base().Max().Epsilon(0.01).Build(),
+      base().TopK(3).Epsilon(0.01).Build(),
+      base().Sum().WeightColumn("position").Epsilon(20.0).Build()};
+
+  auto shared = MultiQueryExecutor::Create(&relation, stream_schema, queries);
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  for (const double rate : {0.0575, 0.0564, 0.0600}) {
+    const std::uint64_t before = (*shared)->meter().Total();
+    const auto results = (*shared)->ProcessTick({rate});
+    ASSERT_TRUE(results.ok()) << results.status();
+    const std::uint64_t metered = (*shared)->meter().Total() - before;
+    EXPECT_EQ((*shared)->last_tick_report().work.Total(), metered);
+
+    std::uint64_t separate = 0;
+    for (const Query& query : queries) {
+      auto solo = CqExecutor::Create(&relation, stream_schema, query,
+                                     ExecutionMode::kVao);
+      ASSERT_TRUE(solo.ok()) << solo.status();
+      const auto result = (*solo)->ProcessTick({rate});
+      ASSERT_TRUE(result.ok()) << result.status();
+      separate += result->work_units;
+    }
+    EXPECT_LT(metered, separate) << "rate " << rate;
+  }
+}
+
 TEST_F(MultiQueryTest, ValidatesSharedBindings) {
   Query a = BaseQuery(QueryKind::kSelect);
   Query b = BaseQuery(QueryKind::kSelect);
@@ -172,10 +225,11 @@ TEST_F(MultiQueryTest, ValidatesSharedBindings) {
                    .ok());
 }
 
-TEST_F(MultiQueryTest, ApproxQueriesRunInSharedAndScheduledModes) {
+TEST_F(MultiQueryTest, ApproxQueriesRunWithAndWithoutBudget) {
   // A mixed standing set: one exact MAX, one sampled SUM, one sampled
-  // TOP-2. The sampled answers must carry full provenance in both tick
-  // paths, and the exact query must stay in exact mode.
+  // TOP-2. The sampled answers must carry full provenance whether the tick
+  // runs to completion or is cut off by a budget (half the unbudgeted
+  // spend), and the exact query must stay in exact mode.
   Query best = BaseQuery(QueryKind::kMax);
   best.epsilon = 0.01;
   Query sum = BaseQuery(QueryKind::kSum);
@@ -191,9 +245,13 @@ TEST_F(MultiQueryTest, ApproxQueriesRunInSharedAndScheduledModes) {
   top2.approx = sum.approx;
   const std::vector<Query> queries{best, sum, top2};
 
-  for (const bool scheduled : {false, true}) {
+  std::uint64_t unbudgeted_spend = 0;
+  for (const bool budgeted : {false, true}) {
     MultiQueryOptions options;
-    options.scheduled = scheduled;
+    if (budgeted) {
+      ASSERT_GT(unbudgeted_spend, 2u);
+      options.scheduler.budget = unbudgeted_spend / 2;
+    }
     auto executor = MultiQueryExecutor::Create(relation_.get(),
                                                StreamSchema(), queries,
                                                options);
@@ -201,13 +259,16 @@ TEST_F(MultiQueryTest, ApproxQueriesRunInSharedAndScheduledModes) {
     const auto results = (*executor)->ProcessTick({0.0575});
     ASSERT_TRUE(results.ok()) << results.status();
     ASSERT_EQ(results->size(), 3u);
+    if (!budgeted) {
+      unbudgeted_spend = (*executor)->last_tick_report().scheduler_spent;
+    }
 
     EXPECT_FALSE((*results)[0].aggregate_bounds.approximate());
     EXPECT_EQ((*results)[0].report.answer_mode, "exact");
 
     for (const std::size_t q : {std::size_t{1}, std::size_t{2}}) {
       const vao::Answer& answer = (*results)[q].aggregate_bounds;
-      EXPECT_TRUE(answer.approximate()) << "scheduled=" << scheduled;
+      EXPECT_TRUE(answer.approximate()) << "budgeted=" << budgeted;
       EXPECT_EQ(answer.population_size, bonds_.size());
       EXPECT_GE(answer.sample_size, 2u);
       EXPECT_LE(answer.sample_size, bonds_.size());
@@ -234,13 +295,13 @@ TEST_F(MultiQueryTest, ApproxQueriesRunInSharedAndScheduledModes) {
     for (std::size_t q = 1; q < 3; ++q) {
       EXPECT_EQ((*replayed)[q].aggregate_bounds.lo,
                 (*results)[q].aggregate_bounds.lo)
-          << "scheduled=" << scheduled << " query " << q;
+          << "budgeted=" << budgeted << " query " << q;
       EXPECT_EQ((*replayed)[q].aggregate_bounds.hi,
                 (*results)[q].aggregate_bounds.hi)
-          << "scheduled=" << scheduled << " query " << q;
+          << "budgeted=" << budgeted << " query " << q;
       EXPECT_EQ((*replayed)[q].aggregate_bounds.sample_size,
                 (*results)[q].aggregate_bounds.sample_size)
-          << "scheduled=" << scheduled << " query " << q;
+          << "budgeted=" << budgeted << " query " << q;
     }
   }
 }

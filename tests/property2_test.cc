@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "common/rng.h"
 #include "finance/bond_model.h"
@@ -72,6 +73,11 @@ struct IvpCase {
   double t1;
   double exact;  // y(t1) with y(0) = 1
 };
+
+// Print a case by name. gtest's default byte dump would include the
+// addresses held in `name` and `f`, which move with every build, and ctest
+// would then discover a differently named test after each rebuild.
+void PrintTo(const IvpCase& c, std::ostream* os) { *os << c.name; }
 
 class IvpSoundnessProperty : public ::testing::TestWithParam<IvpCase> {};
 

@@ -322,7 +322,6 @@ class ScheduledMultiQueryTest : public ::testing::Test {
   Result<std::unique_ptr<MultiQueryExecutor>> MakeExecutor(
       SchedulerPolicy policy, std::uint64_t budget) {
     MultiQueryOptions options;
-    options.scheduled = true;
     options.scheduler.policy = policy;
     options.scheduler.budget = budget;
     return MultiQueryExecutor::Create(&workload_.relation, Schema{},
@@ -386,7 +385,6 @@ TEST_F(ScheduledMultiQueryTest, BudgetExhaustionDegradesGracefully) {
 
 TEST_F(ScheduledMultiQueryTest, SchedulesMustMatchQueryCount) {
   MultiQueryOptions options;
-  options.scheduled = true;
   options.schedules.resize(queries_.size() + 1);
   EXPECT_FALSE(MultiQueryExecutor::Create(&workload_.relation, Schema{},
                                           queries_, options)

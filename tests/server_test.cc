@@ -634,6 +634,44 @@ TEST_F(ServerTest, RegisterErrorsAreActionable) {
       << duplicate[0];
 }
 
+TEST_F(ServerTest, DispatcherRegisterValidatesQueriesTheParserCannotSee) {
+  // Queries built in code skip the SQL parser's checks, so REGISTER must
+  // validate against the dispatcher's own schemas before admitting.
+  Dispatcher dispatcher(relation_.get(),
+                        engine::Schema({{"rate", engine::ColumnType::kDouble}}),
+                        registry_.get(), DispatcherConfig{});
+  engine::Query max;
+  max.kind = engine::QueryKind::kMax;
+  max.function = function_.get();
+  max.args = {engine::ArgRef::StreamField("rate"),
+              engine::ArgRef::RelationField("bond_index")};
+  max.epsilon = 0.5;
+
+  engine::Query approx_max = max;
+  approx_max.approx = engine::ApproxSpec{};  // APPROX is SUM/AVE/TOP-K only
+  const AdmissionDecision approx =
+      dispatcher.Register(1, "desk1", "q1", approx_max, false);
+  EXPECT_EQ(approx.outcome, AdmissionDecision::Outcome::kRejected);
+  EXPECT_EQ(approx.reason.code(), StatusCode::kInvalidArgument)
+      << approx.reason;
+
+  engine::Query weighted = max;
+  weighted.kind = engine::QueryKind::kSum;
+  weighted.weight_column = "notional";  // not a column of bd
+  const AdmissionDecision missing =
+      dispatcher.Register(1, "desk1", "q2", weighted, false);
+  EXPECT_EQ(missing.outcome, AdmissionDecision::Outcome::kRejected);
+  EXPECT_EQ(missing.reason.code(), StatusCode::kNotFound) << missing.reason;
+
+  // Rejections leave no trace; the valid query is admitted and answers.
+  EXPECT_EQ(dispatcher.Register(1, "desk1", "q1", max, false).outcome,
+            AdmissionDecision::Outcome::kAdmitted);
+  std::vector<Delivery> deliveries;
+  const auto summary = dispatcher.Tick({0.05}, &deliveries);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  EXPECT_EQ(summary->queries, 1u);
+}
+
 TEST_F(ServerTest, OverloadShedsBestEffortButNeverReservedTenants) {
   ServerConfig config;
   // A budget far too small for anything to converge, and instant (1-miss)
