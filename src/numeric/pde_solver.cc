@@ -2,9 +2,10 @@
 #include "numeric/pde_solver.h"
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "numeric/tridiagonal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -36,6 +37,112 @@ Status ValidateInputs(const Pde1dProblem& p, const PdeGrid& grid) {
   return Status::OK();
 }
 
+// The step-invariant half of one problem's backward-Euler march: the matrix
+// (I - dt*A) with the linearity folds applied, eliminated once. A step then
+// sweeps only its right-hand side, doing per entry exactly the IEEE
+// operations a full Thomas solve of the same system does, so the profile is
+// bit-identical to re-assembling and re-solving on every step.
+struct FactoredMarch {
+  double dt = 0.0;
+  std::vector<double> lower;     // sub-diagonal as assembled
+  std::vector<double> pivot;     // diagonal, then the elimination pivots
+  std::vector<double> c_prime;   // super-diagonal, then upper[i] / pivot[i]
+  std::vector<double> dt_c;      // dt * c(x_i); 0 in the boundary rows
+  std::vector<double> terminal;  // g(x_i), the profile the march starts from
+};
+
+// March in tau = t_end - t; F_tau = a F_xx + b F_x - r F + c, forward
+// parabolic in tau. Backward Euler: (I - dt*A) U^{m+1} = U^m + dt*c, with
+// the interior stencil of A at node i:
+//   A U |_i = a_i (U_{i+1} - 2U_i + U_{i-1})/dx^2
+//           + b_i (U_{i+1} - U_{i-1})/(2dx) - r_i U_i.
+// Rows 0 and nx are identity rows: the Dirichlet value, or a placeholder
+// for a linear boundary that is recovered after the solve.
+// \return InvalidArgument for a non-positive diffusion coefficient,
+// NumericError for a zero pivot.
+Status FactorMarch(const Pde1dProblem& p, const PdeGrid& grid,
+                   FactoredMarch* f) {
+  const int nx = grid.x_intervals;  // nodes 0..nx
+  const double dx = grid.Dx(p);
+  const double dt = grid.Dt(p);
+  f->dt = dt;
+  f->lower.assign(nx + 1, 0.0);
+  f->pivot.assign(nx + 1, 1.0);
+  f->c_prime.assign(nx + 1, 0.0);
+  f->dt_c.assign(nx + 1, 0.0);
+  f->terminal.resize(nx + 1);
+  for (int i = 0; i <= nx; ++i) {
+    const double x = p.x_min + dx * i;
+    const double a = p.diffusion(x);
+    if (!(a > 0.0)) {
+      return Status::InvalidArgument("diffusion coefficient must be > 0 at x=" +
+                                     std::to_string(x));
+    }
+    f->terminal[i] = p.terminal(x);
+    if (i == 0 || i == nx) continue;
+    const double diff = a / (dx * dx);
+    const double conv = p.convection(x) / (2.0 * dx);
+    f->lower[i] = -dt * (diff - conv);
+    f->pivot[i] = 1.0 + dt * (2.0 * diff + p.reaction(x));
+    f->c_prime[i] = -dt * (diff + conv);
+    f->dt_c[i] = dt * p.source(x);
+  }
+
+  if (p.left_boundary == BoundaryKind::kLinear) {
+    // Linearity: U_0 - 2U_1 + U_2 = 0. Fold U_0 = 2U_1 - U_2 into row 1 so
+    // the matrix stays tridiagonal.
+    const double l1 = f->lower[1];
+    f->lower[1] = 0.0;
+    f->pivot[1] += 2.0 * l1;
+    f->c_prime[1] -= l1;
+  }
+  if (p.right_boundary == BoundaryKind::kLinear) {
+    // Linearity: U_nx = 2U_{nx-1} - U_{nx-2}; fold into row nx-1.
+    const double unm1 = f->c_prime[nx - 1];
+    f->c_prime[nx - 1] = 0.0;
+    f->pivot[nx - 1] += 2.0 * unm1;
+    f->lower[nx - 1] -= unm1;
+  }
+
+  for (int i = 0; i <= nx; ++i) {
+    if (i > 0) f->pivot[i] -= f->lower[i] * f->c_prime[i - 1];
+    if (std::abs(f->pivot[i]) < 1e-300) {
+      return Status::NumericError("zero pivot at row " + std::to_string(i));
+    }
+    f->c_prime[i] /= f->pivot[i];
+  }
+  return Status::OK();
+}
+
+// Right-hand sides of boundary rows 0 and nx at time t.
+std::pair<double, double> BoundaryRhs(const Pde1dProblem& p, double t) {
+  std::pair<double, double> rhs(0.0, 0.0);
+  if (p.left_boundary == BoundaryKind::kDirichlet) {
+    rhs.first = p.left_value(t);
+  }
+  if (p.right_boundary == BoundaryKind::kDirichlet) {
+    rhs.second = p.right_value(t);
+  }
+  return rhs;
+}
+
+// Recovers the linear-boundary values folded out of rows 1 and nx-1, then
+// reports whether the step's profile (nodes v[0], v[stride], ...) is finite.
+bool FinishStep(const Pde1dProblem& p, int nx, std::size_t stride,
+                double* v) {
+  const std::size_t last = static_cast<std::size_t>(nx) * stride;
+  if (p.left_boundary == BoundaryKind::kLinear) {
+    v[0] = 2.0 * v[stride] - v[2 * stride];
+  }
+  if (p.right_boundary == BoundaryKind::kLinear) {
+    v[last] = 2.0 * v[last - stride] - v[last - 2 * stride];
+  }
+  for (std::size_t at = 0; at <= last; at += stride) {
+    if (!std::isfinite(v[at])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<std::vector<double>> SolvePdeProfile(const Pde1dProblem& problem,
@@ -43,106 +150,31 @@ Result<std::vector<double>> SolvePdeProfile(const Pde1dProblem& problem,
                                             WorkMeter* meter) {
   const obs::ScopedSpan span("solver", "pde", obs::TraceDetail::kFine);
   VAOLIB_RETURN_IF_ERROR(ValidateInputs(problem, grid));
+  FactoredMarch f;
+  VAOLIB_RETURN_IF_ERROR(FactorMarch(problem, grid, &f));
 
-  const int nx = grid.x_intervals;  // nodes 0..nx
-  const double dx = grid.Dx(problem);
-  const double dt = grid.Dt(problem);
-
-  // Node coordinates and t-independent per-node PDE coefficients.
-  std::vector<double> x(nx + 1);
-  std::vector<double> a(nx + 1), b(nx + 1), r(nx + 1), c(nx + 1);
-  for (int i = 0; i <= nx; ++i) {
-    x[i] = problem.x_min + dx * i;
-    a[i] = problem.diffusion(x[i]);
-    b[i] = problem.convection(x[i]);
-    r[i] = problem.reaction(x[i]);
-    c[i] = problem.source(x[i]);
-    if (!(a[i] > 0.0)) {
-      return Status::InvalidArgument("diffusion coefficient must be > 0 at x=" +
-                                     std::to_string(x[i]));
-    }
-  }
-
-  // March in tau = t_end - t; F_tau = a F_xx + b F_x - r F + c, forward
-  // parabolic in tau. Backward Euler: (I - dt*A) U^{m+1} = U^m + dt*c.
-  // Interior stencil of A at node i:
-  //   A U |_i = a_i (U_{i+1} - 2U_i + U_{i-1})/dx^2
-  //           + b_i (U_{i+1} - U_{i-1})/(2dx) - r_i U_i.
-  std::vector<double> u(nx + 1);
-  for (int i = 0; i <= nx; ++i) u[i] = problem.terminal(x[i]);
-  // The terminal profile itself counts as the first mesh column only via
-  // MeshEntries() (nx+1)*t_steps; we charge once per implicit step below.
-
-  TridiagonalSystem sys;
-  sys.Resize(nx + 1);
-  TridiagonalScratch scratch;  // reused across the time march
-  std::vector<double> next;
-
+  const int nx = grid.x_intervals;
+  std::vector<double> u = std::move(f.terminal);
+  std::vector<double> next(nx + 1);
   for (int m = 0; m < grid.t_steps; ++m) {
-    const double tau_next = dt * (m + 1);
-    const double t_next = problem.t_end - tau_next;
-
+    const double t_next = problem.t_end - f.dt * (m + 1);
+    const auto [left, right] = BoundaryRhs(problem, t_next);
+    // Forward sweep of the rhs U^m + dt*c, then back-substitution, both in
+    // place in next; d carries the previous row's value.
+    double d = left / f.pivot[0];
+    next[0] = d;
     for (int i = 1; i < nx; ++i) {
-      const double diff = a[i] / (dx * dx);
-      const double conv = b[i] / (2.0 * dx);
-      sys.lower[i] = -dt * (diff - conv);
-      sys.diag[i] = 1.0 + dt * (2.0 * diff + r[i]);
-      sys.upper[i] = -dt * (diff + conv);
-      sys.rhs[i] = u[i] + dt * c[i];
+      d = ((u[i] + f.dt_c[i]) - f.lower[i] * d) / f.pivot[i];
+      next[i] = d;
     }
-
-    // Left boundary row.
-    if (problem.left_boundary == BoundaryKind::kDirichlet) {
-      sys.lower[0] = 0.0;
-      sys.diag[0] = 1.0;
-      sys.upper[0] = 0.0;
-      sys.rhs[0] = problem.left_value(t_next);
-    } else {
-      // Linearity: U_0 - 2U_1 + U_2 = 0. Fold U_0 = 2U_1 - U_2 into row 1 so
-      // the matrix stays tridiagonal, then recover U_0 after the solve. Row 0
-      // becomes the identity placeholder U_0 = 0 (overwritten below).
-      sys.lower[0] = 0.0;
-      sys.diag[0] = 1.0;
-      sys.upper[0] = 0.0;
-      sys.rhs[0] = 0.0;
-      // Row 1 currently has coefficients (l1, d1, u1) on (U_0, U_1, U_2).
-      const double l1 = sys.lower[1];
-      sys.lower[1] = 0.0;
-      sys.diag[1] += 2.0 * l1;
-      sys.upper[1] -= l1;
+    d = (right - f.lower[nx] * d) / f.pivot[nx];
+    next[nx] = d;
+    for (int i = nx; i-- > 0;) {
+      d = next[i] - f.c_prime[i] * d;
+      next[i] = d;
     }
-
-    // Right boundary row.
-    if (problem.right_boundary == BoundaryKind::kDirichlet) {
-      sys.lower[nx] = 0.0;
-      sys.diag[nx] = 1.0;
-      sys.upper[nx] = 0.0;
-      sys.rhs[nx] = problem.right_value(t_next);
-    } else {
-      // Linearity: U_nx = 2U_{nx-1} - U_{nx-2}; fold into row nx-1.
-      sys.lower[nx] = 0.0;
-      sys.diag[nx] = 1.0;
-      sys.upper[nx] = 0.0;
-      sys.rhs[nx] = 0.0;
-      const double unm1 = sys.upper[nx - 1];
-      sys.upper[nx - 1] = 0.0;
-      sys.diag[nx - 1] += 2.0 * unm1;
-      sys.lower[nx - 1] -= unm1;
-    }
-
-    VAOLIB_RETURN_IF_ERROR(SolveTridiagonal(sys, &next, &scratch));
-
-    if (problem.left_boundary == BoundaryKind::kLinear) {
-      next[0] = 2.0 * next[1] - next[2];
-    }
-    if (problem.right_boundary == BoundaryKind::kLinear) {
-      next[nx] = 2.0 * next[nx - 1] - next[nx - 2];
-    }
-
-    for (int i = 0; i <= nx; ++i) {
-      if (!std::isfinite(next[i])) {
-        return Status::NumericError("PDE solve produced non-finite value");
-      }
+    if (!FinishStep(problem, nx, 1, next.data())) {
+      return Status::NumericError("PDE solve produced non-finite value");
     }
     u.swap(next);
   }
@@ -170,153 +202,70 @@ Status SolvePdeProfileBatch(const std::vector<const Pde1dProblem*>& problems,
 
   const int nx = grid.x_intervals;  // nodes 0..nx, shared across lanes
   const std::size_t rows = static_cast<std::size_t>(nx) + 1;
+  const std::size_t plane = rows * lanes;
   report->Reset(lanes);
 
-  // Per-lane spatial step, time step, and t-independent node coefficients,
-  // computed with the exact expressions of the scalar solver so each lane's
-  // march is bit-identical to SolvePdeProfile.
-  std::vector<double> dx(lanes), dt(lanes);
-  std::vector<std::vector<double>> a(lanes), b(lanes), r(lanes), c(lanes);
-  std::vector<double> u(rows * lanes);  // current profile, SoA plane
+  // Each lane's factored march in SoA planes, plane[row * lanes + lane]. A
+  // lane that fails to factor keeps identity rows and a zero profile. Lanes
+  // never mix, so a frozen lane's sweep cannot disturb the live ones.
+  std::vector<double> lower(plane, 0.0), pivot(plane, 1.0);
+  std::vector<double> c_prime(plane, 0.0), dt_c(plane, 0.0);
+  std::vector<double> u(plane, 0.0);  // current profiles
+  std::vector<double> dt(lanes, 0.0);
+  std::size_t num_active = 0;
+  FactoredMarch f;
   for (std::size_t s = 0; s < lanes; ++s) {
-    const Pde1dProblem& problem = *problems[s];
-    dx[s] = grid.Dx(problem);
-    dt[s] = grid.Dt(problem);
-    a[s].resize(rows);
-    b[s].resize(rows);
-    r[s].resize(rows);
-    c[s].resize(rows);
-    for (int i = 0; i <= nx; ++i) {
-      const double x = problem.x_min + dx[s] * i;
-      a[s][i] = problem.diffusion(x);
-      b[s][i] = problem.convection(x);
-      r[s][i] = problem.reaction(x);
-      c[s][i] = problem.source(x);
-      if (!(a[s][i] > 0.0)) {
-        return Status::InvalidArgument(
-            "diffusion coefficient must be > 0 at x=" + std::to_string(x));
-      }
-      u[static_cast<std::size_t>(i) * lanes + s] = problem.terminal(x);
+    const Status factored = FactorMarch(*problems[s], grid, &f);
+    if (factored.code() == StatusCode::kInvalidArgument) return factored;
+    if (!factored.ok()) {
+      report->failed_row[s] = 0;
+      continue;
+    }
+    dt[s] = f.dt;
+    ++num_active;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::size_t at = i * lanes + s;
+      lower[at] = f.lower[i];
+      pivot[at] = f.pivot[i];
+      c_prime[at] = f.c_prime[i];
+      dt_c[at] = f.dt_c[i];
+      u[at] = f.terminal[i];
     }
   }
 
-  TridiagonalBatch batch;
-  batch.Resize(lanes, rows);
-  TridiagonalBatchScratch scratch;
-  BatchKernelReport step_report;
-  std::vector<double> solutions;
-  std::vector<char> active(lanes, 1);
-  std::size_t num_active = lanes;
-
+  std::vector<double> next(plane);
+  const std::size_t last = static_cast<std::size_t>(nx) * lanes;
   for (int m = 0; m < grid.t_steps && num_active > 0; ++m) {
+    // The scalar march's sweeps, row by row across all lanes.
     for (std::size_t s = 0; s < lanes; ++s) {
-      if (!active[s]) {
-        // Frozen lane: benign identity rows so the lockstep solve stays
-        // well-conditioned without touching live lanes.
-        for (int i = 0; i <= nx; ++i) {
-          const std::size_t at = static_cast<std::size_t>(i) * lanes + s;
-          batch.lower[at] = 0.0;
-          batch.diag[at] = 1.0;
-          batch.upper[at] = 0.0;
-          batch.rhs[at] = 0.0;
-        }
-        continue;
-      }
-      const Pde1dProblem& problem = *problems[s];
-      const double tau_next = dt[s] * (m + 1);
-      const double t_next = problem.t_end - tau_next;
-
-      for (int i = 1; i < nx; ++i) {
-        const double diff = a[s][i] / (dx[s] * dx[s]);
-        const double conv = b[s][i] / (2.0 * dx[s]);
-        const std::size_t at = static_cast<std::size_t>(i) * lanes + s;
-        batch.lower[at] = -dt[s] * (diff - conv);
-        batch.diag[at] = 1.0 + dt[s] * (2.0 * diff + r[s][i]);
-        batch.upper[at] = -dt[s] * (diff + conv);
-        batch.rhs[at] = u[at] + dt[s] * c[s][i];
-      }
-
-      const std::size_t row0 = s;
-      const std::size_t row1 = lanes + s;
-      if (problem.left_boundary == BoundaryKind::kDirichlet) {
-        batch.lower[row0] = 0.0;
-        batch.diag[row0] = 1.0;
-        batch.upper[row0] = 0.0;
-        batch.rhs[row0] = problem.left_value(t_next);
-      } else {
-        batch.lower[row0] = 0.0;
-        batch.diag[row0] = 1.0;
-        batch.upper[row0] = 0.0;
-        batch.rhs[row0] = 0.0;
-        const double l1 = batch.lower[row1];
-        batch.lower[row1] = 0.0;
-        batch.diag[row1] += 2.0 * l1;
-        batch.upper[row1] -= l1;
-      }
-
-      const std::size_t rown = static_cast<std::size_t>(nx) * lanes + s;
-      const std::size_t rownm1 = static_cast<std::size_t>(nx - 1) * lanes + s;
-      if (problem.right_boundary == BoundaryKind::kDirichlet) {
-        batch.lower[rown] = 0.0;
-        batch.diag[rown] = 1.0;
-        batch.upper[rown] = 0.0;
-        batch.rhs[rown] = problem.right_value(t_next);
-      } else {
-        batch.lower[rown] = 0.0;
-        batch.diag[rown] = 1.0;
-        batch.upper[rown] = 0.0;
-        batch.rhs[rown] = 0.0;
-        const double unm1 = batch.upper[rownm1];
-        batch.upper[rownm1] = 0.0;
-        batch.diag[rownm1] += 2.0 * unm1;
-        batch.lower[rownm1] -= unm1;
-      }
+      const double t_next = problems[s]->t_end - dt[s] * (m + 1);
+      const auto [left, right] = BoundaryRhs(*problems[s], t_next);
+      next[s] = left / pivot[s];
+      next[last + s] = right;  // row nx's rhs until the sweep reaches it
+    }
+    for (std::size_t at = lanes; at < last; ++at) {
+      const double rhs = u[at] + dt_c[at];
+      next[at] = (rhs - lower[at] * next[at - lanes]) / pivot[at];
+    }
+    for (std::size_t at = last; at < plane; ++at) {
+      next[at] = (next[at] - lower[at] * next[at - lanes]) / pivot[at];
+    }
+    for (std::size_t at = last; at-- > 0;) {
+      next[at] = next[at] - c_prime[at] * next[at + lanes];
     }
 
-    VAOLIB_RETURN_IF_ERROR(
-        SolveTridiagonalBatch(batch, &solutions, &step_report, &scratch));
-
     for (std::size_t s = 0; s < lanes; ++s) {
-      if (!active[s]) continue;
-      if (!step_report.ok(s)) {
-        active[s] = 0;
+      if (!report->ok(s)) continue;
+      if (!FinishStep(*problems[s], nx, lanes, &next[s])) {
         report->failed_row[s] = m;
         --num_active;
         continue;
       }
-      const Pde1dProblem& problem = *problems[s];
-      if (problem.left_boundary == BoundaryKind::kLinear) {
-        solutions[s] = 2.0 * solutions[lanes + s] - solutions[2 * lanes + s];
-      }
-      if (problem.right_boundary == BoundaryKind::kLinear) {
-        const std::size_t rown = static_cast<std::size_t>(nx) * lanes + s;
-        solutions[rown] =
-            2.0 * solutions[rown - lanes] - solutions[rown - 2 * lanes];
-      }
-      bool finite = true;
-      for (int i = 0; i <= nx; ++i) {
-        if (!std::isfinite(solutions[static_cast<std::size_t>(i) * lanes + s])) {
-          finite = false;
-          break;
-        }
-      }
-      if (!finite) {
-        active[s] = 0;
-        report->failed_row[s] = m;
-        --num_active;
-        continue;
-      }
-      for (int i = 0; i <= nx; ++i) {
-        const std::size_t at = static_cast<std::size_t>(i) * lanes + s;
-        u[at] = solutions[at];
-      }
+      for (std::size_t at = s; at < plane; at += lanes) u[at] = next[at];
     }
   }
 
-  std::uint64_t ok_lanes = 0;
-  for (std::size_t s = 0; s < lanes; ++s) {
-    if (report->ok(s)) ++ok_lanes;
-  }
+  const std::uint64_t ok_lanes = num_active;
   if (meter != nullptr && ok_lanes > 0) {
     meter->Charge(WorkKind::kExec, grid.MeshEntries() * ok_lanes);
   }

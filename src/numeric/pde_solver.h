@@ -7,9 +7,12 @@
 // solved backward from the terminal condition to t = 0 with an implicit
 // (backward-Euler in time, central-difference in space) scheme whose error is
 // O(dt + dx^2) -- exactly the error form the paper's extrapolation assumes.
-// Each time step is a tridiagonal solve (Thomas algorithm), and the solver
-// charges one WorkMeter exec unit per mesh entry computed, which is the
-// paper's "compute work proportional to the number of mesh entries".
+// The step matrix (I - dt*A) does not depend on the step, so the solver
+// factors it once per solve (Thomas forward elimination) and each time step
+// sweeps only its right-hand side and back-substitutes; the result is
+// bit-identical to a full tridiagonal solve per step. The solver charges one
+// WorkMeter exec unit per mesh entry computed, which is the paper's "compute
+// work proportional to the number of mesh entries".
 
 #ifndef VAOLIB_NUMERIC_PDE_SOLVER_H_
 #define VAOLIB_NUMERIC_PDE_SOLVER_H_
@@ -73,7 +76,8 @@ struct PdeGrid {
 ///
 /// Charges grid.MeshEntries() exec units to \p meter (if non-null).
 /// \return InvalidArgument for malformed problems/grids/query points,
-/// NumericError if the linear solves break down or produce non-finite values.
+/// NumericError if the factorization hits a zero pivot or a step produces
+/// non-finite values.
 Result<double> SolvePde(const Pde1dProblem& problem, const PdeGrid& grid,
                         double query_x, WorkMeter* meter);
 
@@ -83,16 +87,18 @@ Result<std::vector<double>> SolvePdeProfile(const Pde1dProblem& problem,
                                             const PdeGrid& grid,
                                             WorkMeter* meter);
 
-/// \brief Marches K independent problems on the same grid in lockstep,
-/// batching the per-step tridiagonal solves into one SoA kernel call.
+/// \brief Marches K independent problems on the same grid in lockstep:
+/// each lane is factored once as in SolvePdeProfile, and every step sweeps
+/// the right-hand sides of all lanes together in struct-of-arrays planes.
 /// Writes the t = 0 profile of each lane into \p profiles (values of failed
 /// lanes are unspecified). Per-lane profiles are bit-identical to
 /// SolvePdeProfile on the same problem and grid.
 ///
-/// A lane whose tridiagonal solve breaks down or produces a non-finite value
-/// is recorded in \p report with the time-step index at which it failed and
-/// frozen; the remaining lanes keep marching. Charges grid.MeshEntries()
-/// exec units per successful lane, matching the scalar solver.
+/// A lane whose factorization hits a zero pivot (time step 0) or whose step
+/// produces a non-finite value is recorded in \p report with the time-step
+/// index at which it failed and frozen; the remaining lanes keep marching.
+/// Charges grid.MeshEntries() exec units per successful lane, matching the
+/// scalar solver.
 ///
 /// \return InvalidArgument when the batch is empty or any lane's problem is
 /// malformed (nothing is charged then); numeric failures are per-lane.

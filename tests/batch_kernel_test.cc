@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numbers>
 #include <vector>
@@ -324,6 +325,59 @@ TEST(PdeBatchTest, QueryBatchMatchesScalar) {
         numeric::SolvePde(problems[lane], grid, query_x[lane], nullptr);
     ASSERT_TRUE(scalar.ok());
     EXPECT_EQ(values[lane], scalar.value());
+  }
+}
+
+TEST(PdeBatchTest, FailingLanesAreIsolated) {
+  std::vector<numeric::Pde1dProblem> problems;
+  for (int lane = 0; lane < 6; ++lane) {
+    problems.push_back(HeatProblem(1.0 + 0.25 * lane));
+  }
+  problems[1].source = [](double x) {
+    return x > 0.5 ? std::numeric_limits<double>::infinity() : 0.0;
+  };
+  problems[3].convection = [](double x) {
+    return x < 0.25 ? std::numeric_limits<double>::quiet_NaN() : 0.0;
+  };
+  // On this grid dt = 1/64 and a/dx^2 = 128, so r = -320 makes every
+  // interior diagonal 1 + dt * (256 - 320) exactly zero: a zero pivot at
+  // factor time.
+  problems[4].reaction = [](double) { return -320.0; };
+  std::vector<const numeric::Pde1dProblem*> ptrs;
+  for (const auto& problem : problems) ptrs.push_back(&problem);
+  const numeric::PdeGrid grid{16, 16};
+
+  WorkMeter batch_meter;
+  std::vector<std::vector<double>> profiles;
+  numeric::BatchKernelReport report;
+  ASSERT_TRUE(numeric::SolvePdeProfileBatch(ptrs, grid, &batch_meter,
+                                            &profiles, &report)
+                  .ok());
+  EXPECT_EQ(report.num_failed(), 3u);
+  EXPECT_EQ(report.failed_row[1], 0);
+  EXPECT_EQ(report.failed_row[3], 0);
+  EXPECT_EQ(report.failed_row[4], 0);
+
+  for (const std::size_t lane : {0u, 2u, 5u}) {
+    ASSERT_TRUE(report.ok(lane));
+    auto scalar = numeric::SolvePdeProfile(problems[lane], grid, nullptr);
+    ASSERT_TRUE(scalar.ok());
+    ASSERT_EQ(profiles[lane].size(), scalar.value().size());
+    for (std::size_t i = 0; i < scalar.value().size(); ++i) {
+      EXPECT_EQ(profiles[lane][i], scalar.value()[i])
+          << "lane=" << lane << " node=" << i;
+    }
+  }
+  EXPECT_EQ(batch_meter.ExecUnits(), 3 * grid.MeshEntries());
+  EXPECT_EQ(batch_meter.Total(), 3 * grid.MeshEntries());
+
+  for (const std::size_t lane : {1u, 3u, 4u}) {
+    WorkMeter meter;
+    const auto solved = numeric::SolvePde(problems[lane], grid, 0.5, &meter);
+    const Status& status = solved.status();
+    EXPECT_EQ(status.code(), StatusCode::kNumericError) << "lane=" << lane;
+    EXPECT_EQ(status.message().starts_with("zero pivot"), lane == 4) << lane;
+    EXPECT_EQ(meter.Total(), 0u);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "finance/bond_model.h"
 #include "numeric/integration.h"
 #include "numeric/ode_solver.h"
 #include "numeric/pde_solver.h"
@@ -191,6 +192,114 @@ TEST(PdeSolverTest, RejectsMalformedInputs) {
   EXPECT_EQ(
       SolvePde(dirichlet, PdeGrid{8, 8}, 0.05, nullptr).status().code(),
       StatusCode::kInvalidArgument);
+}
+
+// Reference backward-Euler march: assembles (I - dt*A) with the linearity
+// folds and runs a full Thomas solve on every time step. SolvePdeProfile
+// must reproduce it bit for bit, however it schedules the elimination.
+std::vector<double> ReferenceMarch(const Pde1dProblem& p, const PdeGrid& grid) {
+  const int nx = grid.x_intervals;
+  const double dx = grid.Dx(p);
+  const double dt = grid.Dt(p);
+  std::vector<double> a(nx + 1), b(nx + 1), r(nx + 1), c(nx + 1), u(nx + 1);
+  for (int i = 0; i <= nx; ++i) {
+    const double x = p.x_min + dx * i;
+    a[i] = p.diffusion(x);
+    b[i] = p.convection(x);
+    r[i] = p.reaction(x);
+    c[i] = p.source(x);
+    u[i] = p.terminal(x);
+  }
+  TridiagonalSystem sys;
+  sys.Resize(nx + 1);
+  std::vector<double> next;
+  for (int m = 0; m < grid.t_steps; ++m) {
+    const double t_next = p.t_end - dt * (m + 1);
+    for (int i = 1; i < nx; ++i) {
+      const double diff = a[i] / (dx * dx);
+      const double conv = b[i] / (2.0 * dx);
+      sys.lower[i] = -dt * (diff - conv);
+      sys.diag[i] = 1.0 + dt * (2.0 * diff + r[i]);
+      sys.upper[i] = -dt * (diff + conv);
+      sys.rhs[i] = u[i] + dt * c[i];
+    }
+    sys.lower[0] = 0.0;
+    sys.diag[0] = 1.0;
+    sys.upper[0] = 0.0;
+    sys.lower[nx] = 0.0;
+    sys.diag[nx] = 1.0;
+    sys.upper[nx] = 0.0;
+    if (p.left_boundary == BoundaryKind::kDirichlet) {
+      sys.rhs[0] = p.left_value(t_next);
+    } else {
+      sys.rhs[0] = 0.0;
+      const double l1 = sys.lower[1];
+      sys.lower[1] = 0.0;
+      sys.diag[1] += 2.0 * l1;
+      sys.upper[1] -= l1;
+    }
+    if (p.right_boundary == BoundaryKind::kDirichlet) {
+      sys.rhs[nx] = p.right_value(t_next);
+    } else {
+      sys.rhs[nx] = 0.0;
+      const double unm1 = sys.upper[nx - 1];
+      sys.upper[nx - 1] = 0.0;
+      sys.diag[nx - 1] += 2.0 * unm1;
+      sys.lower[nx - 1] -= unm1;
+    }
+    EXPECT_TRUE(SolveTridiagonal(sys, &next).ok());
+    if (p.left_boundary == BoundaryKind::kLinear) {
+      next[0] = 2.0 * next[1] - next[2];
+    }
+    if (p.right_boundary == BoundaryKind::kLinear) {
+      next[nx] = 2.0 * next[nx - 1] - next[nx - 2];
+    }
+    u.swap(next);
+  }
+  return u;
+}
+
+Pde1dProblem DirichletHeatProblem() {
+  Pde1dProblem p;
+  p.diffusion = [](double x) { return 0.05 + 0.02 * x; };
+  p.convection = [](double x) { return 0.3 - 0.5 * x; };
+  p.reaction = [](double x) { return 0.1 * x; };
+  p.source = [](double x) { return 0.25 * x * (1.0 - x); };
+  p.terminal = [](double x) { return std::sin(std::numbers::pi * x); };
+  p.x_min = 0.0;
+  p.x_max = 1.0;
+  p.t_end = 0.75;
+  p.left_boundary = BoundaryKind::kDirichlet;
+  p.right_boundary = BoundaryKind::kDirichlet;
+  p.left_value = [](double t) { return 0.2 * t; };
+  p.right_value = [](double t) { return std::cos(t) - 1.0; };
+  return p;
+}
+
+void ExpectReferenceMarch(const char* name, const Pde1dProblem& p) {
+  SCOPED_TRACE(name);
+  const PdeGrid grids[] = {{2, 1}, {8, 8}, {17, 33}, {64, 512}};
+  for (const PdeGrid& grid : grids) {
+    SCOPED_TRACE(grid.x_intervals);
+    const auto profile = SolvePdeProfile(p, grid, nullptr);
+    ASSERT_TRUE(profile.ok()) << profile.status();
+    const std::vector<double> expected = ReferenceMarch(p, grid);
+    ASSERT_EQ(profile.value().size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(profile.value()[i], expected[i]) << "node=" << i;
+    }
+  }
+}
+
+TEST(PdeSolverTest, ProfileIsBitIdenticalToPerStepThomasMarch) {
+  const finance::Bond bond;
+  const finance::BondModelConfig config;
+  ExpectReferenceMarch("bond", finance::MakeBondPdeProblem(bond, config));
+  Pde1dProblem heat = DirichletHeatProblem();
+  ExpectReferenceMarch("heat_dirichlet", heat);
+  heat.left_boundary = BoundaryKind::kLinear;
+  heat.right_boundary = BoundaryKind::kLinear;
+  ExpectReferenceMarch("heat_linear", heat);
 }
 
 // ---------------------------------------------------------------------------
