@@ -61,7 +61,7 @@ bool MakeTasks(const std::vector<vao::ResultObject*>& objects,
     return operators::MultiRowDecisionTask::Create(
         objects, "sch01_selection",
         [constant](const Bounds& b) { return b.Contains(constant); },
-        /*threads=*/1);
+        operators::OperatorOptions());
   };
   auto sel_100 = selection(100.0);
   if (!sel_100.ok()) return fail("sel>100", sel_100.status());

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive targets with ThreadSanitizer (the
 # VAOLIB_SANITIZE=thread CMake option) in a separate build tree and runs the
-# tests that exercise the thread pool, the parallel helpers, and the sharded
-# bounds cache.
+# tests that exercise the thread pool, the parallel helpers, the sharded
+# bounds cache, and the executors' parallel coarse phase (engine_test checks
+# that its calibration account is thread-count invariant).
 #
 # Usage:
 #   scripts/check_tsan.sh [build_dir]          # default build-tsan/
@@ -16,7 +17,8 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 sanitizer="${VAOLIB_SANITIZE:-thread}"
 build_dir="${1:-${repo_root}/build-tsan}"
 
-targets=(thread_pool_test parallel_test vao_test extensions_test obs_test)
+targets=(thread_pool_test parallel_test vao_test extensions_test obs_test
+         engine_test)
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -7,15 +7,9 @@ namespace vaolib::engine {
 
 namespace {
 
-// Ratios outside this band are almost certainly measurement artifacts
-// (first-iteration setup costs, a width that collapsed to the floor); the
-// clamp keeps one wild sample from swinging the EWMA into uselessness.
-constexpr double kMinRatio = 1.0 / 64.0;
-constexpr double kMaxRatio = 64.0;
-
-// Denominators below this give no ratio signal (an estimate of ~0 work or
-// ~0 shrink carries no scale to correct).
-constexpr double kMinDenominator = 1e-12;
+using operators::kMaxRatio;
+using operators::kMinDenominator;
+using operators::kMinRatio;
 
 bool RatioOf(double actual, double est, double* ratio) {
   if (actual < 0.0 || est < kMinDenominator) return false;

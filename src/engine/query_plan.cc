@@ -239,14 +239,16 @@ Result<CompiledQuery> QueryPlan::Compile(const TickInputs& inputs) const {
           return b.Contains(range.lo) || b.Contains(range.hi);
         };
       }
+      operators::OperatorOptions options;
+      stamp(&options, /*coarse=*/false);
+      options.threads = inputs.threads;
       VAOLIB_ASSIGN_OR_RETURN(
-          auto task, operators::MultiRowDecisionTask::Create(
-                         *inputs.objects,
-                         query.kind == QueryKind::kSelect ? "selection"
-                                                          : "range selection",
-                         std::move(undecided), inputs.threads));
-      task->SetFeedback(inputs.feedback, inputs.object_ids);
-      compiled.task_ = std::move(task);
+          compiled.task_,
+          operators::MultiRowDecisionTask::Create(
+              *inputs.objects,
+              query.kind == QueryKind::kSelect ? "selection"
+                                               : "range selection",
+              std::move(undecided), options));
       compiled.objects_ = *inputs.objects;
       break;
     }

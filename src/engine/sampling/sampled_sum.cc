@@ -213,14 +213,15 @@ Status SampledSumTask::DrawBatch(std::size_t count, WorkMeter* meter) {
   return Status::OK();
 }
 
-Status SampledSumTask::IterateObject(std::size_t i, WorkMeter* meter) {
-  static_cast<void>(meter);
+Status SampledSumTask::IterateObject(std::size_t i, double score,
+                                     WorkMeter* meter) {
   vao::ResultObject& object = *objects_[i];
   const Bounds before = object.bounds();
   const double y_before = weights_[i] * before.Mid();
   const double half_before = std::abs(weights_[i]) * 0.5 * before.Width();
 
-  VAOLIB_RETURN_IF_ERROR(object.Iterate());
+  VAOLIB_RETURN_IF_ERROR(
+      IterateObserved(i, &object, "sample", meter, score, score));
   ++iterations_;
   ++stats_.iterations;
   ++stats_.greedy_iterations;
@@ -318,7 +319,7 @@ Status SampledSumTask::StepImpl(WorkMeter* meter) {
   }
 
   if (have_object && iterate_rate >= draw_rate) {
-    VAOLIB_RETURN_IF_ERROR(IterateObject(best, meter));
+    VAOLIB_RETURN_IF_ERROR(IterateObject(best, best_score, meter));
     CheckStop();
     return Status::OK();
   }
@@ -330,7 +331,7 @@ Status SampledSumTask::StepImpl(WorkMeter* meter) {
   }
   if (have_object) {
     // Nothing left to draw; keep tightening what we have.
-    VAOLIB_RETURN_IF_ERROR(IterateObject(best, meter));
+    VAOLIB_RETURN_IF_ERROR(IterateObject(best, best_score, meter));
     CheckStop();
     return Status::OK();
   }

@@ -132,8 +132,10 @@ class SampledSumTask : public operators::IterationTask {
   /// score heap. Charges creation bookkeeping to \p meter.
   Status DrawBatch(std::size_t count, WorkMeter* meter);
 
-  /// Iterates sampled object \p i once; updates sums, stall guard, heap.
-  Status IterateObject(std::size_t i, WorkMeter* meter);
+  /// Iterates sampled object \p i (picked at greedy \p score) once through
+  /// the observed-iterate seam, costed on \p meter; updates sums, stall
+  /// guard, heap.
+  Status IterateObject(std::size_t i, double score, WorkMeter* meter);
 
   /// Rebuilds sum_y_/sum_half_/sum_yc2_ from scratch with compensated
   /// accumulators and re-centers the variance pivot on the current mean

@@ -55,9 +55,14 @@ struct CacheShardStats {
 
 /// \brief Estimator-calibration account for one solver kind: signed and
 /// absolute error sums of the UDF's estCPU/estL/estH predictions against
-/// the actuals each Iterate() produced (obs::RecordEstimatorSample deltas
-/// over a query). Stored as sums so the JSON round-trip is exact; bias and
-/// MAE are derived views.
+/// the actuals of the query's sampled iterates (obs::RecordEstimatorSample
+/// deltas over a query). Samples are the operator tasks' attributable
+/// iterates -- serial steps costed by the step meter, batch steps by
+/// per-object spend, blocking selections by the row meter -- each taken
+/// from the one record that also feeds the decision trace; the parallel
+/// coarse pre-phase and threaded selection notches are not sampled, so
+/// `samples` never depends on the thread count. Stored as sums so the
+/// JSON round-trip is exact; bias and MAE are derived views.
 struct CalibrationKindStats {
   std::uint64_t samples = 0;
   double cost_err_sum = 0.0;

@@ -27,7 +27,9 @@
 // The estimator-calibration audit (RecordEstimatorSample) is independent of
 // the trace mode: like the solver work counters it is active whenever
 // obs::Enabled(), feeding per-solver-kind bias/MAE histograms in the global
-// registry and the calibration section of ExecutionReport.
+// registry and the calibration section of ExecutionReport. Both decision
+// events and calibration samples are published from one record per
+// iterate, taken at the operators' IterationTask seam.
 
 #ifndef VAOLIB_OBS_TRACE_H_
 #define VAOLIB_OBS_TRACE_H_
@@ -203,6 +205,15 @@ void ExportChromeTrace(std::ostream& os);
 /// A sample with any non-finite error is dropped whole, so the per-kind
 /// sample count stays valid as the denominator for all six sums. Active
 /// whenever obs::Enabled(); gate call sites on it.
+///
+/// The one caller is the operators' observed-iterate seam
+/// (operators::IterationTask::IterateObserved / IterateObservedBatch): it
+/// samples task iterates of objects with calibration_kind() >= 0 whose
+/// cost is attributable -- the step meter's delta on serial scalar steps,
+/// the per-object spend on batch steps. Threaded selection notches and
+/// iterates outside any task (parallel coarse pre-phase,
+/// ConvergeAllToMinWidth, black-box calibration, the optimal-extreme
+/// oracle) are never sampled, so the account is thread-count invariant.
 void RecordEstimatorSample(SolverKind kind, double est_cost, double est_lo,
                            double est_hi, double actual_cost, double actual_lo,
                            double actual_hi);

@@ -17,6 +17,19 @@
 
 namespace vaolib::operators {
 
+/// \name Ratio clamp shared by every actual/estimated correction (the
+/// CostHistory EWMA and the ScoreCorrector's sentinel fit). Ratios outside
+/// [kMinRatio, kMaxRatio] are almost certainly measurement artifacts
+/// (first-iteration setup costs, a width that collapsed to the floor), so
+/// one wild sample cannot zero out or explode a score. Denominators below
+/// kMinDenominator (an estimate of ~0 work or ~0 shrink) carry no ratio
+/// signal.
+/// @{
+inline constexpr double kMinRatio = 1.0 / 64.0;
+inline constexpr double kMaxRatio = 64.0;
+inline constexpr double kMinDenominator = 1e-12;
+/// @}
+
 /// \brief One serial-path Iterate() outcome versus its preceding estimates.
 /// Costs are in work units; shrinks are bounds-width reductions (>= 0).
 /// Negative actual_cost / actual_shrink mean "unknown" (e.g. the parallel

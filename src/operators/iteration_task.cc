@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -53,58 +54,6 @@ std::uint64_t Log2Ceil(std::size_t n) {
   return bits;
 }
 
-// Decision-trace capture: arm immediately before the chosen object's
-// Iterate(), commit immediately after. Reads only the free accessors
-// (bounds(), est_bounds(), est_cost(), WorkMeter::Total()), so arming a
-// capture never changes work totals or iterate sequences -- the determinism
-// contract of obs/trace.h.
-struct DecisionCapture {
-  bool active = false;
-  obs::Decision decision;
-  const vao::ResultObject* object = nullptr;
-  const WorkMeter* meter = nullptr;
-  std::uint64_t work_before = 0;
-};
-
-DecisionCapture BeginDecision(const char* op, const char* phase,
-                              std::size_t index,
-                              const vao::ResultObject& object,
-                              const WorkMeter* meter, double score,
-                              double raw_score) {
-  DecisionCapture capture;
-  capture.active = obs::DecisionTraceActive();
-  if (!capture.active) return capture;
-  capture.object = &object;
-  capture.meter = meter;
-  capture.decision.op = op;
-  capture.decision.phase = phase;
-  capture.decision.object_index = static_cast<std::uint64_t>(index);
-  const Bounds before = object.bounds();
-  capture.decision.lo_before = before.lo;
-  capture.decision.hi_before = before.hi;
-  const Bounds est = object.est_bounds();
-  capture.decision.est_lo = est.lo;
-  capture.decision.est_hi = est.hi;
-  capture.decision.est_cost = static_cast<double>(object.est_cost());
-  capture.decision.score = score;
-  capture.decision.raw_score = raw_score;
-  capture.work_before = meter != nullptr ? meter->Total() : 0;
-  return capture;
-}
-
-void CommitDecision(DecisionCapture* capture) {
-  if (!capture->active) return;
-  const Bounds after = capture->object->bounds();
-  capture->decision.lo_after = after.lo;
-  capture->decision.hi_after = after.hi;
-  capture->decision.actual_cost =
-      capture->meter != nullptr
-          ? static_cast<double>(capture->meter->Total() -
-                                capture->work_before)
-          : 0.0;
-  obs::RecordDecision(capture->decision);
-}
-
 // The greedy benefit/cost score of the candidate the strategy picked (zero
 // when it was not scored).
 double ChosenScore(const std::vector<IterationCandidate>& candidates,
@@ -117,62 +66,15 @@ double ChosenScore(const std::vector<IterationCandidate>& candidates,
   return 0.0;
 }
 
-// One batch cycle through the batch execution tier: capture every chosen
-// object's decision before-state up front, hand the whole set to
-// vao::IterateBatch (which routes compatible objects through the lockstep
-// kernels), then record decisions in chosen order with actual_cost taken
-// from the per-object spend the batch tier attributes -- those spends sum
-// exactly to the shared meter's delta, so traces and accounting match the
-// scalar path. Returns the first failing object's status.
-Status IterateChosenBatch(const char* op, const char* phase,
-                          const std::vector<vao::ResultObject*>& objects,
-                          const std::vector<std::size_t>& chosen,
-                          const std::vector<double>& scores,
-                          const std::vector<double>& raw_scores,
-                          WorkMeter* meter,
-                          vao::BatchIterateOutcome* outcome) {
-  const bool tracing = obs::DecisionTraceActive();
-  std::vector<obs::Decision> decisions;
-  if (tracing) {
-    decisions.reserve(chosen.size());
-    for (std::size_t j = 0; j < chosen.size(); ++j) {
-      const std::size_t i = chosen[j];
-      obs::Decision decision;
-      decision.op = op;
-      decision.phase = phase;
-      decision.object_index = static_cast<std::uint64_t>(i);
-      const Bounds before = objects[i]->bounds();
-      decision.lo_before = before.lo;
-      decision.hi_before = before.hi;
-      const Bounds est = objects[i]->est_bounds();
-      decision.est_lo = est.lo;
-      decision.est_hi = est.hi;
-      decision.est_cost = static_cast<double>(objects[i]->est_cost());
-      decision.score = scores[j];
-      decision.raw_score = j < raw_scores.size() ? raw_scores[j] : scores[j];
-      decisions.push_back(decision);
-    }
-  }
-
-  std::vector<vao::ResultObject*> batch;
-  batch.reserve(chosen.size());
-  for (const std::size_t i : chosen) batch.push_back(objects[i]);
-  *outcome = vao::IterateBatch(batch, meter);
-
-  Status first_error;
-  for (std::size_t j = 0; j < chosen.size(); ++j) {
-    if (tracing) {
-      const Bounds after = objects[chosen[j]]->bounds();
-      decisions[j].lo_after = after.lo;
-      decisions[j].hi_after = after.hi;
-      decisions[j].actual_cost = static_cast<double>(outcome->spent[j]);
-      obs::RecordDecision(decisions[j]);
-    }
-    if (first_error.ok() && !outcome->statuses[j].ok()) {
-      first_error = outcome->statuses[j];
-    }
-  }
-  return first_error;
+// The pre-iterate half of object \p index's record.
+IterateRecord Before(std::size_t index, const vao::ResultObject& object) {
+  IterateRecord record;
+  record.index = index;
+  record.kind = object.calibration_kind();
+  record.before = object.bounds();
+  record.est = object.est_bounds();
+  record.est_cost = static_cast<double>(object.est_cost());
+  return record;
 }
 
 // Batch width of one adaptive cycle: only the batch-aware strategies read
@@ -219,6 +121,107 @@ double IterationTask::EstimatedBenefit() const {
 
 double IterationTask::EstimatedCost() const { return est_cost_; }
 
+void IterationTask::Publish(const IterateRecord& record, const char* phase,
+                            double score, double raw_score, bool trace,
+                            bool correct) {
+  if (trace) {
+    obs::Decision decision;
+    decision.op = name();
+    decision.phase = phase;
+    decision.object_index = static_cast<std::uint64_t>(record.index);
+    decision.lo_before = record.before.lo;
+    decision.hi_before = record.before.hi;
+    decision.est_lo = record.est.lo;
+    decision.est_hi = record.est.hi;
+    decision.est_cost = record.est_cost;
+    decision.lo_after = record.after.lo;
+    decision.hi_after = record.after.hi;
+    decision.actual_cost = std::max(record.actual_cost, 0.0);
+    decision.score = score;
+    decision.raw_score = raw_score;
+    obs::RecordDecision(decision);
+  }
+  if (correct) sink_corrector_->Record(record, sink_stats_);
+  if (record.kind >= 0 && record.actual_cost >= 0.0 && obs::Enabled()) {
+    obs::RecordEstimatorSample(static_cast<obs::SolverKind>(record.kind),
+                               record.est_cost, record.est.lo, record.est.hi,
+                               record.actual_cost, record.after.lo,
+                               record.after.hi);
+  }
+}
+
+Status IterationTask::IterateObserved(std::size_t index,
+                                      vao::ResultObject* object,
+                                      const char* phase, WorkMeter* meter,
+                                      double score, double raw_score) {
+  const bool trace = obs::DecisionTraceActive();
+  const bool correct =
+      sink_corrector_ != nullptr && sink_corrector_->observing();
+  const bool calibrate = meter != nullptr && obs::Enabled() &&
+                         object->calibration_kind() >= 0;
+  if (!trace && !correct && !calibrate) return object->Iterate();
+
+  IterateRecord record = Before(index, *object);
+  const std::uint64_t work_before = meter != nullptr ? meter->Total() : 0;
+  VAOLIB_RETURN_IF_ERROR(object->Iterate());
+  record.after = object->bounds();
+  if (meter != nullptr) {
+    record.actual_cost = static_cast<double>(meter->Total() - work_before);
+  }
+  Publish(record, phase, score, raw_score, trace, correct);
+  return Status::OK();
+}
+
+Status IterationTask::IterateObservedBatch(
+    const std::vector<vao::ResultObject*>& objects,
+    const std::vector<std::size_t>& chosen, const char* phase,
+    WorkMeter* meter, const std::vector<double>& scores,
+    const std::vector<double>& raw_scores, int threads) {
+  const bool attributed = threads < 2 && meter != nullptr;
+  const bool trace = obs::DecisionTraceActive();
+  const bool correct =
+      sink_corrector_ != nullptr && sink_corrector_->observing();
+  const bool calibrate = attributed && obs::Enabled();
+
+  std::vector<vao::ResultObject*> batch;
+  batch.reserve(chosen.size());
+  for (const std::size_t i : chosen) batch.push_back(objects[i]);
+
+  // One record per chosen object some sink wants, in chosen order.
+  std::vector<std::optional<IterateRecord>> records;
+  if (trace || correct || calibrate) {
+    records.resize(chosen.size());
+    for (std::size_t j = 0; j < chosen.size(); ++j) {
+      if (trace || correct ||
+          (calibrate && batch[j]->calibration_kind() >= 0)) {
+        records[j] = Before(chosen[j], *batch[j]);
+      }
+    }
+  }
+
+  std::vector<std::uint64_t> spent;
+  if (threads < 2) {
+    vao::BatchIterateOutcome outcome = vao::IterateBatch(batch, meter);
+    for (const Status& status : outcome.statuses) {
+      VAOLIB_RETURN_IF_ERROR(status);
+    }
+    spent = std::move(outcome.spent);
+  } else {
+    VAOLIB_RETURN_IF_ERROR(vao::StepAll(batch, threads));
+  }
+
+  for (std::size_t j = 0; j < records.size(); ++j) {
+    if (!records[j].has_value()) continue;
+    IterateRecord& record = *records[j];
+    record.after = batch[j]->bounds();
+    if (attributed) record.actual_cost = static_cast<double>(spent[j]);
+    const double score = j < scores.size() ? scores[j] : 0.0;
+    Publish(record, phase, score,
+            j < raw_scores.size() ? raw_scores[j] : score, trace, correct);
+  }
+  return Status::OK();
+}
+
 Result<bool> DriveTask(IterationTask* task, const OperatorOptions& options) {
   WorkMeter* meter = options.meter;
   const std::uint64_t base = meter != nullptr ? meter->Total() : 0;
@@ -245,7 +248,9 @@ MinMaxIterationTask::MinMaxIterationTask(
       strategy_(std::move(strategy)),
       corrector_(options_, objects_),
       stall_(objects.size()),
-      touched_(objects.size(), false) {}
+      touched_(objects.size(), false) {
+  ObserveWith(&corrector_, &outcome_.stats);
+}
 
 Result<std::unique_ptr<MinMaxIterationTask>> MinMaxIterationTask::Create(
     const MinMaxOptions& options,
@@ -269,9 +274,24 @@ bool MinMaxIterationTask::EffectivelyConverged(std::size_t i) const {
   return objects_[i]->AtStoppingCondition() || stall_[i].stalled();
 }
 
-Status MinMaxIterationTask::ObserveIterate(std::size_t i) {
+Status MinMaxIterationTask::SettleIterate(std::size_t i) {
   VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], "MIN/MAX"));
   stall_[i].Observe(objects_[i]->bounds().Width());
+  touched_[i] = true;
+  return Status::OK();
+}
+
+Status MinMaxIterationTask::IterateOne(std::size_t i,
+                                       std::uint64_t* phase_counter,
+                                       WorkMeter* meter, const char* phase,
+                                       double score, double raw_score) {
+  VAOLIB_RETURN_IF_ERROR(
+      IterateObserved(i, objects_[i], phase, meter, score, raw_score));
+  VAOLIB_RETURN_IF_ERROR(SettleIterate(i));
+  ++*phase_counter;
+  if (++outcome_.stats.iterations > options_.max_total_iterations) {
+    return Status::NotConverged("MIN/MAX exceeded max_total_iterations");
+  }
   return Status::OK();
 }
 
@@ -353,21 +373,8 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
       // outcome re-ranks the probe's whole group.
       std::size_t probe = 0;
       if (corrector_.NextProbe(iterable, &probe)) {
-        DecisionCapture trace = BeginDecision(
-            name(), "sentinel", probe, *objects_[probe], meter, 0.0, 0.0);
-        const ScoreCorrector::Observation observation =
-            corrector_.BeginObserve(probe, meter);
-        VAOLIB_RETURN_IF_ERROR(objects_[probe]->Iterate());
-        CommitDecision(&trace);
-        corrector_.CommitObserve(observation, &outcome_.stats);
-        VAOLIB_RETURN_IF_ERROR(ObserveIterate(probe));
-        touched_[probe] = true;
-        ++outcome_.stats.greedy_iterations;
-        if (++outcome_.stats.iterations > options_.max_total_iterations) {
-          return Status::NotConverged(
-              "MIN/MAX exceeded max_total_iterations");
-        }
-        return Status::OK();
+        return IterateOne(probe, &outcome_.stats.greedy_iterations, meter,
+                          "sentinel", 0.0, 0.0);
       }
 
       std::vector<IterationCandidate> candidates;
@@ -429,23 +436,9 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
 
       if (picks.size() == 1) {
         const std::size_t chosen = picks.front();
-        DecisionCapture trace =
-            BeginDecision(name(), "search", chosen, *objects_[chosen], meter,
-                          ChosenScore(candidates, chosen),
+        return IterateOne(chosen, &outcome_.stats.greedy_iterations, meter,
+                          "search", ChosenScore(candidates, chosen),
                           ChosenScore(raws, chosen));
-        const ScoreCorrector::Observation observation =
-            corrector_.BeginObserve(chosen, meter);
-        VAOLIB_RETURN_IF_ERROR(objects_[chosen]->Iterate());
-        CommitDecision(&trace);
-        corrector_.CommitObserve(observation, &outcome_.stats);
-        VAOLIB_RETURN_IF_ERROR(ObserveIterate(chosen));
-        touched_[chosen] = true;
-        ++outcome_.stats.greedy_iterations;
-        if (++outcome_.stats.iterations > options_.max_total_iterations) {
-          return Status::NotConverged(
-              "MIN/MAX exceeded max_total_iterations");
-        }
-        return Status::OK();
       }
 
       // Batch cycle (kBatchGreedy with batch_k > 1): the top-K candidates
@@ -454,24 +447,14 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
       std::vector<double> raw_scores;
       scores.reserve(picks.size());
       raw_scores.reserve(picks.size());
-      std::vector<ScoreCorrector::Observation> observations;
-      observations.reserve(picks.size());
       for (const std::size_t i : picks) {
         scores.push_back(ChosenScore(candidates, i));
         raw_scores.push_back(ChosenScore(raws, i));
-        observations.push_back(corrector_.BeginObserve(i, nullptr));
       }
-      vao::BatchIterateOutcome batch_outcome;
-      VAOLIB_RETURN_IF_ERROR(IterateChosenBatch(name(), "search", objects_,
-                                                picks, scores, raw_scores,
-                                                meter, &batch_outcome));
-      for (std::size_t j = 0; j < picks.size(); ++j) {
-        const std::size_t i = picks[j];
-        corrector_.CommitObserveCost(
-            observations[j], static_cast<double>(batch_outcome.spent[j]),
-            &outcome_.stats);
-        VAOLIB_RETURN_IF_ERROR(ObserveIterate(i));
-        touched_[i] = true;
+      VAOLIB_RETURN_IF_ERROR(IterateObservedBatch(objects_, picks, "search",
+                                                  meter, scores, raw_scores));
+      for (const std::size_t i : picks) {
+        VAOLIB_RETURN_IF_ERROR(SettleIterate(i));
         ++outcome_.stats.greedy_iterations;
       }
       outcome_.stats.iterations += picks.size();
@@ -486,25 +469,11 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
       // condition implies width < minWidth <= epsilon, so this always
       // terminates (a stalled winner is quarantined with sound-but-wider
       // bounds instead).
-      vao::ResultObject* winner = objects_[outcome_.winner_index];
-      if (winner->bounds().Width() > options_.epsilon &&
-          !EffectivelyConverged(outcome_.winner_index)) {
-        DecisionCapture trace =
-            BeginDecision(name(), "finalize", outcome_.winner_index, *winner,
-                          meter, 0.0, 0.0);
-        const ScoreCorrector::Observation observation =
-            corrector_.BeginObserve(outcome_.winner_index, meter);
-        VAOLIB_RETURN_IF_ERROR(winner->Iterate());
-        CommitDecision(&trace);
-        corrector_.CommitObserve(observation, &outcome_.stats);
-        VAOLIB_RETURN_IF_ERROR(ObserveIterate(outcome_.winner_index));
-        touched_[outcome_.winner_index] = true;
-        ++outcome_.stats.finalize_iterations;
-        if (++outcome_.stats.iterations > options_.max_total_iterations) {
-          return Status::NotConverged(
-              "MIN/MAX exceeded max_total_iterations");
-        }
-        return Status::OK();
+      const std::size_t winner = outcome_.winner_index;
+      if (objects_[winner]->bounds().Width() > options_.epsilon &&
+          !EffectivelyConverged(winner)) {
+        return IterateOne(winner, &outcome_.stats.finalize_iterations, meter,
+                          "finalize", 0.0, 0.0);
       }
       Finish();
       return Status::OK();
@@ -613,7 +582,9 @@ SumAveIterationTask::SumAveIterationTask(
       strategy_(std::move(strategy)),
       corrector_(options_, objects_),
       stall_(objects.size()),
-      touched_(objects.size(), false) {}
+      touched_(objects.size(), false) {
+  ObserveWith(&corrector_, &outcome_.stats);
+}
 
 Result<std::unique_ptr<SumAveIterationTask>> SumAveIterationTask::Create(
     const SumAveOptions& options,
@@ -649,14 +620,8 @@ Status SumAveIterationTask::ApplyIterate(std::size_t chosen, WorkMeter* meter,
   // weighted contribution and add the new one, so each round is O(1) on the
   // interval itself.
   const Bounds before = objects_[chosen]->bounds();
-  DecisionCapture trace = BeginDecision(name(), phase, chosen,
-                                        *objects_[chosen], meter, score,
-                                        raw_score);
-  const ScoreCorrector::Observation observation =
-      corrector_.BeginObserve(chosen, meter);
-  VAOLIB_RETURN_IF_ERROR(objects_[chosen]->Iterate());
-  CommitDecision(&trace);
-  corrector_.CommitObserve(observation, &outcome_.stats);
+  VAOLIB_RETURN_IF_ERROR(IterateObserved(chosen, objects_[chosen], phase,
+                                         meter, score, raw_score));
   VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[chosen], "SUM/AVE"));
   const Bounds after = objects_[chosen]->bounds();
   sum_.lo += weights_[chosen] * (after.lo - before.lo);
@@ -822,21 +787,11 @@ Status SumAveIterationTask::ApplyIterateBatch(
   // incremental interval maintenance per object.
   std::vector<Bounds> before;
   before.reserve(chosen.size());
-  std::vector<ScoreCorrector::Observation> observations;
-  observations.reserve(chosen.size());
-  for (const std::size_t i : chosen) {
-    before.push_back(objects_[i]->bounds());
-    observations.push_back(corrector_.BeginObserve(i, nullptr));
-  }
-  vao::BatchIterateOutcome batch_outcome;
-  VAOLIB_RETURN_IF_ERROR(IterateChosenBatch(name(), phase, objects_, chosen,
-                                            scores, raw_scores, meter,
-                                            &batch_outcome));
+  for (const std::size_t i : chosen) before.push_back(objects_[i]->bounds());
+  VAOLIB_RETURN_IF_ERROR(IterateObservedBatch(objects_, chosen, phase, meter,
+                                              scores, raw_scores));
   for (std::size_t j = 0; j < chosen.size(); ++j) {
     const std::size_t i = chosen[j];
-    corrector_.CommitObserveCost(observations[j],
-                                 static_cast<double>(batch_outcome.spent[j]),
-                                 &outcome_.stats);
     VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], "SUM/AVE"));
     const Bounds after = objects_[i]->bounds();
     sum_.lo += weights_[i] * (after.lo - before[j].lo);
@@ -951,6 +906,7 @@ TopKIterationTask::TopKIterationTask(
       touched_(objects.size(), false),
       order_(objects.size()) {
   std::iota(order_.begin(), order_.end(), std::size_t{0});
+  ObserveWith(&corrector_, &outcome_.stats);
 }
 
 Result<std::unique_ptr<TopKIterationTask>> TopKIterationTask::Create(
@@ -980,13 +936,8 @@ Status TopKIterationTask::IterateOne(std::size_t i,
                                      std::uint64_t* phase_counter,
                                      WorkMeter* meter, const char* phase,
                                      double score, double raw_score) {
-  DecisionCapture trace =
-      BeginDecision(name(), phase, i, *objects_[i], meter, score, raw_score);
-  const ScoreCorrector::Observation observation =
-      corrector_.BeginObserve(i, meter);
-  VAOLIB_RETURN_IF_ERROR(objects_[i]->Iterate());
-  CommitDecision(&trace);
-  corrector_.CommitObserve(observation, &outcome_.stats);
+  VAOLIB_RETURN_IF_ERROR(
+      IterateObserved(i, objects_[i], phase, meter, score, raw_score));
   VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], "TOP-K"));
   stall_[i].Observe(objects_[i]->bounds().Width());
   touched_[i] = true;
@@ -1150,22 +1101,13 @@ Status TopKIterationTask::StepImpl(WorkMeter* meter) {
       std::vector<double> raw_scores;
       scores.reserve(picks.size());
       raw_scores.reserve(picks.size());
-      std::vector<ScoreCorrector::Observation> observations;
-      observations.reserve(picks.size());
       for (const std::size_t i : picks) {
         scores.push_back(ChosenScore(candidates, i));
         raw_scores.push_back(ChosenScore(raws, i));
-        observations.push_back(corrector_.BeginObserve(i, nullptr));
       }
-      vao::BatchIterateOutcome batch_outcome;
-      VAOLIB_RETURN_IF_ERROR(IterateChosenBatch(name(), "boundary", objects_,
-                                                picks, scores, raw_scores,
-                                                meter, &batch_outcome));
-      for (std::size_t j = 0; j < picks.size(); ++j) {
-        const std::size_t i = picks[j];
-        corrector_.CommitObserveCost(
-            observations[j], static_cast<double>(batch_outcome.spent[j]),
-            &outcome_.stats);
+      VAOLIB_RETURN_IF_ERROR(IterateObservedBatch(
+          objects_, picks, "boundary", meter, scores, raw_scores));
+      for (const std::size_t i : picks) {
         VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], "TOP-K"));
         stall_[i].Observe(objects_[i]->bounds().Width());
         touched_[i] = true;
@@ -1316,10 +1258,7 @@ Status SingleObjectDecisionTask::StepImpl(WorkMeter* meter) {
   // been reached, validating before every decision (NaN/Inf or inverted
   // bounds must surface as NumericError, not flow into comparisons).
   if (undecided_(object_->bounds()) && !object_->AtStoppingCondition()) {
-    DecisionCapture trace =
-        BeginDecision(name(), "decide", 0, *object_, meter, 0.0, 0.0);
-    VAOLIB_RETURN_IF_ERROR(object_->Iterate());
-    CommitDecision(&trace);
+    VAOLIB_RETURN_IF_ERROR(IterateObserved(0, object_, "decide", meter));
     ++iterations_;
     VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*object_, who_));
     if (guard_.Observe(object_->bounds().Width())) {
@@ -1347,18 +1286,21 @@ double SingleObjectDecisionTask::CurrentUncertainty() const {
 
 MultiRowDecisionTask::MultiRowDecisionTask(
     std::vector<vao::ResultObject*> objects, const char* who,
-    UndecidedFn undecided, int threads)
+    UndecidedFn undecided, const OperatorOptions& options)
     : objects_(std::move(objects)),
       who_(who),
       undecided_(std::move(undecided)),
-      threads_(threads),
+      threads_(options.threads),
+      corrector_(options, objects_, /*selection_rows=*/true),
       stall_(objects_.size()),
       settled_(objects_.size(), false),
-      touched_(objects_.size(), false) {}
+      touched_(objects_.size(), false) {
+  ObserveWith(&corrector_, &stats_);
+}
 
 Result<std::unique_ptr<MultiRowDecisionTask>> MultiRowDecisionTask::Create(
     std::vector<vao::ResultObject*> objects, const char* who,
-    UndecidedFn undecided, int threads) {
+    UndecidedFn undecided, const OperatorOptions& options) {
   for (const auto* object : objects) {
     if (object == nullptr) {
       return Status::InvalidArgument(std::string(who) +
@@ -1367,7 +1309,7 @@ Result<std::unique_ptr<MultiRowDecisionTask>> MultiRowDecisionTask::Create(
     VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*object, who));
   }
   auto task = std::unique_ptr<MultiRowDecisionTask>(new MultiRowDecisionTask(
-      std::move(objects), who, std::move(undecided), threads));
+      std::move(objects), who, std::move(undecided), options));
   bool all_settled = true;
   for (std::size_t i = 0; i < task->objects_.size(); ++i) {
     task->Resettle(i);
@@ -1399,82 +1341,17 @@ Status MultiRowDecisionTask::StepImpl(WorkMeter* meter) {
     return Status::OK();
   }
 
-  // One refinement notch for every undecided row, fanned out over the pool.
-  // Decision tracing captures the pre-iterate state up front and records
-  // after the batch, on this (driving) thread in pending order, so the
-  // event sequence is deterministic regardless of how the pool interleaves.
-  const bool tracing = obs::DecisionTraceActive();
-  // Feedback recording reuses the same pre-captured state; it also runs on
-  // the driving thread in pending order, so the history a run leaves behind
-  // is identical at every thread count.
-  const bool capture_before = tracing || feedback_ != nullptr;
-  struct RowBefore {
-    Bounds bounds;
-    Bounds est;
-    double est_cost;
-  };
-  std::vector<RowBefore> before;
-  if (capture_before) {
-    before.reserve(pending.size());
-    for (const std::size_t i : pending) {
-      before.push_back(RowBefore{
-          objects_[i]->bounds(), objects_[i]->est_bounds(),
-          static_cast<double>(objects_[i]->est_cost())});
-    }
-  }
-  std::vector<vao::ResultObject*> batch;
-  batch.reserve(pending.size());
-  for (const std::size_t i : pending) batch.push_back(objects_[i]);
-  if (threads_ < 2) {
-    // Single-threaded: route the notch through the batch execution tier so
-    // rows backed by compatible solvers share one lockstep kernel call.
-    // Results and work totals are bit-identical to iterating each row, so
-    // the thread-count determinism contract is unaffected.
-    const vao::BatchIterateOutcome batch_outcome =
-        vao::IterateBatch(batch, meter);
-    for (const Status& status : batch_outcome.statuses) {
-      VAOLIB_RETURN_IF_ERROR(status);
-    }
-  } else {
-    VAOLIB_RETURN_IF_ERROR(vao::StepAll(batch, threads_));
-  }
+  // One refinement notch for every undecided row: through the batch
+  // execution tier when single-threaded (rows backed by compatible solvers
+  // share one lockstep kernel call; results and work totals are
+  // bit-identical to iterating each row), fanned out over the pool
+  // otherwise. Either way the records are published on this (driving)
+  // thread in pending order, so the trace and the feedback history are
+  // deterministic regardless of how the pool interleaves.
+  VAOLIB_RETURN_IF_ERROR(IterateObservedBatch(objects_, pending, "batch",
+                                              meter, {}, {}, threads_));
 
-  for (std::size_t p = 0; p < pending.size(); ++p) {
-    const std::size_t i = pending[p];
-    if (tracing) {
-      obs::Decision decision;
-      decision.op = name();
-      decision.phase = "batch";
-      decision.object_index = static_cast<std::uint64_t>(i);
-      decision.lo_before = before[p].bounds.lo;
-      decision.hi_before = before[p].bounds.hi;
-      decision.est_lo = before[p].est.lo;
-      decision.est_hi = before[p].est.hi;
-      decision.est_cost = before[p].est_cost;
-      const Bounds after = objects_[i]->bounds();
-      decision.lo_after = after.lo;
-      decision.hi_after = after.hi;
-      obs::RecordDecision(decision);
-    }
-    if (feedback_ != nullptr) {
-      // Shrink-only observation: per-row cost is unattributable on the
-      // threaded path, and a serially-attributed cost would make the
-      // recorded history depend on the thread count.
-      CostObservation cost_observation;
-      cost_observation.est_cost = std::max(before[p].est_cost, 1.0);
-      cost_observation.actual_cost = -1.0;
-      cost_observation.est_shrink =
-          std::max(0.0, before[p].est.lo - before[p].bounds.lo) +
-          std::max(0.0, before[p].bounds.hi - before[p].est.hi);
-      cost_observation.actual_shrink = std::max(
-          0.0, before[p].bounds.Width() - objects_[i]->bounds().Width());
-      const std::uint64_t id =
-          feedback_ids_ != nullptr && i < feedback_ids_->size()
-              ? (*feedback_ids_)[i]
-              : static_cast<std::uint64_t>(i);
-      feedback_->Record(id, objects_[i]->calibration_kind(),
-                        cost_observation);
-    }
+  for (const std::size_t i : pending) {
     VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], who_));
     if (!touched_[i]) {
       touched_[i] = true;

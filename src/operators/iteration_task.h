@@ -17,6 +17,7 @@
 #ifndef VAOLIB_OPERATORS_ITERATION_TASK_H_
 #define VAOLIB_OPERATORS_ITERATION_TASK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -94,13 +95,58 @@ class IterationTask {
     converged_ = converged;
   }
 
+  /// \name Observed iterates: the one seam where a task's Iterate() calls
+  /// are measured against the estimates that chose them. Each helper
+  /// captures an IterateRecord (bounds, est_bounds(), est cost, attributed
+  /// work) once per iterate and hands it to every active sink: the decision
+  /// trace (op name(), \p phase, scores), the corrector set by
+  /// ObserveWith() (feedback store, sentinel fit, OperatorStats MAE audit),
+  /// and the estimator-calibration histograms for objects with
+  /// calibration_kind() >= 0 and an attributed cost. With no sink active
+  /// nothing is captured. A failed iterate records nothing.
+  /// @{
+
+  /// Routes records to \p corrector (with \p stats for its audit); call
+  /// from the subclass constructor. Both must outlive the task.
+  void ObserveWith(ScoreCorrector* corrector, OperatorStats* stats) {
+    sink_corrector_ = corrector;
+    sink_stats_ = stats;
+  }
+
+  /// One Iterate() of \p object (the task's object \p index); its cost is
+  /// the delta of \p meter (unknown when null), which must be the meter the
+  /// object charges.
+  Status IterateObserved(std::size_t index, vao::ResultObject* object,
+                         const char* phase, WorkMeter* meter,
+                         double score = 0.0, double raw_score = 0.0);
+
+  /// One Iterate() of each object[chosen[j]]: through vao::IterateBatch
+  /// with per-object spends as costs when \p threads < 2 (a null \p meter
+  /// leaves them unknown), or fanned out by vao::StepAll otherwise, where
+  /// costs are unattributable and no calibration sample is taken. Records
+  /// follow \p chosen order; \p scores / \p raw_scores parallel it (missing
+  /// entries read 0 / the score). Returns the first failing object's
+  /// status, recording nothing.
+  Status IterateObservedBatch(const std::vector<vao::ResultObject*>& objects,
+                              const std::vector<std::size_t>& chosen,
+                              const char* phase, WorkMeter* meter,
+                              const std::vector<double>& scores = {},
+                              const std::vector<double>& raw_scores = {},
+                              int threads = 1);
+  /// @}
+
  private:
+  void Publish(const IterateRecord& record, const char* phase, double score,
+               double raw_score, bool trace, bool correct);
+
   bool done_ = false;
   bool converged_ = false;
   bool calibrated_ = false;
   double est_benefit_ = 0.0;
   double est_cost_ = 1.0;
   std::string owner_;
+  ScoreCorrector* sink_corrector_ = nullptr;
+  OperatorStats* sink_stats_ = nullptr;
 };
 
 /// \brief Drives \p task to completion, honouring \p options.budget when
@@ -143,7 +189,10 @@ class MinMaxIterationTask : public IterationTask {
   Bounds ViewOf(std::size_t i) const;
   Bounds EstViewOf(std::size_t i) const;
   bool EffectivelyConverged(std::size_t i) const;
-  Status ObserveIterate(std::size_t i);
+  Status IterateOne(std::size_t i, std::uint64_t* phase_counter,
+                    WorkMeter* meter, const char* phase, double score,
+                    double raw_score);
+  Status SettleIterate(std::size_t i);
   void Finish();
 
   MinMaxOptions options_;
@@ -300,23 +349,15 @@ class MultiRowDecisionTask : public IterationTask {
  public:
   using UndecidedFn = std::function<bool(const Bounds&)>;
 
+  /// Reads `threads` and the predictive-planning store (`feedback`,
+  /// `object_ids`) from \p options. The store records each refined row's
+  /// predicted-vs-actual bound shrink, never its cost (see ScoreCorrector's
+  /// `selection_rows`); its pointers are borrowed and must outlive the task.
   static Result<std::unique_ptr<MultiRowDecisionTask>> Create(
       std::vector<vao::ResultObject*> objects, const char* who,
-      UndecidedFn undecided, int threads);
+      UndecidedFn undecided, const OperatorOptions& options);
 
   const char* name() const override { return "selection_rows"; }
-
-  /// Attaches a cost-history store: each refined row's predicted-vs-actual
-  /// bound shrink is recorded after every Step(). Only shrink is recorded
-  /// (actual per-row cost is unattributable on the threaded path, and
-  /// recording it serially-only would make the history depend on the
-  /// thread count). \p ids, when non-null, maps row index -> stable object
-  /// id; both pointers are borrowed and must outlive the task.
-  void SetFeedback(CostFeedback* feedback,
-                   const std::vector<std::uint64_t>* ids) {
-    feedback_ = feedback;
-    feedback_ids_ = ids;
-  }
 
   /// True when row \p i no longer needs refinement (predicate decidable
   /// from bounds, object converged, or quarantined after a stall).
@@ -331,7 +372,8 @@ class MultiRowDecisionTask : public IterationTask {
 
  private:
   MultiRowDecisionTask(std::vector<vao::ResultObject*> objects,
-                       const char* who, UndecidedFn undecided, int threads);
+                       const char* who, UndecidedFn undecided,
+                       const OperatorOptions& options);
 
   void Resettle(std::size_t i);
 
@@ -339,8 +381,7 @@ class MultiRowDecisionTask : public IterationTask {
   const char* who_;
   UndecidedFn undecided_;
   int threads_;
-  CostFeedback* feedback_ = nullptr;
-  const std::vector<std::uint64_t>* feedback_ids_ = nullptr;
+  ScoreCorrector corrector_;
   std::vector<StallGuard> stall_;
   std::vector<bool> settled_;
   std::vector<bool> touched_;

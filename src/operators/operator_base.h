@@ -109,14 +109,19 @@ struct OperatorOptions {
   std::uint64_t budget = 0;
 
   /// \name Predictive planning (operators/cost_feedback.h).
-  /// When `feedback` is non-null the serial adaptive paths record every
-  /// iterate's actual-vs-estimated cost and shrink into it (under any
-  /// strategy, so a baseline run can collect the same audit), and the
-  /// corrected strategies (kCalibratedGreedy / kSentinelGreedy) consult it
-  /// when scoring. `object_ids`, when set, must parallel the operator's
-  /// object vector and supply stable identities that survive object
-  /// rebuilds across ticks (the engine passes relation row indices); when
-  /// null the object's position is used.
+  /// When `feedback` is non-null every task iterate's actual-vs-estimated
+  /// cost and shrink is recorded into it (under any strategy, so a
+  /// baseline run can collect the same audit), and the corrected
+  /// strategies (kCalibratedGreedy / kSentinelGreedy) consult it when
+  /// scoring. The observation is the one record IterationTask takes per
+  /// iterate (which also feeds the decision trace and the calibration
+  /// histograms); its cost is the delta of `meter`, so `meter` must be the
+  /// meter the objects charge. Iterates of the parallel coarse pre-phase
+  /// run outside the task and are never recorded. Selection-row tasks
+  /// record shrink only. `object_ids`, when set, must parallel the
+  /// operator's object vector and supply stable identities that survive
+  /// object rebuilds across ticks (the engine passes relation row indices);
+  /// when null the object's position is used.
   /// @{
   CostFeedback* feedback = nullptr;
   const std::vector<std::uint64_t>* object_ids = nullptr;
@@ -149,11 +154,13 @@ struct OperatorStats {
   std::uint64_t finalize_iterations = 0; ///< winner/member refinement
   /// @}
 
-  /// \name Predictive-planning audit (filled when OperatorOptions::feedback
-  /// is set and the path can measure per-object actual costs). The MAE of
-  /// the raw estimates is raw_cost_abs_err / cost_err_samples; of the
-  /// corrected estimates, corrected_cost_abs_err / cost_err_samples. Under
-  /// the uncorrected strategies the two sums are equal.
+  /// \name Predictive-planning audit (filled from each observed iterate's
+  /// record when OperatorOptions::feedback is set or the strategy is
+  /// kSentinelGreedy; cost errors need an attributed cost -- the step
+  /// meter's delta or the batch spend). The MAE of the raw estimates is
+  /// raw_cost_abs_err / cost_err_samples; of the corrected estimates,
+  /// corrected_cost_abs_err / cost_err_samples. Under the uncorrected
+  /// strategies the two sums are equal.
   /// @{
   std::uint64_t cost_err_samples = 0;     ///< decisions with measured cost
   std::uint64_t corrected_decisions = 0;  ///< decisions a correction changed

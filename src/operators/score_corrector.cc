@@ -12,13 +12,6 @@ namespace vaolib::operators {
 
 namespace {
 
-// Ratio corrections are clamped so one pathological observation cannot
-// zero out (or explode) a candidate's score. Matches CostHistory's clamp.
-constexpr double kMinRatio = 1.0 / 64.0;
-constexpr double kMaxRatio = 64.0;
-// Denominators below this carry no ratio information.
-constexpr double kMinDenominator = 1e-12;
-
 double ClampRatio(double r) {
   if (!std::isfinite(r)) return 1.0;
   return std::min(kMaxRatio, std::max(kMinRatio, r));
@@ -27,13 +20,17 @@ double ClampRatio(double r) {
 }  // namespace
 
 ScoreCorrector::ScoreCorrector(const OperatorOptions& options,
-                               const std::vector<vao::ResultObject*>& objects)
+                               const std::vector<vao::ResultObject*>& objects,
+                               bool selection_rows)
     : objects_(&objects),
       feedback_(options.feedback),
       object_ids_(options.object_ids),
-      correcting_(StrategyUsesCorrections(options.strategy)),
-      probing_(options.strategy == StrategyKind::kSentinelGreedy),
+      correcting_(!selection_rows &&
+                  StrategyUsesCorrections(options.strategy)),
+      probing_(!selection_rows &&
+               options.strategy == StrategyKind::kSentinelGreedy),
       flip_(options.mutate_flip_correction),
+      record_cost_(!selection_rows),
       sentinel_probes_(std::max(options.sentinel_probes, 0)) {
   if (correcting_) snapshot_ = obs::CalibrationSnapshot::Capture();
 }
@@ -203,76 +200,43 @@ void ScoreCorrector::RecordProbe(std::size_t i, double cost_ratio_sample,
   }
 }
 
-ScoreCorrector::Observation ScoreCorrector::BeginObserve(
-    std::size_t i, const WorkMeter* meter) const {
-  Observation observation;
-  if (!recording() && !probing_) return observation;
-  observation.active = true;
-  observation.index = i;
-  observation.before = (*objects_)[i]->bounds();
-  observation.est_before = (*objects_)[i]->est_bounds();
-  observation.raw_cost =
-      std::max<double>(static_cast<double>((*objects_)[i]->est_cost()), 1.0);
-  observation.meter = meter;
-  observation.work_before = meter != nullptr ? meter->Total() : 0;
-  return observation;
-}
-
-void ScoreCorrector::CommitObserve(const Observation& observation,
-                                   OperatorStats* stats) {
-  if (!observation.active) return;
-  const double actual_cost =
-      observation.meter != nullptr
-          ? static_cast<double>(observation.meter->Total() -
-                                observation.work_before)
-          : -1.0;
-  CommitObserveCost(observation, actual_cost, stats);
-}
-
-void ScoreCorrector::CommitObserveCost(const Observation& observation,
-                                       double actual_cost,
-                                       OperatorStats* stats) {
-  if (!observation.active) return;
-  const std::size_t i = observation.index;
-  const Bounds after = (*objects_)[i]->bounds();
+void ScoreCorrector::Record(const IterateRecord& record,
+                            OperatorStats* stats) {
+  const std::size_t i = record.index;
+  const double raw_cost = std::max(record.est_cost, 1.0);
+  const double actual_cost = record_cost_ ? record.actual_cost : -1.0;
   const double actual_shrink =
-      std::max(0.0, observation.before.Width() - after.Width());
-  const double est_shrink =
-      std::max(0.0, observation.est_before.lo - observation.before.lo) +
-      std::max(0.0, observation.before.hi - observation.est_before.hi);
+      std::max(0.0, record.before.Width() - record.after.Width());
+  const double est_shrink = std::max(0.0, record.est.lo - record.before.lo) +
+                            std::max(0.0, record.before.hi - record.est.hi);
 
-  if (stats != nullptr && (correcting_ || recording())) {
-    // Audit the prediction as it stood at decision time (the observation
-    // has not been fed back yet, so Correct() reproduces it).
-    const Corrected corrected = Correct(i, observation.before,
-                                        observation.est_before,
-                                        observation.raw_cost);
+  if (stats != nullptr) {
+    // Audit the prediction as it stood at decision time (the record has
+    // not been fed back yet, so Correct() reproduces it).
+    const Corrected corrected =
+        Correct(i, record.before, record.est, raw_cost);
     if (actual_cost >= 0.0) {
       ++stats->cost_err_samples;
-      stats->raw_cost_abs_err +=
-          std::abs(actual_cost - observation.raw_cost);
+      stats->raw_cost_abs_err += std::abs(actual_cost - raw_cost);
       stats->corrected_cost_abs_err += std::abs(actual_cost - corrected.cost);
     }
     if (corrected.changed) ++stats->corrected_decisions;
   }
 
   if (probing_ && i < probe_state_.size() && probe_state_[i] == 1) {
-    const bool has_cost =
-        actual_cost >= 0.0 && observation.raw_cost > kMinDenominator;
+    const bool has_cost = actual_cost >= 0.0 && raw_cost > kMinDenominator;
     const bool has_shrink = est_shrink > kMinDenominator;
-    RecordProbe(i,
-                has_cost ? actual_cost / observation.raw_cost : 0.0, has_cost,
+    RecordProbe(i, has_cost ? actual_cost / raw_cost : 0.0, has_cost,
                 has_shrink ? actual_shrink / est_shrink : 0.0, has_shrink);
   }
 
   if (feedback_ != nullptr) {
-    CostObservation cost_observation;
-    cost_observation.est_cost = observation.raw_cost;
-    cost_observation.actual_cost = actual_cost;
-    cost_observation.est_shrink = est_shrink;
-    cost_observation.actual_shrink = actual_shrink;
-    feedback_->Record(IdOf(i), (*objects_)[i]->calibration_kind(),
-                      cost_observation);
+    CostObservation observation;
+    observation.est_cost = raw_cost;
+    observation.actual_cost = actual_cost;
+    observation.est_shrink = est_shrink;
+    observation.actual_shrink = actual_shrink;
+    feedback_->Record(IdOf(i), record.kind, observation);
   }
 }
 

@@ -1,6 +1,6 @@
 // Copyright 2026 The vaolib Authors.
 // ScoreCorrector: the predictive-planning engine shared by the aggregate
-// IterationTasks.
+// IterationTasks (and, recording shrink only, the multi-row selection task).
 //
 // It does three jobs on the serial adaptive loop:
 //
@@ -15,11 +15,13 @@
 //     estCPU) has been observed; the observed-vs-predicted ratios fitted
 //     from those probes become correction source (2) for the rest of the
 //     group.
-//   * Record: after each serial iterate, feeds the actual-vs-estimated
-//     cost and shrink into the CostFeedback store and accumulates the
-//     raw/corrected MAE audit into OperatorStats. Recording happens only
-//     on paths whose iterate sequence is thread-count invariant, so the
-//     history an operator run leaves behind is too.
+//   * Record: consumes the one IterateRecord the owning task captured
+//     around each of its iterates (IterationTask::IterateObserved): feeds
+//     the sentinel fit, the actual-vs-estimated cost and shrink into the
+//     CostFeedback store, and the raw/corrected MAE audit into
+//     OperatorStats. Tasks iterate only on paths whose iterate sequence is
+//     thread-count invariant (the parallel coarse pre-phase runs outside
+//     the task seam), so the history an operator run leaves behind is too.
 //
 // Everything is inert (no allocation, no snapshot capture) unless the
 // options enable feedback or a corrected strategy.
@@ -27,30 +29,56 @@
 #ifndef VAOLIB_OPERATORS_SCORE_CORRECTOR_H_
 #define VAOLIB_OPERATORS_SCORE_CORRECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/bounds.h"
-#include "common/work_meter.h"
 #include "obs/trace.h"
 #include "operators/operator_base.h"
 #include "vao/result_object.h"
 
 namespace vaolib::operators {
 
+/// \brief One observed Iterate(): the object's estimates just before it and
+/// what it actually did. IterationTask::IterateObserved captures it once
+/// and hands the same record to every active sink -- the decision trace,
+/// the ScoreCorrector and the estimator-calibration histograms.
+struct IterateRecord {
+  std::size_t index = 0;  ///< the object's position in the task
+  int kind = -1;          ///< its calibration_kind()
+  Bounds before = Bounds(0.0, 0.0);
+  Bounds est = Bounds(0.0, 0.0);  ///< est_bounds() before the iterate
+  double est_cost = 0.0;          ///< raw est_cost() before the iterate
+  Bounds after = Bounds(0.0, 0.0);
+  /// Work units attributed to this iterate; < 0 = unknown (no step meter,
+  /// or a threaded step whose per-object spend is unattributable).
+  double actual_cost = -1.0;
+};
+
 class ScoreCorrector {
  public:
   /// \p objects must outlive the corrector (the owning task guarantees
   /// this). Captures the live CalibrationSnapshot when the strategy is a
   /// corrected one.
+  ///
+  /// \p selection_rows marks the corrector of a MultiRowDecisionTask: it
+  /// never corrects or probes (every undecided row is iterated, so there is
+  /// no pick to correct) and feeds the store shrink only -- per-row cost is
+  /// unattributable on the threaded notch, and recording it on the serial
+  /// notch only would make the history depend on the thread count.
   ScoreCorrector(const OperatorOptions& options,
-                 const std::vector<vao::ResultObject*>& objects);
+                 const std::vector<vao::ResultObject*>& objects,
+                 bool selection_rows = false);
 
   /// True when observations should be recorded (a feedback store is
   /// attached).
   bool recording() const { return feedback_ != nullptr; }
+  /// True when Record() has work to do: a feedback store to feed or
+  /// sentinel probes to fit.
+  bool observing() const { return recording() || probing_; }
   /// True when candidate estimates should be corrected before scoring.
   bool correcting() const { return correcting_; }
   /// True when sentinel probing should override picks.
@@ -77,30 +105,10 @@ class ScoreCorrector {
   bool NextProbe(const std::vector<std::size_t>& iterable,
                  std::size_t* probe);
 
-  /// Pre-iterate capture for one object; inert unless recording().
-  struct Observation {
-    bool active = false;
-    std::size_t index = 0;
-    Bounds before = Bounds(0.0, 0.0);
-    Bounds est_before = Bounds(0.0, 0.0);
-    double raw_cost = 1.0;
-    std::uint64_t work_before = 0;
-    const WorkMeter* meter = nullptr;
-  };
-
-  /// Captures object \p i's pre-iterate state. \p meter (nullable) is used
-  /// by the meter-delta Commit overload.
-  Observation BeginObserve(std::size_t i, const WorkMeter* meter) const;
-
-  /// Commits \p observation with the actual cost taken from the meter
-  /// delta (unknown when the meter is null), then updates the sentinel
-  /// fit, the feedback store, and the \p stats audit.
-  void CommitObserve(const Observation& observation, OperatorStats* stats);
-
-  /// Commit with an explicitly attributed actual cost (batch paths pass
-  /// the per-object spend; pass a negative value for "unknown").
-  void CommitObserveCost(const Observation& observation, double actual_cost,
-                         OperatorStats* stats);
+  /// Records one observed iterate of object \p record.index: updates the
+  /// sentinel fit, the feedback store, and the \p stats audit (nullable).
+  /// A negative record.actual_cost contributes shrink only.
+  void Record(const IterateRecord& record, OperatorStats* stats);
 
  private:
   struct Group {
@@ -130,6 +138,7 @@ class ScoreCorrector {
   bool correcting_ = false;
   bool probing_ = false;
   bool flip_ = false;
+  bool record_cost_ = true;
   int sentinel_probes_ = 0;
   obs::CalibrationSnapshot snapshot_;
 

@@ -59,15 +59,16 @@ Result<std::vector<Outcome>> BatchEvaluate(std::size_t n, int threads,
 // has not been reached. The loop itself lives in SingleObjectDecisionTask
 // (operators/iteration_task.h) so the engine's scheduler can run the same
 // refinement step-at-a-time; this helper drives the task to completion for
-// the classic blocking evaluation path.
+// the classic blocking evaluation path, stepping it with \p meter (the
+// meter the object charges, or null).
 template <typename Undecided>
-Status DriveWhileUndecided(vao::ResultObject* object, const char* who,
-                           std::uint64_t* iterations,
+Status DriveWhileUndecided(vao::ResultObject* object, WorkMeter* meter,
+                           const char* who, std::uint64_t* iterations,
                            const Undecided& undecided) {
   VAOLIB_ASSIGN_OR_RETURN(
       auto task, SingleObjectDecisionTask::Create(object, who, undecided));
   while (!task->Done()) {
-    VAOLIB_RETURN_IF_ERROR(task->Step(/*meter=*/nullptr));
+    VAOLIB_RETURN_IF_ERROR(task->Step(meter));
   }
   *iterations += task->iterations();
   return Status::OK();
@@ -75,8 +76,8 @@ Status DriveWhileUndecided(vao::ResultObject* object, const char* who,
 
 }  // namespace
 
-Result<SelectionOutcome> SelectionVao::Evaluate(
-    vao::ResultObject* object) const {
+Result<SelectionOutcome> SelectionVao::Evaluate(vao::ResultObject* object,
+                                                WorkMeter* meter) const {
   if (object == nullptr) {
     return Status::InvalidArgument("selection over null result object");
   }
@@ -85,7 +86,7 @@ Result<SelectionOutcome> SelectionVao::Evaluate(
   // Iterate while the bounds still straddle the constant and the stopping
   // condition has not been reached (Section 3.2).
   VAOLIB_RETURN_IF_ERROR(DriveWhileUndecided(
-      object, "selection", &outcome.stats.iterations,
+      object, meter, "selection", &outcome.stats.iterations,
       [&](const Bounds& b) { return b.Contains(constant_); }));
   outcome.stats.greedy_iterations = outcome.stats.iterations;
   outcome.stats.objects_touched = outcome.stats.iterations > 0 ? 1 : 0;
@@ -111,7 +112,7 @@ Result<SelectionOutcome> SelectionVao::Evaluate(
     const std::vector<double>& args, WorkMeter* meter) const {
   VAOLIB_ASSIGN_OR_RETURN(vao::ResultObjectPtr object,
                           function.Invoke(args, meter));
-  return Evaluate(object.get());
+  return Evaluate(object.get(), meter);
 }
 
 Result<std::vector<SelectionOutcome>> SelectionVao::EvaluateBatch(
@@ -126,7 +127,7 @@ Result<std::vector<SelectionOutcome>> SelectionVao::EvaluateBatch(
 }
 
 Result<SelectionOutcome> RangeSelectionVao::Evaluate(
-    vao::ResultObject* object) const {
+    vao::ResultObject* object, WorkMeter* meter) const {
   if (object == nullptr) {
     return Status::InvalidArgument("range selection over null result object");
   }
@@ -138,7 +139,7 @@ Result<SelectionOutcome> RangeSelectionVao::Evaluate(
   // The predicate is undecided while either endpoint lies strictly inside
   // the bounds; iterate until both endpoints are cleared or convergence.
   VAOLIB_RETURN_IF_ERROR(DriveWhileUndecided(
-      object, "range selection", &outcome.stats.iterations,
+      object, meter, "range selection", &outcome.stats.iterations,
       [&](const Bounds& b) {
         return b.Contains(range_.lo) || b.Contains(range_.hi);
       }));
@@ -166,7 +167,7 @@ Result<SelectionOutcome> RangeSelectionVao::Evaluate(
     const std::vector<double>& args, WorkMeter* meter) const {
   VAOLIB_ASSIGN_OR_RETURN(vao::ResultObjectPtr object,
                           function.Invoke(args, meter));
-  return Evaluate(object.get());
+  return Evaluate(object.get(), meter);
 }
 
 Result<std::vector<SelectionOutcome>> RangeSelectionVao::EvaluateBatch(
@@ -181,7 +182,7 @@ Result<std::vector<SelectionOutcome>> RangeSelectionVao::EvaluateBatch(
 }
 
 Result<MultiSelectionVao::MultiOutcome> MultiSelectionVao::Evaluate(
-    vao::ResultObject* object) const {
+    vao::ResultObject* object, WorkMeter* meter) const {
   if (object == nullptr) {
     return Status::InvalidArgument("multi-selection over null result object");
   }
@@ -193,7 +194,7 @@ Result<MultiSelectionVao::MultiOutcome> MultiSelectionVao::Evaluate(
   // Iterate while ANY constant is still inside the bounds; the nearest
   // constant to the true value dictates the total work.
   VAOLIB_RETURN_IF_ERROR(DriveWhileUndecided(
-      object, "multi-selection", &outcome.stats.iterations,
+      object, meter, "multi-selection", &outcome.stats.iterations,
       [&](const Bounds& b) {
         for (const Predicate& p : predicates_) {
           if (b.Contains(p.constant)) return true;
@@ -226,7 +227,7 @@ Result<MultiSelectionVao::MultiOutcome> MultiSelectionVao::Evaluate(
     const std::vector<double>& args, WorkMeter* meter) const {
   VAOLIB_ASSIGN_OR_RETURN(vao::ResultObjectPtr object,
                           function.Invoke(args, meter));
-  return Evaluate(object.get());
+  return Evaluate(object.get(), meter);
 }
 
 Result<std::vector<MultiSelectionVao::MultiOutcome>>

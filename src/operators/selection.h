@@ -37,8 +37,11 @@ class SelectionVao {
   SelectionVao(Comparator cmp, double constant)
       : cmp_(cmp), constant_(constant) {}
 
-  /// Iterates \p object just enough to decide the predicate.
-  Result<SelectionOutcome> Evaluate(vao::ResultObject* object) const;
+  /// Iterates \p object just enough to decide the predicate. \p meter, when
+  /// it is the meter \p object charges, costs each refinement for the
+  /// decision trace and the calibration histograms.
+  Result<SelectionOutcome> Evaluate(vao::ResultObject* object,
+                                    WorkMeter* meter = nullptr) const;
 
   /// Invokes \p function on \p args and evaluates the fresh object;
   /// function work is charged to \p meter.
@@ -82,9 +85,11 @@ class RangeSelectionVao {
   RangeSelectionVao(double lo, double hi, bool inclusive = true)
       : range_(lo, hi), inclusive_(inclusive) {}
 
-  /// Iterates \p object just enough to decide membership.
+  /// Iterates \p object just enough to decide membership; \p meter as for
+  /// SelectionVao::Evaluate.
   /// \return InvalidArgument when hi < lo or the object is null.
-  Result<SelectionOutcome> Evaluate(vao::ResultObject* object) const;
+  Result<SelectionOutcome> Evaluate(vao::ResultObject* object,
+                                    WorkMeter* meter = nullptr) const;
 
   /// Invokes \p function on \p args and evaluates the fresh object.
   Result<SelectionOutcome> Evaluate(
@@ -140,9 +145,11 @@ class MultiSelectionVao {
     OperatorStats stats;
   };
 
-  /// Iterates \p object until every predicate is decided.
+  /// Iterates \p object until every predicate is decided; \p meter as for
+  /// SelectionVao::Evaluate.
   /// \return InvalidArgument for an empty predicate list or null object.
-  Result<MultiOutcome> Evaluate(vao::ResultObject* object) const;
+  Result<MultiOutcome> Evaluate(vao::ResultObject* object,
+                                WorkMeter* meter = nullptr) const;
 
   /// Invokes \p function on \p args and evaluates the fresh object.
   Result<MultiOutcome> Evaluate(const vao::VariableAccuracyFunction& function,

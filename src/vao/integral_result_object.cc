@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "vao/calibration_probe.h"
 
 namespace vaolib::vao {
 
@@ -35,11 +34,9 @@ Status IntegralResultObject::Iterate() {
     return Status::ResourceExhausted(
         "integral result object at max_iterations");
   }
-  const CalibrationProbe probe(obs::SolverKind::kIntegral, *this, meter());
   ChargeStateOverhead();
   VAOLIB_RETURN_IF_ERROR(integral_->Refine(meter()));
   BumpIterations();
-  probe.Commit();
   return Status::OK();
 }
 
@@ -70,17 +67,10 @@ std::vector<Status> IntegralResultObject::IterateGroup(
     }
   }
 
-  const bool calibrate = obs::Enabled() && meter != nullptr;
   std::vector<numeric::RefinableIntegral*> integrals(k);
   std::vector<std::uint64_t> refine_cost(k);
-  std::vector<Bounds> est_before(k, Bounds(0.0, 0.0));
-  std::vector<double> est_cost_before(k, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
     IntegralResultObject* object = objects[i];
-    if (calibrate) {
-      est_before[i] = object->est_bounds();
-      est_cost_before[i] = static_cast<double>(object->est_cost());
-    }
     object->ChargeStateOverhead();
     integrals[i] = object->integral_.get();
     refine_cost[i] = object->integral_->CostOfNextRefine();
@@ -100,14 +90,6 @@ std::vector<Status> IntegralResultObject::IterateGroup(
     IntegralResultObject* object = objects[i];
     (*spent)[i] = 2 + refine_cost[i];
     object->BumpIterations();
-    if (calibrate) {
-      const Bounds after = object->bounds();
-      obs::RecordEstimatorSample(obs::SolverKind::kIntegral,
-                                 est_cost_before[i], est_before[i].lo,
-                                 est_before[i].hi,
-                                 static_cast<double>((*spent)[i]), after.lo,
-                                 after.hi);
-    }
   }
   return statuses;
 }

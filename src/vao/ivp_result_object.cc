@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "vao/calibration_probe.h"
 
 namespace vaolib::vao {
 
@@ -71,7 +70,6 @@ Status IvpResultObject::Iterate() {
   if (iterations() >= options_.max_iterations) {
     return Status::ResourceExhausted("IVP result object at max_iterations");
   }
-  const CalibrationProbe probe(obs::SolverKind::kIvp, *this, meter());
   ChargeStateOverhead();
 
   const double h = StepSize();
@@ -84,7 +82,6 @@ Status IvpResultObject::Iterate() {
   value_ = solved.value();
   BumpIterations();
   RefreshDerivedState();
-  probe.Commit();
   return Status::OK();
 }
 
@@ -113,19 +110,12 @@ std::vector<Status> IvpResultObject::IterateGroup(
     }
   }
 
-  const bool calibrate = obs::Enabled() && meter != nullptr;
   const int next_steps = objects[0]->steps_ * 2;
   numeric::OdeIvpBatch batch;
   batch.problems.resize(k);
   std::vector<double> hs(k);
-  std::vector<Bounds> est_before(k, Bounds(0.0, 0.0));
-  std::vector<double> est_cost_before(k, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
     IvpResultObject* object = objects[i];
-    if (calibrate) {
-      est_before[i] = object->est_bounds();
-      est_cost_before[i] = static_cast<double>(object->est_cost());
-    }
     object->ChargeStateOverhead();
     batch.problems[i] = object->problem_;
     hs[i] = object->StepSize();
@@ -159,13 +149,6 @@ std::vector<Status> IvpResultObject::IterateGroup(
     object->value_ = values[i];
     object->BumpIterations();
     object->RefreshDerivedState();
-    if (calibrate) {
-      const Bounds after = object->bounds();
-      obs::RecordEstimatorSample(obs::SolverKind::kIvp, est_cost_before[i],
-                                 est_before[i].lo, est_before[i].hi,
-                                 static_cast<double>((*spent)[i]), after.lo,
-                                 after.hi);
-    }
   }
   return statuses;
 }

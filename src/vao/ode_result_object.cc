@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "vao/calibration_probe.h"
 
 namespace vaolib::vao {
 
@@ -75,7 +74,6 @@ Status OdeResultObject::Iterate() {
   if (iterations() >= options_.max_iterations) {
     return Status::ResourceExhausted("ODE result object at max_iterations");
   }
-  const CalibrationProbe probe(obs::SolverKind::kOde, *this, meter());
   ChargeStateOverhead();
 
   const double dx = Dx();
@@ -89,7 +87,6 @@ Status OdeResultObject::Iterate() {
   value_ = solved.value();
   BumpIterations();
   RefreshDerivedState();
-  probe.Commit();
   return Status::OK();
 }
 

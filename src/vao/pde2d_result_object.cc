@@ -1,7 +1,6 @@
 #include "vao/pde2d_result_object.h"
 
 #include "common/macros.h"
-#include "vao/calibration_probe.h"
 
 namespace vaolib::vao {
 
@@ -103,7 +102,6 @@ Status Pde2dResultObject::Iterate() {
   if (iterations() >= options_.max_iterations) {
     return Status::ResourceExhausted("2D PDE result object at max_iterations");
   }
-  const CalibrationProbe probe(obs::SolverKind::kPde2d, *this, meter());
   ChargeStateOverhead();
 
   const double dt = grid_.Dt(problem_);
@@ -132,7 +130,6 @@ Status Pde2dResultObject::Iterate() {
   value_ = new_value;
   BumpIterations();
   RefreshDerivedState();
-  probe.Commit();
   return Status::OK();
 }
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "vao/calibration_probe.h"
 
 namespace vaolib::vao {
 
@@ -120,20 +119,13 @@ std::vector<Status> PdeResultObject::IterateGroup(
     }
   }
 
-  const bool calibrate = obs::Enabled() && meter != nullptr;
   const numeric::PdeGrid next = objects[0]->NextRefinementGrid();
   std::vector<const numeric::Pde1dProblem*> problems(k);
   std::vector<double> queries(k);
   std::vector<double> dts(k), dxs(k);
   std::vector<numeric::StepAxis> axes(k);
-  std::vector<Bounds> est_before(k, Bounds(0.0, 0.0));
-  std::vector<double> est_cost_before(k, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
     PdeResultObject* object = objects[i];
-    if (calibrate) {
-      est_before[i] = object->est_bounds();
-      est_cost_before[i] = static_cast<double>(object->est_cost());
-    }
     object->ChargeStateOverhead();
     problems[i] = &object->problem_;
     queries[i] = object->query_x_;
@@ -177,13 +169,6 @@ std::vector<Status> PdeResultObject::IterateGroup(
     object->value_ = new_value;
     object->BumpIterations();
     object->RefreshDerivedState();
-    if (calibrate) {
-      const Bounds after = object->bounds();
-      obs::RecordEstimatorSample(obs::SolverKind::kPde, est_cost_before[i],
-                                 est_before[i].lo, est_before[i].hi,
-                                 static_cast<double>((*spent)[i]), after.lo,
-                                 after.hi);
-    }
   }
   return statuses;
 }
@@ -192,7 +177,6 @@ Status PdeResultObject::Iterate() {
   if (iterations() >= options_.max_iterations) {
     return Status::ResourceExhausted("PDE result object at max_iterations");
   }
-  const CalibrationProbe probe(obs::SolverKind::kPde, *this, meter());
   ChargeStateOverhead();
 
   const double dt = grid_.Dt(problem_);
@@ -222,7 +206,6 @@ Status PdeResultObject::Iterate() {
   value_ = new_value;
   BumpIterations();
   RefreshDerivedState();
-  probe.Commit();
   return Status::OK();
 }
 

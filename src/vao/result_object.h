@@ -88,9 +88,10 @@ class ResultObject {
 
   /// Index into obs::SolverKind of the calibrated solver family this
   /// object's estimates come from, or -1 (the default) for objects outside
-  /// those families (synthetic, custom black boxes). The calibrated
-  /// scoring path uses it to pick the right CalibrationSnapshot bias for
-  /// a candidate; wrappers must forward it.
+  /// those families (synthetic, custom black boxes). Operator tasks file
+  /// their observed iterates' calibration samples under it, and the
+  /// calibrated scoring path uses it to pick the right CalibrationSnapshot
+  /// bias for a candidate; wrappers must forward it.
   virtual int calibration_kind() const { return -1; }
 
   /// Correlation-group key for sentinel re-ranking: objects sharing a

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "vao/calibration_probe.h"
 
 namespace vaolib::vao {
 
@@ -33,11 +32,9 @@ Status RootResultObject::Iterate() {
   if (iterations() >= options_.max_iterations) {
     return Status::ResourceExhausted("root result object at max_iterations");
   }
-  const CalibrationProbe probe(obs::SolverKind::kRoot, *this, meter());
   ChargeStateOverhead();
   VAOLIB_RETURN_IF_ERROR(finder_->Step(meter()));
   BumpIterations();
-  probe.Commit();
   return Status::OK();
 }
 

@@ -4,14 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "engine/cost_history.h"
 #include "engine/executor.h"
+#include "engine/report_capture.h"
 #include "engine/query.h"
 #include "engine/relation.h"
 #include "engine/schema.h"
 #include "engine/value.h"
 #include "finance/bond_model.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "operators/iteration_task.h"
 #include "workload/portfolio_gen.h"
 
 namespace vaolib::engine {
@@ -274,6 +283,257 @@ TEST_F(ExecutorTest, ConstantArgBinding) {
   const auto result = (*vao)->ProcessTick({0.9});  // stream value unused
   ASSERT_TRUE(result.ok()) << result.status();
 }
+
+// ---------------------------------------------------------------------------
+// Observed iterates: every task Iterate() is measured once, at the
+// IterationTask seam, and that one record feeds the decision trace, the
+// cost feedback + MAE audit, and the calibration histograms.
+
+#ifndef VAOLIB_OBS_DISABLED
+
+constexpr int kPde = static_cast<int>(obs::SolverKind::kPde);
+
+using Calibration = std::array<obs::CalibrationKindStats, obs::kNumSolverKinds>;
+
+Calibration CalibrationOf(const TickResult& result) {
+  Calibration out;
+  for (int k = 0; k < obs::kNumSolverKinds; ++k) {
+    out[k] = result.report.calibration[k];
+  }
+  return out;
+}
+
+// Restores the trace mode it found and leaves the rings empty.
+class DecisionTraceScope {
+ public:
+  DecisionTraceScope() : previous_(obs::CurrentTraceMode()) {
+    obs::SetTraceMode(obs::TraceMode::kFlight);
+    obs::ClearTrace();
+  }
+  ~DecisionTraceScope() {
+    obs::ClearTrace();
+    obs::SetTraceMode(previous_);
+  }
+
+  /// Decision events of operator \p op recorded so far.
+  static std::vector<obs::TraceEvent> Decisions(const std::string& op) {
+    const obs::TraceSnapshot snapshot = obs::SnapshotTrace();
+    EXPECT_EQ(snapshot.dropped, 0u);
+    std::vector<obs::TraceEvent> out;
+    for (const obs::TraceEvent& event : snapshot.events) {
+      if (event.kind == obs::TraceEvent::Kind::kDecision && op == event.name) {
+        out.push_back(event);
+      }
+    }
+    return out;
+  }
+
+ private:
+  obs::TraceMode previous_;
+};
+
+TEST_F(ExecutorTest, CalibrationIsInvariantUnderThreadCount) {
+  // With threads > 1 the parallel coarse pre-phase iterates objects on pool
+  // workers that all charge the executor's one meter. Those iterates run
+  // outside the task seam and are not sampled, so the calibration account
+  // is the serial adaptive loop's alone and cannot depend on the thread
+  // count or on how the workers interleave.
+  obs::SetEnabled(true);
+  for (const QueryKind kind : {QueryKind::kSum, QueryKind::kMax}) {
+    Query query = BaseQuery();
+    query.kind = kind;
+    query.epsilon = 0.01;
+    std::vector<Calibration> runs;
+    for (const int threads : {2, 4}) {
+      for (int rep = 0; rep < 3; ++rep) {
+        // Calibration sums are global running doubles; zeroing them makes
+        // each report's delta the exact sum of this run's samples.
+        obs::MetricsRegistry::Global().ResetAll();
+        auto executor =
+            CqExecutor::Create(relation_.get(), stream_schema_, query,
+                               ExecutionMode::kVao, threads);
+        ASSERT_TRUE(executor.ok()) << executor.status();
+        const auto result = (*executor)->ProcessTick({0.0575});
+        ASSERT_TRUE(result.ok()) << result.status();
+        EXPECT_GT(result->stats.coarse_iterations, 0u);
+        runs.push_back(CalibrationOf(*result));
+      }
+    }
+    EXPECT_GT(runs.front()[kPde].samples, 0u);
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      for (int k = 0; k < obs::kNumSolverKinds; ++k) {
+        EXPECT_EQ(runs[r][k], runs.front()[k])
+            << QueryKindName(kind) << " run " << r << " solver kind " << k;
+      }
+    }
+  }
+}
+
+TEST_F(ExecutorTest, ObservedIterateSinksAgree) {
+  // MAX, SUM and TOP-3 over PDE rows, one object per cycle and four per
+  // batch cycle: every greedy/finalize iterate yields exactly one traced
+  // decision, one PDE calibration sample and one audited cost, and the
+  // traced costs account for every work unit the task spent iterating.
+  obs::SetEnabled(true);
+  const DecisionTraceScope trace;
+  struct Variant {
+    operators::StrategyKind strategy;
+    int batch_k;
+  };
+  const Variant variants[] = {{operators::StrategyKind::kGreedy, 1},
+                              {operators::StrategyKind::kBatchGreedy, 4}};
+  for (const Variant& variant : variants) {
+    for (const QueryKind kind :
+         {QueryKind::kMax, QueryKind::kSum, QueryKind::kTopK}) {
+      CostHistory history;
+      for (const double rate : {0.0575, 0.061}) {
+        SCOPED_TRACE(std::string(QueryKindName(kind)) +
+                     " batch_k=" + std::to_string(variant.batch_k) +
+                     " rate=" + std::to_string(rate));
+        WorkMeter meter;
+        std::vector<vao::ResultObjectPtr> owned;
+        std::vector<vao::ResultObject*> objects;
+        for (std::size_t i = 0; i < bonds_.size(); ++i) {
+          auto object =
+              function_->Invoke({rate, static_cast<double>(i)}, &meter);
+          ASSERT_TRUE(object.ok()) << object.status();
+          objects.push_back(object->get());
+          owned.push_back(std::move(object).value());
+        }
+        history.BeginTick();
+        obs::ClearTrace();
+        const obs::CalibrationSnapshot calibration_before =
+            obs::CalibrationSnapshot::Capture();
+        const std::uint64_t work_before = meter.Total();
+        const std::uint64_t choose_before =
+            meter.Count(WorkKind::kChooseIter);
+
+        auto stamp = [&](operators::OperatorOptions* options) {
+          options->epsilon = 0.01;
+          options->meter = &meter;
+          options->strategy = variant.strategy;
+          options->batch_k = variant.batch_k;
+          options->feedback = &history;
+        };
+        std::unique_ptr<operators::IterationTask> task;
+        std::function<operators::OperatorStats()> stats;
+        if (kind == QueryKind::kMax) {
+          operators::MinMaxOptions options;
+          stamp(&options);
+          auto created = operators::MinMaxIterationTask::Create(options,
+                                                                objects);
+          ASSERT_TRUE(created.ok()) << created.status();
+          auto* raw = created->get();
+          stats = [raw] { return raw->Snapshot().stats; };
+          task = std::move(created).value();
+        } else if (kind == QueryKind::kSum) {
+          operators::SumAveOptions options;
+          stamp(&options);
+          auto created = operators::SumAveIterationTask::Create(
+              options, objects, std::vector<double>(objects.size(), 1.0));
+          ASSERT_TRUE(created.ok()) << created.status();
+          auto* raw = created->get();
+          stats = [raw] { return raw->Snapshot().stats; };
+          task = std::move(created).value();
+        } else {
+          operators::TopKOptions options;
+          stamp(&options);
+          options.k = 3;
+          auto created = operators::TopKIterationTask::Create(options,
+                                                              objects);
+          ASSERT_TRUE(created.ok()) << created.status();
+          auto* raw = created->get();
+          stats = [raw] { return raw->Snapshot().stats; };
+          task = std::move(created).value();
+        }
+        operators::OperatorOptions drive;
+        drive.meter = &meter;
+        const auto finished = operators::DriveTask(task.get(), drive);
+        ASSERT_TRUE(finished.ok()) << finished.status();
+        ASSERT_TRUE(*finished);
+
+        const std::vector<obs::TraceEvent> decisions =
+            DecisionTraceScope::Decisions(task->name());
+        double traced_cost = 0.0;
+        for (const obs::TraceEvent& decision : decisions) {
+          traced_cost += decision.actual_cost;
+        }
+        const operators::OperatorStats s = stats();
+        const std::uint64_t samples = obs::CalibrationSnapshot::Capture()
+                                          .DeltaSince(calibration_before)
+                                          .kinds[kPde]
+                                          .samples;
+        EXPECT_GT(decisions.size(), 0u);
+        EXPECT_EQ(decisions.size(), samples);
+        EXPECT_EQ(decisions.size(), s.cost_err_samples);
+        EXPECT_EQ(decisions.size(),
+                  s.greedy_iterations + s.finalize_iterations);
+        EXPECT_EQ(traced_cost,
+                  static_cast<double>(
+                      (meter.Total() - work_before) -
+                      (meter.Count(WorkKind::kChooseIter) - choose_before)));
+      }
+    }
+  }
+}
+
+TEST_F(ExecutorTest, BlockingSelectionSamplesCalibration) {
+  // CqExecutor's SELECT resolves rows through the blocking selection
+  // operator; it steps each row's task with the row's meter, so every
+  // refinement is costed and sampled.
+  obs::SetEnabled(true);
+  Query max_query = BaseQuery();
+  max_query.kind = QueryKind::kMax;
+  auto max_executor = CqExecutor::Create(relation_.get(), stream_schema_,
+                                         max_query, ExecutionMode::kVao);
+  ASSERT_TRUE(max_executor.ok());
+  const auto max_result = (*max_executor)->ProcessTick({0.0575});
+  ASSERT_TRUE(max_result.ok()) << max_result.status();
+
+  // A constant at the best bond's value keeps its row undecided until it
+  // has been refined.
+  Query query = BaseQuery();
+  query.kind = QueryKind::kSelect;
+  query.constant = max_result->aggregate_bounds.Mid();
+  auto executor = CqExecutor::Create(relation_.get(), stream_schema_, query,
+                                     ExecutionMode::kVao);
+  ASSERT_TRUE(executor.ok());
+  const auto result = (*executor)->ProcessTick({0.0575});
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->stats.iterations, 0u);
+  EXPECT_EQ(result->report.calibration[kPde].samples,
+            result->stats.iterations);
+}
+
+TEST_F(ExecutorTest, ApproximateSumIteratesAreTracedAndSampled) {
+  // SampledSumTask refines its sampled rows through the same seam as the
+  // exact aggregates.
+  obs::SetEnabled(true);
+  const DecisionTraceScope trace;
+  Query query = BaseQuery();
+  query.kind = QueryKind::kSum;
+  query.epsilon = 1e-3;
+  ApproxSpec approx;
+  approx.target_rel_error = 1e-5;
+  approx.seed = 7;
+  query.approx = approx;
+  auto executor = CqExecutor::Create(relation_.get(), stream_schema_, query,
+                                     ExecutionMode::kVao);
+  ASSERT_TRUE(executor.ok()) << executor.status();
+  const auto result = (*executor)->ProcessTick({0.0575});
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  const std::vector<obs::TraceEvent> decisions =
+      DecisionTraceScope::Decisions("sampled_sum");
+  EXPECT_GT(decisions.size(), 0u);
+  EXPECT_EQ(decisions.size(), result->stats.iterations);
+  EXPECT_EQ(result->report.calibration[kPde].samples, decisions.size());
+  for (const obs::TraceEvent& decision : decisions) {
+    EXPECT_GT(decision.actual_cost, 0.0);
+  }
+}
+
+#endif  // VAOLIB_OBS_DISABLED
 
 }  // namespace
 }  // namespace vaolib::engine
