@@ -1,0 +1,551 @@
+// Pins the aggregate operators' exact behaviour: for every aggregate task
+// (MIN/MAX both ways, SUM/AVE scan and heap, TOP-K) under every iteration
+// strategy, a seeded synthetic workload must reproduce the same work, the
+// same OperatorStats, the same per-object iterate counts, the same answer
+// bounds (bit patterns), the same decision trace and the same feedback
+// store, value for value. The expected lines were recorded from the
+// implementation and any change to the adaptive cycle that alters one of
+// them is a behaviour change, not a refactor.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/work_meter.h"
+#include "engine/cost_history.h"
+#include "obs/trace.h"
+#include "operators/min_max.h"
+#include "operators/sum_ave.h"
+#include "operators/top_k.h"
+#include "vao/synthetic_result_object.h"
+
+namespace vaolib::operators {
+namespace {
+
+using vao::SyntheticResultObject;
+
+enum class Task { kMax, kMin, kSumScan, kSumHeap, kTopK };
+
+struct PinCase {
+  const char* name;
+  Task task;
+  StrategyKind strategy;
+  int batch_k;
+  int threads;  ///< > 1 turns on the parallel coarse pre-phase
+  const char* expected;
+};
+
+constexpr std::size_t kObjects = 12;
+
+std::vector<std::unique_ptr<SyntheticResultObject>> MakeObjects(
+    WorkMeter* meter) {
+  Rng rng(20261017);
+  std::vector<std::unique_ptr<SyntheticResultObject>> objects;
+  for (std::size_t i = 0; i < kObjects; ++i) {
+    SyntheticResultObject::Config config;
+    config.true_value = rng.Uniform(0.0, 40.0);
+    config.initial_half_width = rng.Uniform(4.0, 30.0);
+    config.skew = rng.Uniform(0.1, 0.9);
+    config.shrink = 0.5 + 0.1 * static_cast<double>(rng.UniformInt(0, 2));
+    config.min_width = 0.01;
+    config.cost_per_iteration =
+        static_cast<std::uint64_t>(rng.UniformInt(1, 8));
+    config.cost_growth = rng.Uniform(1.0, 1.8);
+    config.honest_estimates = i % 5 != 3;
+    config.correlation_key = i % 4 == 3 ? "" : "g" + std::to_string(i % 3);
+    config.meter = meter;
+    objects.push_back(std::make_unique<SyntheticResultObject>(config));
+  }
+  return objects;
+}
+
+// A store that already believes some objects cost more, and shrink less,
+// than they claim, so the corrected strategies re-rank from the first cycle.
+void SeedHistory(engine::CostHistory* history) {
+  for (std::uint64_t id = 0; id < kObjects; id += 2) {
+    CostObservation observation;
+    observation.est_cost = 4.0;
+    observation.actual_cost = id % 4 == 0 ? 12.0 : 2.0;
+    observation.est_shrink = 1.0;
+    observation.actual_shrink = id % 4 == 0 ? 0.5 : 1.5;
+    history->Record(id, -1, observation);
+  }
+}
+
+std::string Hex(double value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), "%016llx",
+                static_cast<unsigned long long>(
+                    std::bit_cast<std::uint64_t>(value)));
+  return buffer;
+}
+
+struct Fnv {
+  std::uint64_t hash = 1469598103934665603ULL;
+  void Add(std::uint64_t value) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (value >> (8 * b)) & 0xff;
+      hash *= 1099511628211ULL;
+    }
+  }
+  void Add(double value) { Add(std::bit_cast<std::uint64_t>(value)); }
+  void Add(const char* text) {
+    for (; *text != '\0'; ++text) Add(static_cast<std::uint64_t>(*text));
+  }
+};
+
+std::string StatsLine(const OperatorStats& s) {
+  return "it=" + std::to_string(s.iterations) +
+         " cs=" + std::to_string(s.choose_steps) +
+         " touched=" + std::to_string(s.objects_touched) +
+         " stalled=" + std::to_string(s.stalled_objects) +
+         " co=" + std::to_string(s.coarse_iterations) +
+         " gr=" + std::to_string(s.greedy_iterations) +
+         " fi=" + std::to_string(s.finalize_iterations) +
+         " ces=" + std::to_string(s.cost_err_samples) +
+         " cd=" + std::to_string(s.corrected_decisions) +
+         " raw=" + Hex(s.raw_cost_abs_err) +
+         " cor=" + Hex(s.corrected_cost_abs_err);
+}
+
+std::string BoundsLine(const Bounds& b) { return Hex(b.lo) + ":" + Hex(b.hi); }
+
+// Runs one case and renders everything it pins into one line.
+std::string RunCase(const PinCase& pin) {
+  WorkMeter meter;
+  auto owned = MakeObjects(&meter);
+  std::vector<vao::ResultObject*> objects;
+  for (auto& object : owned) objects.push_back(object.get());
+
+  engine::CostHistory history;
+  const bool corrected = StrategyUsesCorrections(pin.strategy);
+  if (corrected) SeedHistory(&history);
+  Rng rng(99);
+
+  auto configure = [&](OperatorOptions* options) {
+    options->strategy = pin.strategy;
+    options->batch_k = pin.batch_k;
+    options->rng = &rng;
+    options->meter = &meter;
+    options->threads = pin.threads;
+    if (pin.threads > 1) {
+      options->coarse_width = 2.0;
+      options->coarse_max_steps = 3;
+    }
+    if (corrected) options->feedback = &history;
+    options->sentinel_probes = 1;
+  };
+
+  obs::ClearTrace();
+  std::string answer;
+  std::string stats;
+  switch (pin.task) {
+    case Task::kMax:
+    case Task::kMin: {
+      MinMaxOptions options;
+      configure(&options);
+      options.epsilon = 0.05;
+      options.kind =
+          pin.task == Task::kMax ? ExtremeKind::kMax : ExtremeKind::kMin;
+      const auto outcome = MinMaxVao(options).Evaluate(objects);
+      if (!outcome.ok()) return outcome.status().ToString();
+      answer = "w=" + std::to_string(outcome->winner_index) + " " +
+               BoundsLine(outcome->winner_bounds) +
+               " tie=" + std::to_string(outcome->tie) + " tied=";
+      for (const std::size_t i : outcome->tied_indices) {
+        answer += std::to_string(i) + ",";
+      }
+      stats = StatsLine(outcome->stats);
+      break;
+    }
+    case Task::kSumScan:
+    case Task::kSumHeap: {
+      SumAveOptions options;
+      configure(&options);
+      options.epsilon = 0.5;
+      options.use_heap_index = pin.task == Task::kSumHeap;
+      std::vector<double> weights;
+      for (std::size_t i = 0; i < kObjects; ++i) {
+        weights.push_back(i == 5 ? 0.0 : 0.25 + 0.125 * (i % 7));
+      }
+      const auto outcome = SumAveVao(options).Evaluate(objects, weights);
+      if (!outcome.ok()) return outcome.status().ToString();
+      answer = "sum=" + BoundsLine(outcome->sum_bounds) +
+               " lim=" + std::to_string(outcome->limited_by_min_width);
+      stats = StatsLine(outcome->stats);
+      break;
+    }
+    case Task::kTopK: {
+      TopKOptions options;
+      configure(&options);
+      options.epsilon = 0.05;
+      options.k = 3;
+      const auto outcome = TopKVao(options).Evaluate(objects);
+      if (!outcome.ok()) return outcome.status().ToString();
+      answer = "tie=" + std::to_string(outcome->tie) + " w=";
+      for (std::size_t j = 0; j < outcome->winners.size(); ++j) {
+        answer += " " + std::to_string(outcome->winners[j]) + "@" +
+                  BoundsLine(outcome->winner_bounds[j]);
+      }
+      stats = StatsLine(outcome->stats);
+      break;
+    }
+  }
+
+  // Every decision the task recorded, in order.
+  const obs::TraceSnapshot trace = obs::SnapshotTrace();
+  Fnv decisions;
+  std::uint64_t decision_count = 0;
+  for (const obs::TraceEvent& event : trace.events) {
+    if (event.kind != obs::TraceEvent::Kind::kDecision) continue;
+    ++decision_count;
+    decisions.Add(event.name);
+    decisions.Add(event.phase);
+    decisions.Add(event.object_index);
+    for (const double v :
+         {event.lo_before, event.hi_before, event.lo_after, event.hi_after,
+          event.est_lo, event.est_hi, event.est_cost, event.actual_cost,
+          event.score, event.raw_score}) {
+      decisions.Add(v);
+    }
+  }
+  EXPECT_EQ(trace.dropped, 0u) << pin.name;
+
+  // The feedback store the run left behind.
+  Fnv store;
+  for (const auto& [key, entry] : history.Snapshot()) {
+    store.Add(key.first);
+    store.Add(static_cast<std::uint64_t>(key.second));
+    store.Add(entry.cost_ratio);
+    store.Add(entry.shrink_ratio);
+    store.Add(entry.weight);
+  }
+
+  std::string iterations;
+  for (const auto& object : owned) {
+    iterations += std::to_string(object->iterations()) + ",";
+  }
+  char digests[64];
+  std::snprintf(digests, sizeof(digests), "dec=%llu/%016llx fb=%016llx",
+                static_cast<unsigned long long>(decision_count),
+                static_cast<unsigned long long>(decisions.hash),
+                static_cast<unsigned long long>(store.hash));
+  return "meter=" + std::to_string(meter.Total()) + " " + stats +
+         " its=" + iterations + " " + answer + " " + digests;
+}
+
+constexpr StrategyKind kG = StrategyKind::kGreedy;
+constexpr StrategyKind kRR = StrategyKind::kRoundRobin;
+constexpr StrategyKind kRnd = StrategyKind::kRandom;
+constexpr StrategyKind kBG = StrategyKind::kBatchGreedy;
+constexpr StrategyKind kCal = StrategyKind::kCalibratedGreedy;
+constexpr StrategyKind kSen = StrategyKind::kSentinelGreedy;
+
+const PinCase kCases[] = {
+    {"max/greedy", Task::kMax, kG, 1, 1,
+     "meter=232 it=30 cs=30 touched=6 stalled=0 co=0 gr=30 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=0,0,1,2,0,3,0,0,0,9,2,13, w=11"
+     " 4042ce0964b166aa:4042cef10d419e7c tie=0 tied="
+     " dec=30/70ddf89b234566a3 fb=14650fb0739d0383"},
+    {"max/round_robin", Task::kMax, kRR, 1, 1,
+     "meter=262 it=30 cs=27 touched=8 stalled=0 co=0 gr=27 fi=3 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=1,0,1,2,1,4,0,0,0,8,2,11, w=11"
+     " 4042ccd81cef96de:4042d076bf307625 tie=0 tied="
+     " dec=30/416ff6ea1e7df229 fb=14650fb0739d0383"},
+    {"max/random", Task::kMax, kRnd, 1, 1,
+     "meter=1419 it=35 cs=30 touched=7 stalled=0 co=0 gr=30 fi=5 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=0,0,1,2,2,9,0,0,0,8,2,11, w=11"
+     " 4042ccd81cef96de:4042d076bf307625 tie=0 tied="
+     " dec=35/05a46b9e36619565 fb=14650fb0739d0383"},
+    {"max/batch1", Task::kMax, kBG, 1, 1,
+     "meter=232 it=30 cs=30 touched=6 stalled=0 co=0 gr=30 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=0,0,1,2,0,3,0,0,0,9,2,13, w=11"
+     " 4042ce0964b166aa:4042cef10d419e7c tie=0 tied="
+     " dec=30/70ddf89b234566a3 fb=14650fb0739d0383"},
+    {"max/batch4", Task::kMax, kBG, 4, 1,
+     "meter=170 it=29 cs=8 touched=7 stalled=0 co=0 gr=26 fi=3 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=0,0,1,2,1,4,0,0,0,8,2,11, w=11"
+     " 4042ccd81cef96de:4042d076bf307625 tie=0 tied="
+     " dec=29/ab07918c7cdf1b9b fb=14650fb0739d0383"},
+    {"max/calibrated", Task::kMax, kCal, 1, 1,
+     "meter=228 it=30 cs=30 touched=6 stalled=0 co=0 gr=30 fi=0 ces=30"
+     " cd=26 raw=0000000000000000 cor=4022c00000000000"
+     " its=0,0,1,2,0,3,0,0,0,9,2,13, w=11"
+     " 4042ce0964b166aa:4042cef10d419e7c tie=0 tied="
+     " dec=30/a51213edfeb0fd11 fb=5b371db3707105cc"},
+    {"max/sentinel", Task::kMax, kSen, 1, 1,
+     "meter=239 it=31 cs=31 touched=7 stalled=0 co=0 gr=31 fi=0 ces=31"
+     " cd=29 raw=0000000000000000 cor=4033600000000000"
+     " its=0,0,1,2,0,3,0,0,1,9,2,13, w=11"
+     " 4042ce0964b166aa:4042cef10d419e7c tie=0 tied="
+     " dec=31/06bc3d86bc8094bf fb=bbca9b24a6e881fd"},
+    {"max/coarse_greedy", Task::kMax, kG, 1, 2,
+     "meter=337 it=50 cs=14 touched=12 stalled=0 co=36 gr=14 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=3,3,3,3,3,3,3,3,3,7,3,13, w=11"
+     " 4042ce0964b166aa:4042cef10d419e7c tie=0 tied="
+     " dec=14/c8c666756292009f fb=14650fb0739d0383"},
+    {"max/coarse_batch4", Task::kMax, kBG, 4, 2,
+     "meter=347 it=50 cs=5 touched=12 stalled=0 co=36 gr=11 fi=3 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=3,3,3,3,3,4,3,3,3,8,3,11, w=11"
+     " 4042ccd81cef96de:4042d076bf307625 tie=0 tied="
+     " dec=14/815d4132926b323e fb=14650fb0739d0383"},
+    {"min/greedy", Task::kMin, kG, 1, 1,
+     "meter=118859 it=47 cs=47 touched=7 stalled=0 co=0 gr=47 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=3,2,17,3,1,0,3,18,0,0,0,0, w=2"
+     " 40211ae62e7a0ed2:40211e345761e34f tie=0 tied="
+     " dec=47/1411c005c3fd7e20 fb=14650fb0739d0383"},
+    {"min/round_robin", Task::kMin, kRR, 1, 1,
+     "meter=118962 it=54 cs=54 touched=9 stalled=0 co=0 gr=54 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=4,3,17,4,2,0,3,18,2,0,0,1, w=2"
+     " 40211ae62e7a0ed2:40211e345761e34f tie=0 tied="
+     " dec=54/aa76a2bb32afe527 fb=14650fb0739d0383"},
+    {"min/random", Task::kMin, kRnd, 1, 1,
+     "meter=119013 it=55 cs=55 touched=9 stalled=0 co=0 gr=55 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=5,3,17,5,2,0,3,18,1,0,0,1, w=2"
+     " 40211ae62e7a0ed2:40211e345761e34f tie=0 tied="
+     " dec=55/65714c0ea0252fdf fb=14650fb0739d0383"},
+    {"min/batch1", Task::kMin, kBG, 1, 1,
+     "meter=118859 it=47 cs=47 touched=7 stalled=0 co=0 gr=47 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=3,2,17,3,1,0,3,18,0,0,0,0, w=2"
+     " 40211ae62e7a0ed2:40211e345761e34f tie=0 tied="
+     " dec=47/1411c005c3fd7e20 fb=14650fb0739d0383"},
+    {"min/batch4", Task::kMin, kBG, 4, 1,
+     "meter=112900 it=50 cs=18 touched=9 stalled=0 co=0 gr=50 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=3,2,16,4,2,0,3,18,1,0,0,1, w=2"
+     " 40211a97974bf19c:40212019db78fe6c tie=0 tied="
+     " dec=50/b44cfc6eec866011 fb=14650fb0739d0383"},
+    {"min/calibrated", Task::kMin, kCal, 1, 1,
+     "meter=118859 it=47 cs=47 touched=7 stalled=0 co=0 gr=47 fi=0"
+     " ces=47 cd=44 raw=0000000000000000 cor=407122ddb8bdc800"
+     " its=3,2,17,3,1,0,3,18,0,0,0,0, w=2"
+     " 40211ae62e7a0ed2:40211e345761e34f tie=0 tied="
+     " dec=47/2853b4e441e72235 fb=12642d23111de44c"},
+    {"min/sentinel", Task::kMin, kSen, 1, 1,
+     "meter=118861 it=49 cs=49 touched=9 stalled=0 co=0 gr=49 fi=0"
+     " ces=49 cd=45 raw=0000000000000000 cor=4071c2ddb8bdc800"
+     " its=3,2,17,3,1,0,3,18,1,0,0,1, w=2"
+     " 40211ae62e7a0ed2:40211e345761e34f tie=0 tied="
+     " dec=49/4328e0e24b330193 fb=80ba18c454e97ef6"},
+    {"min/coarse_greedy", Task::kMin, kG, 1, 2,
+     "meter=118849 it=65 cs=29 touched=12 stalled=0 co=36 gr=29 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=3,3,17,3,3,3,3,18,3,3,3,3, w=2"
+     " 40211ae62e7a0ed2:40211e345761e34f tie=0 tied="
+     " dec=29/4788bc3a33484f27 fb=14650fb0739d0383"},
+    {"min/coarse_batch4", Task::kMin, kBG, 4, 2,
+     "meter=118856 it=68 cs=15 touched=12 stalled=0 co=36 gr=32 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=4,3,17,5,3,3,3,18,3,3,3,3, w=2"
+     " 40211ae62e7a0ed2:40211e345761e34f tie=0 tied="
+     " dec=32/c46b0e0776872ee7 fb=14650fb0739d0383"},
+    {"sum/greedy", Task::kSumScan, kG, 1, 1,
+     "meter=3280324 it=174 cs=174 touched=11 stalled=0 co=0 gr=174 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,14,23,0,12,24,7,23,12,13,"
+     " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
+     " dec=174/5e622d107a36aabb fb=14650fb0739d0383"},
+    {"sum/round_robin", Task::kSumScan, kRR, 1, 1,
+     "meter=71566 it=151 cs=151 touched=11 stalled=0 co=0 gr=151 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=14,13,14,15,15,0,12,14,14,15,12,13,"
+     " sum=4060d6738171d2dd:4060e525965a23d7 lim=0"
+     " dec=151/86d806aba2241033 fb=14650fb0739d0383"},
+    {"sum/random", Task::kSumScan, kRnd, 1, 1,
+     "meter=938083 it=154 cs=154 touched=11 stalled=0 co=0 gr=154 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=14,13,10,17,23,0,12,14,15,13,12,11,"
+     " sum=4060d7b94c2339e5:4060e700c825664b lim=0"
+     " dec=154/10b70028e79d9665 fb=14650fb0739d0383"},
+    {"sum/batch1", Task::kSumScan, kBG, 1, 1,
+     "meter=3280324 it=174 cs=174 touched=11 stalled=0 co=0 gr=174 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,14,23,0,12,24,7,23,12,13,"
+     " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
+     " dec=174/5e622d107a36aabb fb=14650fb0739d0383"},
+    {"sum/batch4", Task::kSumScan, kBG, 4, 1,
+     "meter=3279350 it=175 cs=47 touched=11 stalled=0 co=0 gr=175 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,12,23,0,12,24,10,23,12,13,"
+     " sum=4060d9b949f41eb2:4060e9a26f890e66 lim=0"
+     " dec=175/bc446942706b4436 fb=14650fb0739d0383"},
+    {"sum/calibrated", Task::kSumScan, kCal, 1, 1,
+     "meter=3280323 it=174 cs=174 touched=11 stalled=0 co=0 gr=174 fi=0"
+     " ces=174 cd=169 raw=0000000000000000 cor=40c56d80f43e47d8"
+     " its=16,13,17,14,23,0,12,24,7,23,12,13,"
+     " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
+     " dec=174/edd8110899641460 fb=16fb80fdf0eed70b"},
+    {"sum/sentinel", Task::kSumScan, kSen, 1, 1,
+     "meter=3280332 it=174 cs=174 touched=11 stalled=0 co=0 gr=174 fi=0"
+     " ces=174 cd=170 raw=0000000000000000 cor=40c56d80f43e47d8"
+     " its=16,13,17,14,23,0,12,24,7,23,12,13,"
+     " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
+     " dec=174/e2088ffa61da4b86 fb=16fb80fdf0eed70b"},
+    {"sum/coarse_greedy", Task::kSumScan, kG, 1, 2,
+     "meter=3280054 it=177 cs=141 touched=12 stalled=0 co=36 gr=141 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,14,23,3,12,24,7,23,12,13,"
+     " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
+     " dec=141/6420144754961cf0 fb=14650fb0739d0383"},
+    {"sum/coarse_batch4", Task::kSumScan, kBG, 4, 2,
+     "meter=3279310 it=178 cs=37 touched=12 stalled=0 co=36 gr=142 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,12,23,3,12,24,10,23,12,13,"
+     " sum=4060d9b949f41eb2:4060e9a26f890e66 lim=0"
+     " dec=142/28d2c99ba1d3e13d fb=14650fb0739d0383"},
+    {"sum_heap/greedy", Task::kSumHeap, kG, 1, 1,
+     "meter=3280435 it=176 cs=176 touched=11 stalled=0 co=0 gr=176 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,12,23,0,12,24,11,23,12,13,"
+     " sum=4060da11206ff2e8:4060e96b3a818758 lim=0"
+     " dec=176/9eac28eaf18cf361 fb=14650fb0739d0383"},
+    {"sum_heap/round_robin", Task::kSumHeap, kRR, 1, 1,
+     "meter=71566 it=151 cs=151 touched=11 stalled=0 co=0 gr=151 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=14,13,14,15,15,0,12,14,14,15,12,13,"
+     " sum=4060d6738171d2dd:4060e525965a23d7 lim=0"
+     " dec=151/86d806aba2241033 fb=14650fb0739d0383"},
+    {"sum_heap/random", Task::kSumHeap, kRnd, 1, 1,
+     "meter=938083 it=154 cs=154 touched=11 stalled=0 co=0 gr=154 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=14,13,10,17,23,0,12,14,15,13,12,11,"
+     " sum=4060d7b94c2339e5:4060e700c825664b lim=0"
+     " dec=154/10b70028e79d9665 fb=14650fb0739d0383"},
+    {"sum_heap/batch1", Task::kSumHeap, kBG, 1, 1,
+     "meter=3280435 it=176 cs=176 touched=11 stalled=0 co=0 gr=176 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,12,23,0,12,24,11,23,12,13,"
+     " sum=4060da11206ff2e8:4060e96b3a818758 lim=0"
+     " dec=176/9eac28eaf18cf361 fb=14650fb0739d0383"},
+    {"sum_heap/batch4", Task::kSumHeap, kBG, 4, 1,
+     "meter=3280509 it=177 cs=177 touched=11 stalled=0 co=0 gr=177 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,12,23,0,12,24,12,23,12,13,"
+     " sum=4060da45d453d8a1:4060e94a1ab0364f lim=0"
+     " dec=177/68d7b51cb7692041 fb=14650fb0739d0383"},
+    {"sum_heap/calibrated", Task::kSumHeap, kCal, 1, 1,
+     "meter=3280323 it=174 cs=174 touched=11 stalled=0 co=0 gr=174 fi=0"
+     " ces=174 cd=169 raw=0000000000000000 cor=40c56d80f43e47d8"
+     " its=16,13,17,14,23,0,12,24,7,23,12,13,"
+     " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
+     " dec=174/edd8110899641460 fb=16fb80fdf0eed70b"},
+    {"sum_heap/sentinel", Task::kSumHeap, kSen, 1, 1,
+     "meter=3280332 it=174 cs=174 touched=11 stalled=0 co=0 gr=174 fi=0"
+     " ces=174 cd=170 raw=0000000000000000 cor=40c56d80f43e47d8"
+     " its=16,13,17,14,23,0,12,24,7,23,12,13,"
+     " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
+     " dec=174/e2088ffa61da4b86 fb=16fb80fdf0eed70b"},
+    {"sum_heap/coarse_greedy", Task::kSumHeap, kG, 1, 2,
+     "meter=3280284 it=180 cs=144 touched=12 stalled=0 co=36 gr=144 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,12,23,3,12,24,12,23,12,13,"
+     " sum=4060da45d453d8a1:4060e94a1ab0364f lim=0"
+     " dec=144/6ba82ea88deff179 fb=14650fb0739d0383"},
+    {"sum_heap/coarse_batch4", Task::kSumHeap, kBG, 4, 2,
+     "meter=3280284 it=180 cs=144 touched=12 stalled=0 co=36 gr=144 fi=0"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,12,23,3,12,24,12,23,12,13,"
+     " sum=4060da45d453d8a1:4060e94a1ab0364f lim=0"
+     " dec=144/d750bc4035c38369 fb=14650fb0739d0383"},
+    {"topk/greedy", Task::kTopK, kG, 1, 1,
+     "meter=3286764 it=161 cs=153 touched=11 stalled=0 co=0 gr=153 fi=8"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,2,23,12,12,24,0,19,12,11, tie=0 w="
+     " 11@4042ccd81cef96de:4042d076bf307625"
+     " 9@40423354cdf2ad2a:4042381052e1ec3b"
+     " 5@4040e35745600d81:4040e46b742ca2fd dec=161/45c026689272dd50"
+     " fb=14650fb0739d0383"},
+    {"topk/round_robin", Task::kTopK, kRR, 1, 1,
+     "meter=2567 it=59 cs=27 touched=12 stalled=0 co=0 gr=27 fi=32 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=2,2,2,3,3,10,1,1,2,19,3,11, tie=0 w="
+     " 11@4042ccd81cef96de:4042d076bf307625"
+     " 9@40423354cdf2ad2a:4042381052e1ec3b"
+     " 5@4040e2c1d5615d06:4040e7129093b2f5 dec=59/77d29ac0282a57a7"
+     " fb=14650fb0739d0383"},
+    {"topk/random", Task::kTopK, kRnd, 1, 1,
+     "meter=2915 it=68 cs=41 touched=12 stalled=0 co=0 gr=41 fi=27 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=4,3,1,2,3,10,4,3,6,19,2,11, tie=0 w="
+     " 11@4042ccd81cef96de:4042d076bf307625"
+     " 9@40423354cdf2ad2a:4042381052e1ec3b"
+     " 5@4040e2c1d5615d06:4040e7129093b2f5 dec=68/33f9dec21a6ef714"
+     " fb=14650fb0739d0383"},
+    {"topk/batch1", Task::kTopK, kBG, 1, 1,
+     "meter=3286764 it=161 cs=153 touched=11 stalled=0 co=0 gr=153 fi=8"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,2,23,12,12,24,0,19,12,11, tie=0 w="
+     " 11@4042ccd81cef96de:4042d076bf307625"
+     " 9@40423354cdf2ad2a:4042381052e1ec3b"
+     " 5@4040e35745600d81:4040e46b742ca2fd dec=161/45c026689272dd50"
+     " fb=14650fb0739d0383"},
+    {"topk/batch4", Task::kTopK, kBG, 4, 1,
+     "meter=363269 it=152 cs=36 touched=12 stalled=0 co=0 gr=144 fi=8"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=16,13,17,2,18,12,12,19,1,19,12,11, tie=0 w="
+     " 11@4042ccd81cef96de:4042d076bf307625"
+     " 9@40423354cdf2ad2a:4042381052e1ec3b"
+     " 5@4040e35745600d81:4040e46b742ca2fd dec=152/493618e7d9df2e6e"
+     " fb=14650fb0739d0383"},
+    {"topk/calibrated", Task::kTopK, kCal, 1, 1,
+     "meter=3286761 it=161 cs=153 touched=11 stalled=0 co=0 gr=153 fi=8"
+     " ces=161 cd=155 raw=0000000000000000 cor=40c55243543e47d8"
+     " its=16,13,17,2,23,12,12,24,0,19,12,11, tie=0 w="
+     " 11@4042ccd81cef96de:4042d076bf307625"
+     " 9@40423354cdf2ad2a:4042381052e1ec3b"
+     " 5@4040e35745600d81:4040e46b742ca2fd dec=161/b8cb6c14e890b80a"
+     " fb=546d3cdf945dc7a9"},
+    {"topk/sentinel", Task::kTopK, kSen, 1, 1,
+     "meter=3286762 it=161 cs=153 touched=11 stalled=0 co=0 gr=153 fi=8"
+     " ces=161 cd=158 raw=0000000000000000 cor=40c55243543e47d8"
+     " its=16,13,17,2,23,12,12,24,0,19,12,11, tie=0 w="
+     " 11@4042ccd81cef96de:4042d076bf307625"
+     " 9@40423354cdf2ad2a:4042381052e1ec3b"
+     " 5@4040e35745600d81:4040e46b742ca2fd dec=161/7cfbb217211450be"
+     " fb=546d3cdf945dc7a9"},
+    {"topk/coarse_greedy", Task::kTopK, kG, 1, 2,
+     "meter=2389 it=67 cs=0 touched=12 stalled=0 co=36 gr=0 fi=31 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=3,3,3,3,3,10,3,3,3,19,3,11, tie=0 w="
+     " 11@4042ccd81cef96de:4042d076bf307625"
+     " 9@40423354cdf2ad2a:4042381052e1ec3b"
+     " 5@4040e2c1d5615d06:4040e7129093b2f5 dec=31/d0e77e58e5fc5343"
+     " fb=14650fb0739d0383"},
+    {"topk/coarse_batch4", Task::kTopK, kBG, 4, 2,
+     "meter=2389 it=67 cs=0 touched=12 stalled=0 co=36 gr=0 fi=31 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000"
+     " its=3,3,3,3,3,10,3,3,3,19,3,11, tie=0 w="
+     " 11@4042ccd81cef96de:4042d076bf307625"
+     " 9@40423354cdf2ad2a:4042381052e1ec3b"
+     " 5@4040e2c1d5615d06:4040e7129093b2f5 dec=31/d0e77e58e5fc5343"
+     " fb=14650fb0739d0383"},
+};
+
+TEST(AggregatePinTest, ExactBehaviourIsUnchanged) {
+  obs::SetTraceRingCapacity(1 << 16);
+  obs::SetTraceMode(obs::TraceMode::kFlight);
+  for (const PinCase& pin : kCases) {
+    EXPECT_EQ(RunCase(pin), pin.expected) << pin.name;
+  }
+  obs::SetTraceMode(obs::TraceMode::kOff);
+}
+
+}  // namespace
+}  // namespace vaolib::operators
