@@ -18,21 +18,10 @@ namespace vaolib::operators {
 
 namespace {
 
-// Work in "max space": for kMin every interval is negated ([-H, -L]) so the
-// minimum becomes the maximum, and results are negated back at the end.
-Bounds View(const Bounds& b, ExtremeKind kind) {
-  return kind == ExtremeKind::kMax ? b : Bounds(-b.hi, -b.lo);
-}
-
-Bounds Unview(const Bounds& b, ExtremeKind kind) {
-  return kind == ExtremeKind::kMax ? b : Bounds(-b.hi, -b.lo);
-}
-
 // Greedy score ingredients of Section 5.2: weighted predicted error
-// reduction and estimated CPU cycles (the strategy divides them).
-double SumReduction(const vao::ResultObject& object, double weight) {
-  const Bounds cur = object.bounds();
-  const Bounds est = object.est_bounds();
+// reduction (bounds \p cur moving to \p est) and estimated CPU cycles (the
+// strategy divides them).
+double SumReduction(const Bounds& cur, const Bounds& est, double weight) {
   return std::max(0.0, weight * ((est.lo - cur.lo) + (cur.hi - est.hi)));
 }
 
@@ -42,7 +31,8 @@ double EstCostOf(const vao::ResultObject& object) {
 }
 
 double GreedyScore(const vao::ResultObject& object, double weight) {
-  return SumReduction(object, weight) / EstCostOf(object);
+  return SumReduction(object.bounds(), object.est_bounds(), weight) /
+         EstCostOf(object);
 }
 
 std::uint64_t Log2Ceil(std::size_t n) {
@@ -85,7 +75,49 @@ std::size_t CycleBatchK(const OperatorOptions& options) {
   return static_cast<std::size_t>(std::max(options.batch_k, 1));
 }
 
+// The input checks MIN/MAX and TOP-K share, labelled \p who: at least one
+// object, all non-null with well-formed bounds, and epsilon at least the
+// largest input minWidth (footnote 10: bounds within epsilon cannot be
+// guaranteed when epsilon is tighter than an input's convergence floor).
+Status ValidateExtremeInputs(const std::vector<vao::ResultObject*>& objects,
+                             double epsilon, const char* who) {
+  if (objects.empty()) {
+    return Status::InvalidArgument(std::string(who) +
+                                   " over an empty object set");
+  }
+  double max_min_width = 0.0;
+  for (const auto* object : objects) {
+    if (object == nullptr) {
+      return Status::InvalidArgument(std::string(who) +
+                                     " over a null result object");
+    }
+    VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*object, who));
+    max_min_width = std::max(max_min_width, object->min_width());
+  }
+  if (epsilon < max_min_width) {
+    return Status::InvalidArgument(
+        "precision constraint " + std::to_string(epsilon) +
+        " is below the largest input minWidth " +
+        std::to_string(max_min_width));
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+Status ValidateMinMaxInputs(const std::vector<vao::ResultObject*>& objects,
+                            double epsilon) {
+  return ValidateExtremeInputs(objects, epsilon, "MIN/MAX");
+}
+
+Status ValidateTopKInputs(const std::vector<vao::ResultObject*>& objects,
+                          std::size_t k, double epsilon) {
+  VAOLIB_RETURN_IF_ERROR(ValidateExtremeInputs(objects, epsilon, "TOP-K"));
+  if (k < 1 || k > objects.size()) {
+    return Status::InvalidArgument("TOP-K k must lie in [1, n]");
+  }
+  return Status::OK();
+}
 
 // ---------------------------------------------------------------------------
 // IterationTask base
@@ -236,6 +268,167 @@ Result<bool> DriveTask(IterationTask* task, const OperatorOptions& options) {
 }
 
 // ---------------------------------------------------------------------------
+// AggregateIterationTask: the shared adaptive cycle
+// ---------------------------------------------------------------------------
+
+AggregateIterationTask::AggregateIterationTask(
+    const OperatorOptions& options,
+    const std::vector<vao::ResultObject*>& objects,
+    std::unique_ptr<IterationStrategy> strategy, ExtremeKind kind,
+    const char* label)
+    : options_(options),
+      objects_(objects),
+      kind_(kind),
+      label_(label),
+      strategy_(std::move(strategy)),
+      corrector_(options_, objects_),
+      stall_(objects.size()),
+      touched_(objects.size(), false) {
+  ObserveWith(&corrector_, &stats_);
+}
+
+OperatorStats AggregateIterationTask::TalliedStats() const {
+  OperatorStats stats = stats_;
+  stats.objects_touched = static_cast<std::uint64_t>(
+      std::count(touched_.begin(), touched_.end(), true));
+  stats.stalled_objects = static_cast<std::uint64_t>(
+      std::count_if(stall_.begin(), stall_.end(),
+                    [](const StallGuard& guard) { return guard.stalled(); }));
+  return stats;
+}
+
+Status AggregateIterationTask::CountIterations(std::uint64_t n) {
+  stats_.iterations += n;
+  if (stats_.iterations > options_.max_total_iterations) {
+    return Status::NotConverged(std::string(label_) +
+                                " exceeded max_total_iterations");
+  }
+  return Status::OK();
+}
+
+Status AggregateIterationTask::CoarsePhase() {
+  // Optional parallel phase: bulk-converge everything to the coarse width on
+  // the pool; the adaptive loop starts from those states. Its iterates run
+  // outside the observed seam, so their bounds are validated here.
+  std::vector<std::uint64_t> coarse_iterations;
+  VAOLIB_RETURN_IF_ERROR(ParallelCoarseConverge(
+      objects_, options_.threads, options_.coarse_width,
+      options_.coarse_max_steps, &coarse_iterations));
+  for (std::size_t i = 0; i < coarse_iterations.size(); ++i) {
+    stats_.coarse_iterations += coarse_iterations[i];
+    if (coarse_iterations[i] == 0) continue;
+    VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], label_));
+    touched_[i] = true;
+  }
+  return CountIterations(stats_.coarse_iterations);
+}
+
+Status AggregateIterationTask::Settle(std::size_t i, const Bounds& before) {
+  VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], label_));
+  stall_[i].Observe(objects_[i]->bounds().Width());
+  touched_[i] = true;
+  Applied(i, before);
+  return Status::OK();
+}
+
+Status AggregateIterationTask::IterateOne(std::size_t i,
+                                          std::uint64_t* phase_counter,
+                                          const char* phase, WorkMeter* meter,
+                                          double score, double raw_score) {
+  const Bounds before = objects_[i]->bounds();
+  VAOLIB_RETURN_IF_ERROR(
+      IterateObserved(i, objects_[i], phase, meter, score, raw_score));
+  VAOLIB_RETURN_IF_ERROR(Settle(i, before));
+  ++*phase_counter;
+  return CountIterations(1);
+}
+
+Status AggregateIterationTask::IteratePicks(
+    const std::vector<std::size_t>& picks, const char* phase,
+    WorkMeter* meter, const std::vector<double>& scores,
+    const std::vector<double>& raw_scores) {
+  if (picks.size() == 1) {
+    return IterateOne(picks.front(), &stats_.greedy_iterations, phase, meter,
+                      scores.front(), raw_scores.front());
+  }
+  // Batch cycle (kBatchGreedy with batch_k > 1): the picks refine together
+  // through the lockstep kernels.
+  std::vector<Bounds> before;
+  before.reserve(picks.size());
+  for (const std::size_t i : picks) before.push_back(objects_[i]->bounds());
+  VAOLIB_RETURN_IF_ERROR(IterateObservedBatch(objects_, picks, phase, meter,
+                                              scores, raw_scores));
+  for (std::size_t j = 0; j < picks.size(); ++j) {
+    VAOLIB_RETURN_IF_ERROR(Settle(picks[j], before[j]));
+    ++stats_.greedy_iterations;
+  }
+  return CountIterations(picks.size());
+}
+
+template <typename Benefit>
+Status AggregateIterationTask::GreedyCycle(
+    const std::vector<std::size_t>& iterable, std::size_t charge,
+    const char* phase, WorkMeter* meter, const Benefit& benefit,
+    const std::vector<double>* weights) {
+  ++stats_.choose_steps;
+  if (meter != nullptr) meter->Charge(WorkKind::kChooseIter, charge);
+
+  // Sentinel probing (kSentinelGreedy): spend this cycle on a pending
+  // correlation-group probe instead of the strategy's pick; the observed
+  // outcome re-ranks the probe's whole group.
+  std::size_t probe = 0;
+  if (corrector_.NextProbe(iterable, &probe)) {
+    return IterateOne(probe, &stats_.greedy_iterations, "sentinel", meter);
+  }
+
+  std::vector<IterationCandidate> candidates;
+  std::vector<IterationCandidate> raw_candidates;
+  candidates.reserve(iterable.size());
+  if (strategy_->WantsScores()) {
+    raw_candidates.reserve(iterable.size());
+    for (const std::size_t i : iterable) {
+      const double raw_cost = EstCostOf(*objects_[i]);
+      const double raw_benefit = benefit(i, EstViewOf(i));
+      double cost = raw_cost;
+      double scored_benefit = raw_benefit;
+      if (corrector_.correcting()) {
+        const ScoreCorrector::Corrected corrected = corrector_.Correct(
+            i, objects_[i]->bounds(), objects_[i]->est_bounds(), raw_cost);
+        if (corrected.changed) {
+          cost = corrected.cost;
+          scored_benefit = benefit(i, View(corrected.est));
+        }
+      }
+      const double width = weights != nullptr
+                               ? (*weights)[i] * objects_[i]->bounds().Width()
+                               : ViewOf(i).Width();
+      candidates.push_back(
+          IterationCandidate{i, scored_benefit, cost, width});
+      raw_candidates.push_back(
+          IterationCandidate{i, raw_benefit, raw_cost, width});
+    }
+  } else {
+    for (const std::size_t i : iterable) {
+      candidates.push_back(IterationCandidate{i, 0.0, 1.0, 0.0});
+    }
+  }
+  const std::vector<IterationCandidate>& raws =
+      raw_candidates.empty() ? candidates : raw_candidates;
+  std::vector<std::size_t> picks;
+  strategy_->ChooseBatch(candidates, CycleBatchK(options_), &picks);
+
+  std::vector<double> scores;
+  std::vector<double> raw_scores;
+  scores.reserve(picks.size());
+  raw_scores.reserve(picks.size());
+  for (const std::size_t i : picks) {
+    scores.push_back(ChosenScore(candidates, i));
+    raw_scores.push_back(ChosenScore(raws, i));
+  }
+  return IteratePicks(picks, phase, meter, scores, raw_scores);
+}
+
+// ---------------------------------------------------------------------------
 // MinMaxIterationTask
 // ---------------------------------------------------------------------------
 
@@ -243,14 +436,8 @@ MinMaxIterationTask::MinMaxIterationTask(
     const MinMaxOptions& options,
     const std::vector<vao::ResultObject*>& objects,
     std::unique_ptr<IterationStrategy> strategy)
-    : options_(options),
-      objects_(objects),
-      strategy_(std::move(strategy)),
-      corrector_(options_, objects_),
-      stall_(objects.size()),
-      touched_(objects.size(), false) {
-  ObserveWith(&corrector_, &outcome_.stats);
-}
+    : AggregateIterationTask(options, objects, std::move(strategy),
+                             options.kind, "MIN/MAX") {}
 
 Result<std::unique_ptr<MinMaxIterationTask>> MinMaxIterationTask::Create(
     const MinMaxOptions& options,
@@ -262,56 +449,10 @@ Result<std::unique_ptr<MinMaxIterationTask>> MinMaxIterationTask::Create(
       new MinMaxIterationTask(options, objects, std::move(strategy)));
 }
 
-Bounds MinMaxIterationTask::ViewOf(std::size_t i) const {
-  return View(objects_[i]->bounds(), options_.kind);
-}
-
-Bounds MinMaxIterationTask::EstViewOf(std::size_t i) const {
-  return View(objects_[i]->est_bounds(), options_.kind);
-}
-
-bool MinMaxIterationTask::EffectivelyConverged(std::size_t i) const {
-  return objects_[i]->AtStoppingCondition() || stall_[i].stalled();
-}
-
-Status MinMaxIterationTask::SettleIterate(std::size_t i) {
-  VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], "MIN/MAX"));
-  stall_[i].Observe(objects_[i]->bounds().Width());
-  touched_[i] = true;
-  return Status::OK();
-}
-
-Status MinMaxIterationTask::IterateOne(std::size_t i,
-                                       std::uint64_t* phase_counter,
-                                       WorkMeter* meter, const char* phase,
-                                       double score, double raw_score) {
-  VAOLIB_RETURN_IF_ERROR(
-      IterateObserved(i, objects_[i], phase, meter, score, raw_score));
-  VAOLIB_RETURN_IF_ERROR(SettleIterate(i));
-  ++*phase_counter;
-  if (++outcome_.stats.iterations > options_.max_total_iterations) {
-    return Status::NotConverged("MIN/MAX exceeded max_total_iterations");
-  }
-  return Status::OK();
-}
-
 Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
   switch (phase_) {
     case Phase::kCoarse: {
-      // Optional parallel phase: bulk-converge everything to the coarse
-      // width on the pool; the greedy search starts from those states.
-      std::vector<std::uint64_t> coarse_iterations;
-      VAOLIB_RETURN_IF_ERROR(ParallelCoarseConverge(
-          objects_, options_.threads, options_.coarse_width,
-          options_.coarse_max_steps, &coarse_iterations));
-      for (std::size_t i = 0; i < coarse_iterations.size(); ++i) {
-        outcome_.stats.iterations += coarse_iterations[i];
-        outcome_.stats.coarse_iterations += coarse_iterations[i];
-        if (coarse_iterations[i] > 0) touched_[i] = true;
-      }
-      if (outcome_.stats.iterations > options_.max_total_iterations) {
-        return Status::NotConverged("MIN/MAX exceeded max_total_iterations");
-      }
+      VAOLIB_RETURN_IF_ERROR(CoarsePhase());
       // Candidate indices still able to be the maximum; pruned candidates
       // are never reconsidered (bounds only tighten).
       alive_.resize(objects_.size());
@@ -320,149 +461,8 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
       return Status::OK();
     }
 
-    case Phase::kSearch: {
-      // Prune dominated candidates.
-      double best_lo = -std::numeric_limits<double>::infinity();
-      for (const std::size_t i : alive_) {
-        best_lo = std::max(best_lo, ViewOf(i).lo);
-      }
-      std::erase_if(alive_,
-                    [&](std::size_t i) { return ViewOf(i).hi < best_lo; });
-
-      // Guess o'_max: the candidate with the highest upper bound.
-      std::size_t guess = alive_.front();
-      for (const std::size_t i : alive_) {
-        if (ViewOf(i).hi > ViewOf(guess).hi) guess = i;
-      }
-
-      // Termination case (1): every rival eliminated.
-      if (alive_.size() == 1) {
-        outcome_.winner_index = guess;
-        phase_ = Phase::kFinalize;
-        return Status::OK();
-      }
-      // Termination case (2): guess and all (overlapping) rivals converged.
-      const bool all_converged = std::all_of(
-          alive_.begin(), alive_.end(),
-          [&](std::size_t i) { return EffectivelyConverged(i); });
-      if (all_converged) {
-        outcome_.winner_index = guess;
-        outcome_.tie = true;
-        for (const std::size_t i : alive_) {
-          if (i != guess) outcome_.tied_indices.push_back(i);
-        }
-        phase_ = Phase::kFinalize;
-        return Status::OK();
-      }
-
-      // Choose the next iteration among live, non-converged candidates
-      // (all_converged was false, so the set is non-empty).
-      std::vector<std::size_t> iterable;
-      for (const std::size_t i : alive_) {
-        if (!EffectivelyConverged(i)) iterable.push_back(i);
-      }
-
-      ++outcome_.stats.choose_steps;
-      if (meter != nullptr) {
-        // O(N) per choice without indexing (Section 5.1).
-        meter->Charge(WorkKind::kChooseIter, alive_.size());
-      }
-
-      // Sentinel probing (kSentinelGreedy): spend this cycle on a pending
-      // correlation-group probe instead of the greedy pick; the observed
-      // outcome re-ranks the probe's whole group.
-      std::size_t probe = 0;
-      if (corrector_.NextProbe(iterable, &probe)) {
-        return IterateOne(probe, &outcome_.stats.greedy_iterations, meter,
-                          "sentinel", 0.0, 0.0);
-      }
-
-      std::vector<IterationCandidate> candidates;
-      std::vector<IterationCandidate> raw_candidates;
-      candidates.reserve(iterable.size());
-      if (strategy_->WantsScores()) {
-        // Estimated total-overlap reduction with the guess, per CPU cycle.
-        const Bounds guess_bounds = ViewOf(guess);
-        const auto reduction_of = [&](std::size_t i, const Bounds& est) {
-          double reduction = 0.0;
-          if (i == guess) {
-            // Iterating the guess shrinks its overlap with every rival.
-            for (const std::size_t j : alive_) {
-              if (j == guess) continue;
-              const Bounds other = ViewOf(j);
-              reduction +=
-                  std::max(0.0, guess_bounds.OverlapWidth(other) -
-                                    est.OverlapWidth(other));
-            }
-          } else {
-            // Iterating rival i shrinks only the (guess, i) overlap. With
-            // est inside the current bounds this equals the paper's
-            // min(o_i.H - o'max.L, o_i.H - o_i.estH).
-            const Bounds cur = ViewOf(i);
-            reduction = std::max(0.0, guess_bounds.OverlapWidth(cur) -
-                                          guess_bounds.OverlapWidth(est));
-          }
-          return reduction;
-        };
-        raw_candidates.reserve(iterable.size());
-        for (const std::size_t i : iterable) {
-          const double raw_cost = EstCostOf(*objects_[i]);
-          const double raw_reduction = reduction_of(i, EstViewOf(i));
-          double reduction = raw_reduction;
-          double cost = raw_cost;
-          if (corrector_.correcting()) {
-            const ScoreCorrector::Corrected corrected = corrector_.Correct(
-                i, objects_[i]->bounds(), objects_[i]->est_bounds(),
-                raw_cost);
-            if (corrected.changed) {
-              cost = corrected.cost;
-              reduction = reduction_of(i, View(corrected.est, options_.kind));
-            }
-          }
-          candidates.push_back(
-              IterationCandidate{i, reduction, cost, ViewOf(i).Width()});
-          raw_candidates.push_back(IterationCandidate{
-              i, raw_reduction, raw_cost, ViewOf(i).Width()});
-        }
-      } else {
-        for (const std::size_t i : iterable) {
-          candidates.push_back(IterationCandidate{i, 0.0, 1.0, 0.0});
-        }
-      }
-      const std::vector<IterationCandidate>& raws =
-          raw_candidates.empty() ? candidates : raw_candidates;
-      std::vector<std::size_t> picks;
-      strategy_->ChooseBatch(candidates, CycleBatchK(options_), &picks);
-
-      if (picks.size() == 1) {
-        const std::size_t chosen = picks.front();
-        return IterateOne(chosen, &outcome_.stats.greedy_iterations, meter,
-                          "search", ChosenScore(candidates, chosen),
-                          ChosenScore(raws, chosen));
-      }
-
-      // Batch cycle (kBatchGreedy with batch_k > 1): the top-K candidates
-      // refine together through the lockstep kernels.
-      std::vector<double> scores;
-      std::vector<double> raw_scores;
-      scores.reserve(picks.size());
-      raw_scores.reserve(picks.size());
-      for (const std::size_t i : picks) {
-        scores.push_back(ChosenScore(candidates, i));
-        raw_scores.push_back(ChosenScore(raws, i));
-      }
-      VAOLIB_RETURN_IF_ERROR(IterateObservedBatch(objects_, picks, "search",
-                                                  meter, scores, raw_scores));
-      for (const std::size_t i : picks) {
-        VAOLIB_RETURN_IF_ERROR(SettleIterate(i));
-        ++outcome_.stats.greedy_iterations;
-      }
-      outcome_.stats.iterations += picks.size();
-      if (outcome_.stats.iterations > options_.max_total_iterations) {
-        return Status::NotConverged("MIN/MAX exceeded max_total_iterations");
-      }
-      return Status::OK();
-    }
+    case Phase::kSearch:
+      return StepSearch(meter);
 
     case Phase::kFinalize: {
       // Refine the winner to the precision constraint. Its stopping
@@ -472,8 +472,8 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
       const std::size_t winner = outcome_.winner_index;
       if (objects_[winner]->bounds().Width() > options_.epsilon &&
           !EffectivelyConverged(winner)) {
-        return IterateOne(winner, &outcome_.stats.finalize_iterations, meter,
-                          "finalize", 0.0, 0.0);
+        return IterateOne(winner, &stats_.finalize_iterations, "finalize",
+                          meter);
       }
       Finish();
       return Status::OK();
@@ -482,19 +482,92 @@ Status MinMaxIterationTask::StepImpl(WorkMeter* meter) {
   return Status::Internal("MIN/MAX task in unknown phase");
 }
 
+Status MinMaxIterationTask::StepSearch(WorkMeter* meter) {
+  // Guess o'_max: the candidate with the highest upper bound. Then prune
+  // the candidates dominated by the best lower bound (never the guess).
+  Bounds envelope;
+  const std::size_t guess = Envelope(&envelope);
+  std::erase_if(alive_,
+                [&](std::size_t i) { return ViewOf(i).hi < envelope.lo; });
+
+  // Termination case (1): every rival eliminated.
+  if (alive_.size() == 1) {
+    outcome_.winner_index = guess;
+    phase_ = Phase::kFinalize;
+    return Status::OK();
+  }
+  // Termination case (2): guess and all (overlapping) rivals converged.
+  std::vector<std::size_t> iterable;
+  for (const std::size_t i : alive_) {
+    if (!EffectivelyConverged(i)) iterable.push_back(i);
+  }
+  if (iterable.empty()) {
+    outcome_.winner_index = guess;
+    outcome_.tie = true;
+    for (const std::size_t i : alive_) {
+      if (i != guess) outcome_.tied_indices.push_back(i);
+    }
+    phase_ = Phase::kFinalize;
+    return Status::OK();
+  }
+
+  // Estimated total-overlap reduction with the guess, per CPU cycle. O(N)
+  // chooseIter work per choice without indexing (Section 5.1).
+  const Bounds guess_bounds = ViewOf(guess);
+  return GreedyCycle(
+      iterable, alive_.size(), "search", meter,
+      [&](std::size_t i, const Bounds& est) {
+        double reduction = 0.0;
+        if (i == guess) {
+          // Iterating the guess shrinks its overlap with every rival.
+          for (const std::size_t j : alive_) {
+            if (j == guess) continue;
+            const Bounds other = ViewOf(j);
+            reduction += std::max(0.0, guess_bounds.OverlapWidth(other) -
+                                           est.OverlapWidth(other));
+          }
+        } else {
+          // Iterating rival i shrinks only the (guess, i) overlap. With est
+          // inside the current bounds this equals the paper's
+          // min(o_i.H - o'max.L, o_i.H - o_i.estH).
+          reduction = std::max(0.0, guess_bounds.OverlapWidth(ViewOf(i)) -
+                                        guess_bounds.OverlapWidth(est));
+        }
+        return reduction;
+      });
+}
+
 void MinMaxIterationTask::Finish() {
   outcome_.winner_bounds = objects_[outcome_.winner_index]->bounds();
-  outcome_.stats.objects_touched = 0;
-  for (const bool t : touched_) {
-    if (t) ++outcome_.stats.objects_touched;
-  }
-  outcome_.stats.stalled_objects = 0;
-  for (const StallGuard& guard : stall_) {
-    if (guard.stalled()) ++outcome_.stats.stalled_objects;
-  }
+  outcome_.stats = TalliedStats();
   outcome_.precision_degraded = outcome_.stats.stalled_objects > 0;
   outcome_.converged = true;
   MarkDone(true);
+}
+
+std::size_t MinMaxIterationTask::Envelope(Bounds* envelope) const {
+  std::vector<std::size_t> all;
+  const std::vector<std::size_t>* candidates = &alive_;
+  if (alive_.empty()) {
+    all.resize(objects_.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    candidates = &all;
+  }
+  std::size_t guess = candidates->front();
+  double guess_hi = ViewOf(guess).hi;
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const std::size_t i : *candidates) {
+    const Bounds b = ViewOf(i);
+    if (b.hi > guess_hi) {
+      guess = i;
+      guess_hi = b.hi;
+    }
+    lo = std::max(lo, b.lo);
+    hi = std::max(hi, b.hi);
+  }
+  *envelope = Bounds(lo, hi);
+  return guess;
 }
 
 double MinMaxIterationTask::CurrentUncertainty() const {
@@ -504,22 +577,9 @@ double MinMaxIterationTask::CurrentUncertainty() const {
   }
   // Envelope width of the candidate set in max space: how much higher than
   // the best proven lower bound the true extreme could still be.
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  if (alive_.empty()) {
-    for (std::size_t i = 0; i < objects_.size(); ++i) {
-      const Bounds b = ViewOf(i);
-      lo = std::max(lo, b.lo);
-      hi = std::max(hi, b.hi);
-    }
-  } else {
-    for (const std::size_t i : alive_) {
-      const Bounds b = ViewOf(i);
-      lo = std::max(lo, b.lo);
-      hi = std::max(hi, b.hi);
-    }
-  }
-  return std::max(0.0, hi - lo);
+  Bounds envelope;
+  Envelope(&envelope);
+  return std::max(0.0, envelope.hi - envelope.lo);
 }
 
 MinMaxOutcome MinMaxIterationTask::Snapshot() const {
@@ -527,14 +587,7 @@ MinMaxOutcome MinMaxIterationTask::Snapshot() const {
 
   MinMaxOutcome partial = outcome_;
   partial.converged = false;
-  partial.stats.objects_touched = 0;
-  for (const bool t : touched_) {
-    if (t) ++partial.stats.objects_touched;
-  }
-  partial.stats.stalled_objects = 0;
-  for (const StallGuard& guard : stall_) {
-    if (guard.stalled()) ++partial.stats.stalled_objects;
-  }
+  partial.stats = TalliedStats();
   partial.precision_degraded = partial.stats.stalled_objects > 0;
 
   if (phase_ == Phase::kFinalize) {
@@ -546,24 +599,9 @@ MinMaxOutcome MinMaxIterationTask::Snapshot() const {
   // Best current guess plus a sound envelope: the true extreme value lies in
   // [max lo, max hi] over the surviving candidates (in max space) -- the
   // guess's own bounds could exclude it, the envelope cannot.
-  std::vector<std::size_t> all;
-  const std::vector<std::size_t>* candidates = &alive_;
-  if (alive_.empty()) {
-    all.resize(objects_.size());
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    candidates = &all;
-  }
-  std::size_t guess = candidates->front();
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const std::size_t i : *candidates) {
-    const Bounds b = ViewOf(i);
-    if (b.hi > ViewOf(guess).hi) guess = i;
-    lo = std::max(lo, b.lo);
-    hi = std::max(hi, b.hi);
-  }
-  partial.winner_index = guess;
-  partial.winner_bounds = Unview(Bounds(lo, hi), options_.kind);
+  Bounds envelope;
+  partial.winner_index = Envelope(&envelope);
+  partial.winner_bounds = View(envelope);
   return partial;
 }
 
@@ -576,15 +614,10 @@ SumAveIterationTask::SumAveIterationTask(
     const std::vector<vao::ResultObject*>& objects,
     std::vector<double> weights,
     std::unique_ptr<IterationStrategy> strategy)
-    : options_(options),
-      objects_(objects),
-      weights_(std::move(weights)),
-      strategy_(std::move(strategy)),
-      corrector_(options_, objects_),
-      stall_(objects.size()),
-      touched_(objects.size(), false) {
-  ObserveWith(&corrector_, &outcome_.stats);
-}
+    : AggregateIterationTask(options, objects, std::move(strategy),
+                             ExtremeKind::kMax, "SUM/AVE"),
+      use_heap_index_(options.use_heap_index),
+      weights_(std::move(weights)) {}
 
 Result<std::unique_ptr<SumAveIterationTask>> SumAveIterationTask::Create(
     const SumAveOptions& options,
@@ -613,42 +646,25 @@ Bounds SumAveIterationTask::ExactSum() const {
   return Bounds(lo.Sum(), hi.Sum());
 }
 
-Status SumAveIterationTask::ApplyIterate(std::size_t chosen, WorkMeter* meter,
-                                         const char* phase, double score,
-                                         double raw_score) {
+void SumAveIterationTask::Applied(std::size_t i, const Bounds& before) {
   // Incrementally maintained output interval: subtract the object's old
   // weighted contribution and add the new one, so each round is O(1) on the
   // interval itself.
-  const Bounds before = objects_[chosen]->bounds();
-  VAOLIB_RETURN_IF_ERROR(IterateObserved(chosen, objects_[chosen], phase,
-                                         meter, score, raw_score));
-  VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[chosen], "SUM/AVE"));
-  const Bounds after = objects_[chosen]->bounds();
-  sum_.lo += weights_[chosen] * (after.lo - before.lo);
-  sum_.hi += weights_[chosen] * (after.hi - before.hi);
-  touched_[chosen] = true;
-  stall_[chosen].Observe(after.Width());
-  return Status::OK();
+  const Bounds after = objects_[i]->bounds();
+  sum_.lo += weights_[i] * (after.lo - before.lo);
+  sum_.hi += weights_[i] * (after.hi - before.hi);
 }
 
 Status SumAveIterationTask::StepImpl(WorkMeter* meter) {
   switch (phase_) {
     case Phase::kCoarse: {
-      std::vector<std::uint64_t> coarse_iterations;
-      VAOLIB_RETURN_IF_ERROR(ParallelCoarseConverge(
-          objects_, options_.threads, options_.coarse_width,
-          options_.coarse_max_steps, &coarse_iterations));
-      for (std::size_t i = 0; i < coarse_iterations.size(); ++i) {
-        outcome_.stats.iterations += coarse_iterations[i];
-        outcome_.stats.coarse_iterations += coarse_iterations[i];
-        if (coarse_iterations[i] > 0) touched_[i] = true;
-      }
+      VAOLIB_RETURN_IF_ERROR(CoarsePhase());
       sum_ = ExactSum();
       // The lazy heap caches each object's score at push time, which is
       // only sound while scores depend on the object alone. The corrected
       // strategies re-derive scores from live history/sentinel state every
       // cycle, so they always take the O(N) scan path.
-      if (options_.use_heap_index &&
+      if (use_heap_index_ &&
           (options_.strategy == StrategyKind::kGreedy ||
            options_.strategy == StrategyKind::kBatchGreedy)) {
         heap_.Reset(objects_.size());
@@ -674,7 +690,7 @@ Status SumAveIterationTask::StepImpl(WorkMeter* meter) {
 
 Status SumAveIterationTask::StepScan(WorkMeter* meter) {
   if (!(sum_.Width() > options_.epsilon)) {
-    Finish();
+    Finish(/*limited_by_min_width=*/false);
     return Status::OK();
   }
 
@@ -683,128 +699,27 @@ Status SumAveIterationTask::StepScan(WorkMeter* meter) {
   // remains in the sum.
   std::vector<std::size_t> iterable;
   for (std::size_t i = 0; i < objects_.size(); ++i) {
-    if (!objects_[i]->AtStoppingCondition() && !stall_[i].stalled() &&
-        weights_[i] > 0.0) {
-      iterable.push_back(i);
-    }
+    if (!EffectivelyConverged(i) && weights_[i] > 0.0) iterable.push_back(i);
   }
   if (iterable.empty()) {
-    outcome_.limited_by_min_width = true;
-    Finish();
+    Finish(/*limited_by_min_width=*/true);
     return Status::OK();
   }
 
-  ++outcome_.stats.choose_steps;
-  if (meter != nullptr) {
-    meter->Charge(WorkKind::kChooseIter, iterable.size());
-  }
-
-  // Sentinel probing: pending correlation-group probes pre-empt the greedy
-  // pick (kSentinelGreedy only; NextProbe is a no-op otherwise).
-  std::size_t probe = 0;
-  if (corrector_.NextProbe(iterable, &probe)) {
-    VAOLIB_RETURN_IF_ERROR(ApplyIterate(probe, meter, "sentinel", 0.0, 0.0));
-    ++outcome_.stats.greedy_iterations;
-    if (++outcome_.stats.iterations > options_.max_total_iterations) {
-      return Status::NotConverged("SUM/AVE exceeded max_total_iterations");
-    }
-    return Status::OK();
-  }
-
-  std::vector<IterationCandidate> candidates;
-  std::vector<IterationCandidate> raw_candidates;
-  candidates.reserve(iterable.size());
-  if (strategy_->WantsScores()) {
-    // The paper's heuristic: estimated weighted error reduction
-    // w_i * [(estL - L) + (H - estH)] per estimated CPU cycle; the widest
-    // actual weighted width is the no-predicted-progress fallback.
-    raw_candidates.reserve(iterable.size());
-    for (const std::size_t i : iterable) {
-      const double raw_benefit = SumReduction(*objects_[i], weights_[i]);
-      const double raw_cost = EstCostOf(*objects_[i]);
-      double benefit = raw_benefit;
-      double cost = raw_cost;
-      if (corrector_.correcting()) {
-        const Bounds cur = objects_[i]->bounds();
-        const ScoreCorrector::Corrected corrected =
-            corrector_.Correct(i, cur, objects_[i]->est_bounds(), raw_cost);
-        if (corrected.changed) {
-          cost = corrected.cost;
-          benefit = std::max(0.0, weights_[i] * ((corrected.est.lo - cur.lo) +
-                                                 (cur.hi - corrected.est.hi)));
-        }
-      }
-      const double width = weights_[i] * objects_[i]->bounds().Width();
-      candidates.push_back(IterationCandidate{i, benefit, cost, width});
-      raw_candidates.push_back(
-          IterationCandidate{i, raw_benefit, raw_cost, width});
-    }
-  } else {
-    for (const std::size_t i : iterable) {
-      candidates.push_back(IterationCandidate{i, 0.0, 1.0, 0.0});
-    }
-  }
-  const std::vector<IterationCandidate>& raws =
-      raw_candidates.empty() ? candidates : raw_candidates;
-  std::vector<std::size_t> picks;
-  strategy_->ChooseBatch(candidates, CycleBatchK(options_), &picks);
-
-  if (picks.size() == 1) {
-    const std::size_t chosen = picks.front();
-    VAOLIB_RETURN_IF_ERROR(ApplyIterate(chosen, meter, "scan",
-                                        ChosenScore(candidates, chosen),
-                                        ChosenScore(raws, chosen)));
-    ++outcome_.stats.greedy_iterations;
-    if (++outcome_.stats.iterations > options_.max_total_iterations) {
-      return Status::NotConverged("SUM/AVE exceeded max_total_iterations");
-    }
-    return Status::OK();
-  }
-
-  std::vector<double> scores;
-  std::vector<double> raw_scores;
-  scores.reserve(picks.size());
-  raw_scores.reserve(picks.size());
-  for (const std::size_t i : picks) {
-    scores.push_back(ChosenScore(candidates, i));
-    raw_scores.push_back(ChosenScore(raws, i));
-  }
-  VAOLIB_RETURN_IF_ERROR(
-      ApplyIterateBatch(picks, scores, raw_scores, meter, "scan"));
-  outcome_.stats.greedy_iterations += picks.size();
-  outcome_.stats.iterations += picks.size();
-  if (outcome_.stats.iterations > options_.max_total_iterations) {
-    return Status::NotConverged("SUM/AVE exceeded max_total_iterations");
-  }
-  return Status::OK();
-}
-
-Status SumAveIterationTask::ApplyIterateBatch(
-    const std::vector<std::size_t>& chosen, const std::vector<double>& scores,
-    const std::vector<double>& raw_scores, WorkMeter* meter,
-    const char* phase) {
-  // Batch form of ApplyIterate: one lockstep dispatch, then the same
-  // incremental interval maintenance per object.
-  std::vector<Bounds> before;
-  before.reserve(chosen.size());
-  for (const std::size_t i : chosen) before.push_back(objects_[i]->bounds());
-  VAOLIB_RETURN_IF_ERROR(IterateObservedBatch(objects_, chosen, phase, meter,
-                                              scores, raw_scores));
-  for (std::size_t j = 0; j < chosen.size(); ++j) {
-    const std::size_t i = chosen[j];
-    VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], "SUM/AVE"));
-    const Bounds after = objects_[i]->bounds();
-    sum_.lo += weights_[i] * (after.lo - before[j].lo);
-    sum_.hi += weights_[i] * (after.hi - before[j].hi);
-    touched_[i] = true;
-    stall_[i].Observe(after.Width());
-  }
-  return Status::OK();
+  // The paper's heuristic: estimated weighted error reduction
+  // w_i * [(estL - L) + (H - estH)] per estimated CPU cycle; the widest
+  // actual weighted width is the no-predicted-progress fallback.
+  return GreedyCycle(
+      iterable, iterable.size(), "scan", meter,
+      [&](std::size_t i, const Bounds& est) {
+        return SumReduction(objects_[i]->bounds(), est, weights_[i]);
+      },
+      &weights_);
 }
 
 Status SumAveIterationTask::StepHeap(WorkMeter* meter) {
   if (!(sum_.Width() > options_.epsilon)) {
-    Finish();
+    Finish(/*limited_by_min_width=*/false);
     return Status::OK();
   }
 
@@ -818,51 +733,32 @@ Status SumAveIterationTask::StepHeap(WorkMeter* meter) {
   while (picks.size() < batch_k && heap_.PopBest(&chosen, &score)) {
     picks.push_back(chosen);
     scores.push_back(score);
-    ++outcome_.stats.choose_steps;
+    ++stats_.choose_steps;
     if (meter != nullptr) {
       meter->Charge(WorkKind::kChooseIter, 2 * Log2Ceil(objects_.size()));
     }
   }
   if (picks.empty()) {
-    outcome_.limited_by_min_width = true;
-    Finish();
+    Finish(/*limited_by_min_width=*/true);
     return Status::OK();
   }
 
-  if (picks.size() == 1) {
-    VAOLIB_RETURN_IF_ERROR(ApplyIterate(picks.front(), meter, "heap",
-                                        scores.front(), scores.front()));
-  } else {
-    VAOLIB_RETURN_IF_ERROR(
-        ApplyIterateBatch(picks, scores, scores, meter, "heap"));
-  }
+  VAOLIB_RETURN_IF_ERROR(IteratePicks(picks, "heap", meter, scores, scores));
   // Stalled objects simply stop being re-pushed, so their (sound, frozen)
   // contribution stays in the sum.
   for (const std::size_t i : picks) {
-    if (!objects_[i]->AtStoppingCondition() && !stall_[i].stalled()) {
+    if (!EffectivelyConverged(i)) {
       heap_.Update(i, GreedyScore(*objects_[i], weights_[i]));
     }
-  }
-
-  outcome_.stats.greedy_iterations += picks.size();
-  outcome_.stats.iterations += picks.size();
-  if (outcome_.stats.iterations > options_.max_total_iterations) {
-    return Status::NotConverged("SUM/AVE exceeded max_total_iterations");
   }
   return Status::OK();
 }
 
-void SumAveIterationTask::Finish() {
+void SumAveIterationTask::Finish(bool limited_by_min_width) {
   // Recompute exactly to shed accumulated floating-point drift.
   outcome_.sum_bounds = ExactSum();
-  outcome_.stats.objects_touched = 0;
-  for (const bool t : touched_) {
-    if (t) ++outcome_.stats.objects_touched;
-  }
-  outcome_.stats.stalled_objects = 0;
-  for (const StallGuard& guard : stall_) {
-    if (guard.stalled()) ++outcome_.stats.stalled_objects;
-  }
+  outcome_.limited_by_min_width = limited_by_min_width;
+  outcome_.stats = TalliedStats();
   outcome_.converged = true;
   MarkDone(true);
 }
@@ -879,14 +775,7 @@ SumOutcome SumAveIterationTask::Snapshot() const {
   SumOutcome partial = outcome_;
   partial.converged = false;
   partial.sum_bounds = ExactSum();
-  partial.stats.objects_touched = 0;
-  for (const bool t : touched_) {
-    if (t) ++partial.stats.objects_touched;
-  }
-  partial.stats.stalled_objects = 0;
-  for (const StallGuard& guard : stall_) {
-    if (guard.stalled()) ++partial.stats.stalled_objects;
-  }
+  partial.stats = TalliedStats();
   return partial;
 }
 
@@ -898,15 +787,11 @@ TopKIterationTask::TopKIterationTask(
     const TopKOptions& options,
     const std::vector<vao::ResultObject*>& objects,
     std::unique_ptr<IterationStrategy> strategy)
-    : options_(options),
-      objects_(objects),
-      strategy_(std::move(strategy)),
-      corrector_(options_, objects_),
-      stall_(objects.size()),
-      touched_(objects.size(), false),
+    : AggregateIterationTask(options, objects, std::move(strategy),
+                             options.kind, "TOP-K"),
+      k_(options.k),
       order_(objects.size()) {
   std::iota(order_.begin(), order_.end(), std::size_t{0});
-  ObserveWith(&corrector_, &outcome_.stats);
 }
 
 Result<std::unique_ptr<TopKIterationTask>> TopKIterationTask::Create(
@@ -920,205 +805,36 @@ Result<std::unique_ptr<TopKIterationTask>> TopKIterationTask::Create(
       new TopKIterationTask(options, objects, std::move(strategy)));
 }
 
-Bounds TopKIterationTask::ViewOf(std::size_t i) const {
-  return View(objects_[i]->bounds(), options_.kind);
+void TopKIterationTask::SortTopK(std::vector<std::size_t>* order) const {
+  std::partial_sort(order->begin(),
+                    order->begin() + static_cast<std::ptrdiff_t>(k_),
+                    order->end(), [&](std::size_t a, std::size_t b) {
+                      return ViewOf(a).hi > ViewOf(b).hi;
+                    });
 }
 
-Bounds TopKIterationTask::EstViewOf(std::size_t i) const {
-  return View(objects_[i]->est_bounds(), options_.kind);
-}
-
-bool TopKIterationTask::EffectivelyConverged(std::size_t i) const {
-  return objects_[i]->AtStoppingCondition() || stall_[i].stalled();
-}
-
-Status TopKIterationTask::IterateOne(std::size_t i,
-                                     std::uint64_t* phase_counter,
-                                     WorkMeter* meter, const char* phase,
-                                     double score, double raw_score) {
-  VAOLIB_RETURN_IF_ERROR(
-      IterateObserved(i, objects_[i], phase, meter, score, raw_score));
-  VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], "TOP-K"));
-  stall_[i].Observe(objects_[i]->bounds().Width());
-  touched_[i] = true;
-  ++*phase_counter;
-  if (++outcome_.stats.iterations > options_.max_total_iterations) {
-    return Status::NotConverged("TOP-K exceeded max_total_iterations");
+void TopKIterationTask::Boundary(const std::vector<std::size_t>& order,
+                                 double* lo, double* hi) const {
+  *lo = std::numeric_limits<double>::infinity();
+  for (std::size_t idx = 0; idx < k_; ++idx) {
+    *lo = std::min(*lo, ViewOf(order[idx]).lo);
   }
-  return Status::OK();
+  *hi = -std::numeric_limits<double>::infinity();
+  for (std::size_t idx = k_; idx < order.size(); ++idx) {
+    *hi = std::max(*hi, ViewOf(order[idx]).hi);
+  }
 }
 
 Status TopKIterationTask::StepImpl(WorkMeter* meter) {
-  const std::size_t n = objects_.size();
-  const std::size_t k = options_.k;
-
   switch (phase_) {
     case Phase::kCoarse: {
-      std::vector<std::uint64_t> coarse_iterations;
-      VAOLIB_RETURN_IF_ERROR(ParallelCoarseConverge(
-          objects_, options_.threads, options_.coarse_width,
-          options_.coarse_max_steps, &coarse_iterations));
-      for (std::size_t i = 0; i < coarse_iterations.size(); ++i) {
-        outcome_.stats.iterations += coarse_iterations[i];
-        outcome_.stats.coarse_iterations += coarse_iterations[i];
-        if (coarse_iterations[i] > 0) touched_[i] = true;
-      }
-      if (outcome_.stats.iterations > options_.max_total_iterations) {
-        return Status::NotConverged("TOP-K exceeded max_total_iterations");
-      }
+      VAOLIB_RETURN_IF_ERROR(CoarsePhase());
       phase_ = Phase::kBoundary;
       return Status::OK();
     }
 
-    case Phase::kBoundary: {
-      // Guess the top-k set: the k candidates with the highest upper bounds.
-      std::partial_sort(order_.begin(),
-                        order_.begin() + static_cast<std::ptrdiff_t>(k),
-                        order_.end(), [&](std::size_t a, std::size_t b) {
-                          return ViewOf(a).hi > ViewOf(b).hi;
-                        });
-      members_.assign(order_.begin(),
-                      order_.begin() + static_cast<std::ptrdiff_t>(k));
-
-      if (k == n) {  // everything is selected; only refinement remains
-        phase_ = Phase::kFinalize;
-        return Status::OK();
-      }
-
-      // Selection boundary: members must end strictly above all outsiders.
-      double boundary_lo = std::numeric_limits<double>::infinity();
-      for (const std::size_t i : members_) {
-        boundary_lo = std::min(boundary_lo, ViewOf(i).lo);
-      }
-      double boundary_hi = -std::numeric_limits<double>::infinity();
-      for (std::size_t idx = k; idx < n; ++idx) {
-        boundary_hi = std::max(boundary_hi, ViewOf(order_[idx]).hi);
-      }
-      if (boundary_lo > boundary_hi) {  // fully separated
-        phase_ = Phase::kFinalize;
-        return Status::OK();
-      }
-
-      // Conflicted objects: members reachable from below, outsiders
-      // reaching into the member zone.
-      std::vector<std::size_t> conflicted;
-      for (const std::size_t i : members_) {
-        if (ViewOf(i).lo <= boundary_hi) conflicted.push_back(i);
-      }
-      for (std::size_t idx = k; idx < n; ++idx) {
-        if (ViewOf(order_[idx]).hi >= boundary_lo) {
-          conflicted.push_back(order_[idx]);
-        }
-      }
-
-      std::vector<std::size_t> iterable;
-      for (const std::size_t i : conflicted) {
-        if (!EffectivelyConverged(i)) iterable.push_back(i);
-      }
-      if (iterable.empty()) {
-        // Everything straddling the boundary is converged: membership of
-        // the last slots is tie-determined (termination case 2 of
-        // Section 5.1).
-        outcome_.tie = true;
-        phase_ = Phase::kFinalize;
-        return Status::OK();
-      }
-
-      ++outcome_.stats.choose_steps;
-      if (meter != nullptr) {
-        meter->Charge(WorkKind::kChooseIter, conflicted.size());
-      }
-
-      // Sentinel probing: pending correlation-group probes pre-empt the
-      // greedy pick (kSentinelGreedy only).
-      std::size_t probe = 0;
-      if (corrector_.NextProbe(iterable, &probe)) {
-        return IterateOne(probe, &outcome_.stats.greedy_iterations, meter,
-                          "sentinel", 0.0, 0.0);
-      }
-
-      std::vector<IterationCandidate> candidates;
-      std::vector<IterationCandidate> raw_candidates;
-      candidates.reserve(iterable.size());
-      if (strategy_->WantsScores()) {
-        // Greedy: the largest predicted cross-boundary overlap reduction
-        // per estimated CPU cycle.
-        const auto member_set_end =
-            order_.begin() + static_cast<std::ptrdiff_t>(k);
-        const auto gain_of = [&](bool is_member, const Bounds& cur,
-                                 const Bounds& est) {
-          double gain;
-          if (is_member) {
-            // Raising a member's lower bound toward the outsiders' ceiling.
-            gain = std::min(boundary_hi - cur.lo, est.lo - cur.lo);
-          } else {
-            // Lowering an outsider's upper bound toward the members' floor.
-            gain = std::min(cur.hi - boundary_lo, cur.hi - est.hi);
-          }
-          return std::max(gain, 0.0);
-        };
-        raw_candidates.reserve(iterable.size());
-        for (const std::size_t i : iterable) {
-          const bool is_member =
-              std::find(order_.begin(), member_set_end, i) != member_set_end;
-          const Bounds cur = ViewOf(i);
-          const double raw_gain = gain_of(is_member, cur, EstViewOf(i));
-          const double raw_cost = EstCostOf(*objects_[i]);
-          double gain = raw_gain;
-          double cost = raw_cost;
-          if (corrector_.correcting()) {
-            const ScoreCorrector::Corrected corrected = corrector_.Correct(
-                i, objects_[i]->bounds(), objects_[i]->est_bounds(),
-                raw_cost);
-            if (corrected.changed) {
-              cost = corrected.cost;
-              gain = gain_of(is_member, cur,
-                             View(corrected.est, options_.kind));
-            }
-          }
-          candidates.push_back(
-              IterationCandidate{i, gain, cost, ViewOf(i).Width()});
-          raw_candidates.push_back(
-              IterationCandidate{i, raw_gain, raw_cost, ViewOf(i).Width()});
-        }
-      } else {
-        for (const std::size_t i : iterable) {
-          candidates.push_back(IterationCandidate{i, 0.0, 1.0, 0.0});
-        }
-      }
-      const std::vector<IterationCandidate>& raws =
-          raw_candidates.empty() ? candidates : raw_candidates;
-      std::vector<std::size_t> picks;
-      strategy_->ChooseBatch(candidates, CycleBatchK(options_), &picks);
-      if (picks.size() == 1) {
-        const std::size_t chosen = picks.front();
-        return IterateOne(chosen, &outcome_.stats.greedy_iterations, meter,
-                          "boundary", ChosenScore(candidates, chosen),
-                          ChosenScore(raws, chosen));
-      }
-
-      std::vector<double> scores;
-      std::vector<double> raw_scores;
-      scores.reserve(picks.size());
-      raw_scores.reserve(picks.size());
-      for (const std::size_t i : picks) {
-        scores.push_back(ChosenScore(candidates, i));
-        raw_scores.push_back(ChosenScore(raws, i));
-      }
-      VAOLIB_RETURN_IF_ERROR(IterateObservedBatch(
-          objects_, picks, "boundary", meter, scores, raw_scores));
-      for (const std::size_t i : picks) {
-        VAOLIB_RETURN_IF_ERROR(ValidateObjectBounds(*objects_[i], "TOP-K"));
-        stall_[i].Observe(objects_[i]->bounds().Width());
-        touched_[i] = true;
-        ++outcome_.stats.greedy_iterations;
-      }
-      outcome_.stats.iterations += picks.size();
-      if (outcome_.stats.iterations > options_.max_total_iterations) {
-        return Status::NotConverged("TOP-K exceeded max_total_iterations");
-      }
-      return Status::OK();
-    }
+    case Phase::kBoundary:
+      return StepBoundary(meter);
 
     case Phase::kFinalize: {
       // Refine every selected member to the precision constraint.
@@ -1126,8 +842,8 @@ Status TopKIterationTask::StepImpl(WorkMeter* meter) {
         const std::size_t i = members_[finalize_cursor_];
         if (objects_[i]->bounds().Width() > options_.epsilon &&
             !EffectivelyConverged(i)) {
-          return IterateOne(i, &outcome_.stats.finalize_iterations, meter,
-                            "finalize", 0.0, 0.0);
+          return IterateOne(i, &stats_.finalize_iterations, "finalize",
+                            meter);
         }
         ++finalize_cursor_;
       }
@@ -1138,27 +854,86 @@ Status TopKIterationTask::StepImpl(WorkMeter* meter) {
   return Status::Internal("TOP-K task in unknown phase");
 }
 
-void TopKIterationTask::Finish() {
+Status TopKIterationTask::StepBoundary(WorkMeter* meter) {
+  const std::size_t n = objects_.size();
+  const auto member_end = order_.begin() + static_cast<std::ptrdiff_t>(k_);
+
+  // Guess the top-k set: the k candidates with the highest upper bounds.
+  SortTopK(&order_);
+  members_.assign(order_.begin(), member_end);
+  if (k_ == n) {  // everything is selected; only refinement remains
+    phase_ = Phase::kFinalize;
+    return Status::OK();
+  }
+
+  // Selection boundary: members must end strictly above all outsiders.
+  double boundary_lo = 0.0;
+  double boundary_hi = 0.0;
+  Boundary(order_, &boundary_lo, &boundary_hi);
+  if (boundary_lo > boundary_hi) {  // fully separated
+    phase_ = Phase::kFinalize;
+    return Status::OK();
+  }
+
+  // Conflicted objects: members reachable from below, outsiders reaching
+  // into the member zone.
+  std::vector<std::size_t> conflicted;
+  for (const std::size_t i : members_) {
+    if (ViewOf(i).lo <= boundary_hi) conflicted.push_back(i);
+  }
+  for (std::size_t idx = k_; idx < n; ++idx) {
+    if (ViewOf(order_[idx]).hi >= boundary_lo) {
+      conflicted.push_back(order_[idx]);
+    }
+  }
+
+  std::vector<std::size_t> iterable;
+  for (const std::size_t i : conflicted) {
+    if (!EffectivelyConverged(i)) iterable.push_back(i);
+  }
+  if (iterable.empty()) {
+    // Everything straddling the boundary is converged: membership of the
+    // last slots is tie-determined (termination case 2 of Section 5.1).
+    outcome_.tie = true;
+    phase_ = Phase::kFinalize;
+    return Status::OK();
+  }
+
+  // Greedy: the largest predicted cross-boundary overlap reduction per
+  // estimated CPU cycle.
+  return GreedyCycle(
+      iterable, conflicted.size(), "boundary", meter,
+      [&](std::size_t i, const Bounds& est) {
+        const Bounds cur = ViewOf(i);
+        double gain;
+        if (std::find(order_.begin(), member_end, i) != member_end) {
+          // Raising a member's lower bound toward the outsiders' ceiling.
+          gain = std::min(boundary_hi - cur.lo, est.lo - cur.lo);
+        } else {
+          // Lowering an outsider's upper bound toward the members' floor.
+          gain = std::min(cur.hi - boundary_lo, cur.hi - est.hi);
+        }
+        return std::max(gain, 0.0);
+      });
+}
+
+void TopKIterationTask::SetWinners(std::vector<std::size_t> members,
+                                   TopKOutcome* outcome) const {
   // Order winners by extremity (descending midpoint in max space).
-  std::vector<std::size_t> winners = members_;
-  std::sort(winners.begin(), winners.end(),
+  std::sort(members.begin(), members.end(),
             [&](std::size_t a, std::size_t b) {
               return ViewOf(a).Mid() > ViewOf(b).Mid();
             });
-  outcome_.winners.clear();
-  outcome_.winner_bounds.clear();
-  for (const std::size_t i : winners) {
-    outcome_.winners.push_back(i);
-    outcome_.winner_bounds.push_back(objects_[i]->bounds());
+  outcome->winner_bounds.clear();
+  for (const std::size_t i : members) {
+    outcome->winner_bounds.push_back(objects_[i]->bounds());
   }
-  outcome_.stats.objects_touched = 0;
-  for (const bool t : touched_) {
-    if (t) ++outcome_.stats.objects_touched;
-  }
-  outcome_.stats.stalled_objects = 0;
-  for (const StallGuard& guard : stall_) {
-    if (guard.stalled()) ++outcome_.stats.stalled_objects;
-  }
+  outcome->winners = std::move(members);
+}
+
+void TopKIterationTask::Finish() {
+  SetWinners(members_, &outcome_);
+  outcome_.stats = TalliedStats();
   outcome_.precision_degraded = outcome_.stats.stalled_objects > 0;
   outcome_.converged = true;
   MarkDone(true);
@@ -1167,32 +942,22 @@ void TopKIterationTask::Finish() {
 double TopKIterationTask::CurrentUncertainty() const {
   if (Done()) return 0.0;
   const std::size_t n = objects_.size();
-  const std::size_t k = options_.k;
 
   // Current top-k guess by upper bound (order_ untouched: this is const).
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(k),
-                    order.end(), [&](std::size_t a, std::size_t b) {
-                      return ViewOf(a).hi > ViewOf(b).hi;
-                    });
+  SortTopK(&order);
 
   // Cross-boundary overlap still to resolve, plus member widths still above
   // the precision constraint.
   double uncertainty = 0.0;
-  if (k < n) {
-    double boundary_lo = std::numeric_limits<double>::infinity();
-    for (std::size_t idx = 0; idx < k; ++idx) {
-      boundary_lo = std::min(boundary_lo, ViewOf(order[idx]).lo);
-    }
-    double boundary_hi = -std::numeric_limits<double>::infinity();
-    for (std::size_t idx = k; idx < n; ++idx) {
-      boundary_hi = std::max(boundary_hi, ViewOf(order[idx]).hi);
-    }
+  if (k_ < n) {
+    double boundary_lo = 0.0;
+    double boundary_hi = 0.0;
+    Boundary(order, &boundary_lo, &boundary_hi);
     uncertainty += std::max(0.0, boundary_hi - boundary_lo);
   }
-  for (std::size_t idx = 0; idx < k; ++idx) {
+  for (std::size_t idx = 0; idx < k_; ++idx) {
     uncertainty += std::max(
         0.0, objects_[order[idx]]->bounds().Width() - options_.epsilon);
   }
@@ -1204,38 +969,18 @@ TopKOutcome TopKIterationTask::Snapshot() const {
 
   TopKOutcome partial = outcome_;
   partial.converged = false;
-
   // Best current guess at the member set: the settled members_ when the
   // boundary phase has produced one, else the current top-k by upper bound.
   std::vector<std::size_t> guess = members_;
   if (guess.empty()) {
     std::vector<std::size_t> order(objects_.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
-    std::partial_sort(
-        order.begin(), order.begin() + static_cast<std::ptrdiff_t>(options_.k),
-        order.end(), [&](std::size_t a, std::size_t b) {
-          return ViewOf(a).hi > ViewOf(b).hi;
-        });
+    SortTopK(&order);
     guess.assign(order.begin(),
-                 order.begin() + static_cast<std::ptrdiff_t>(options_.k));
+                 order.begin() + static_cast<std::ptrdiff_t>(k_));
   }
-  std::sort(guess.begin(), guess.end(), [&](std::size_t a, std::size_t b) {
-    return ViewOf(a).Mid() > ViewOf(b).Mid();
-  });
-  partial.winners.clear();
-  partial.winner_bounds.clear();
-  for (const std::size_t i : guess) {
-    partial.winners.push_back(i);
-    partial.winner_bounds.push_back(objects_[i]->bounds());
-  }
-  partial.stats.objects_touched = 0;
-  for (const bool t : touched_) {
-    if (t) ++partial.stats.objects_touched;
-  }
-  partial.stats.stalled_objects = 0;
-  for (const StallGuard& guard : stall_) {
-    if (guard.stalled()) ++partial.stats.stalled_objects;
-  }
+  SetWinners(std::move(guess), &partial);
+  partial.stats = TalliedStats();
   partial.precision_degraded = partial.stats.stalled_objects > 0;
   return partial;
 }

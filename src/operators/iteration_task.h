@@ -157,10 +157,100 @@ class IterationTask {
 /// first (callers then read a partial answer via the task's Snapshot()).
 Result<bool> DriveTask(IterationTask* task, const OperatorOptions& options);
 
+/// \brief The adaptive cycle shared by the aggregate tasks (MIN/MAX, SUM/AVE,
+/// TOP-K). Sections 5.1 and 5.2 run one loop: score each live candidate by
+/// predicted benefit per estimated CPU cycle, let chooseIter pick, iterate
+/// the pick and update state. This base owns every part of that loop that
+/// is not specific to one operator: the parallel coarse pre-phase, the
+/// greedy cycle (sentinel probes, raw and corrected candidates, the
+/// strategy's pick, one-pick vs batch iterate), the settle step after each
+/// iterate (bounds validation, stall guard, touched set, iteration cap) and
+/// the touched/stalled tally of the stats. A task supplies its candidate
+/// set, its chooseIter charge, its benefit formula, its state update
+/// (Applied) and its phase machine. Not constructible on its own.
+class AggregateIterationTask : public IterationTask {
+ protected:
+  /// \p kind maps bounds into "max space" (ViewOf): for kMin every interval
+  /// is negated. \p label prefixes error messages ("MIN/MAX", ...).
+  AggregateIterationTask(const OperatorOptions& options,
+                         const std::vector<vao::ResultObject*>& objects,
+                         std::unique_ptr<IterationStrategy> strategy,
+                         ExtremeKind kind, const char* label);
+
+  /// The optional parallel pre-phase (ParallelCoarseConverge): counts its
+  /// iterates as coarse, marks and validates every object it iterated, and
+  /// applies the iteration cap.
+  Status CoarsePhase();
+
+  /// One chooseIter cycle over \p iterable (non-empty, ascending): charges
+  /// \p charge units of chooseIter work, spends the cycle on a pending
+  /// sentinel probe if there is one, else lets the strategy pick among the
+  /// candidates scored by \p benefit and iterates the picks (tagged
+  /// \p phase). \p benefit(i, est) is object i's predicted benefit when its
+  /// max-space bounds move to \p est; the cycle calls it on the raw and, when
+  /// a correction changes them, the corrected estimates. A candidate's
+  /// fallback width is its bounds width, scaled by (*\p weights)[i] when
+  /// given.
+  template <typename Benefit>
+  Status GreedyCycle(const std::vector<std::size_t>& iterable,
+                     std::size_t charge, const char* phase, WorkMeter* meter,
+                     const Benefit& benefit,
+                     const std::vector<double>* weights = nullptr);
+
+  /// One observed, settled Iterate() of object \p i, counted in
+  /// \p phase_counter and against the iteration cap.
+  Status IterateOne(std::size_t i, std::uint64_t* phase_counter,
+                    const char* phase, WorkMeter* meter, double score = 0.0,
+                    double raw_score = 0.0);
+
+  /// Iterates \p picks (one IterateOne, or one batch through the lockstep
+  /// kernels), settles each and counts them as greedy iterations. \p scores
+  /// and \p raw_scores parallel \p picks.
+  Status IteratePicks(const std::vector<std::size_t>& picks, const char* phase,
+                      WorkMeter* meter, const std::vector<double>& scores,
+                      const std::vector<double>& raw_scores);
+
+  /// The task's own state update after object \p i's iterate settled;
+  /// \p before holds its bounds just before the iterate.
+  virtual void Applied(std::size_t /*i*/, const Bounds& /*before*/) {}
+
+  /// The accumulated stats with objects_touched and stalled_objects filled.
+  OperatorStats TalliedStats() const;
+
+  /// \p b in max space: negated ([-H, -L]) for kMin, so the minimum becomes
+  /// the maximum (the mapping is its own inverse). Inline because the
+  /// candidate scans call it per object.
+  Bounds View(const Bounds& b) const {
+    return kind_ == ExtremeKind::kMax ? b : Bounds(-b.hi, -b.lo);
+  }
+  Bounds ViewOf(std::size_t i) const { return View(objects_[i]->bounds()); }
+  Bounds EstViewOf(std::size_t i) const {
+    return View(objects_[i]->est_bounds());
+  }
+  bool EffectivelyConverged(std::size_t i) const {
+    return objects_[i]->AtStoppingCondition() || stall_[i].stalled();
+  }
+
+  OperatorOptions options_;
+  std::vector<vao::ResultObject*> objects_;
+  OperatorStats stats_;
+
+ private:
+  Status Settle(std::size_t i, const Bounds& before);
+  Status CountIterations(std::uint64_t n);
+
+  ExtremeKind kind_;
+  const char* label_;
+  std::unique_ptr<IterationStrategy> strategy_;
+  ScoreCorrector corrector_;
+  std::vector<StallGuard> stall_;
+  std::vector<bool> touched_;
+};
+
 /// \brief Resumable MIN/MAX aggregate (the Section 5.1 loop as a state
 /// machine): coarse pre-phase, prune/guess/choose search rounds, winner
 /// finalization.
-class MinMaxIterationTask : public IterationTask {
+class MinMaxIterationTask : public AggregateIterationTask {
  public:
   /// Validates inputs exactly as MinMaxVao::Evaluate() always has.
   /// \p objects must outlive the task.
@@ -186,21 +276,12 @@ class MinMaxIterationTask : public IterationTask {
                       const std::vector<vao::ResultObject*>& objects,
                       std::unique_ptr<IterationStrategy> strategy);
 
-  Bounds ViewOf(std::size_t i) const;
-  Bounds EstViewOf(std::size_t i) const;
-  bool EffectivelyConverged(std::size_t i) const;
-  Status IterateOne(std::size_t i, std::uint64_t* phase_counter,
-                    WorkMeter* meter, const char* phase, double score,
-                    double raw_score);
-  Status SettleIterate(std::size_t i);
+  Status StepSearch(WorkMeter* meter);
+  /// The surviving candidates' guess (highest upper bound) and envelope
+  /// [max lo, max hi], in max space.
+  std::size_t Envelope(Bounds* envelope) const;
   void Finish();
 
-  MinMaxOptions options_;
-  std::vector<vao::ResultObject*> objects_;
-  std::unique_ptr<IterationStrategy> strategy_;
-  ScoreCorrector corrector_;
-  std::vector<StallGuard> stall_;
-  std::vector<bool> touched_;
   std::vector<std::size_t> alive_;
   Phase phase_ = Phase::kCoarse;
   MinMaxOutcome outcome_;
@@ -208,7 +289,7 @@ class MinMaxIterationTask : public IterationTask {
 
 /// \brief Resumable SUM/AVE aggregate (the Section 5.2 loop as a state
 /// machine), covering both the O(N)-scan and the lazy-heap greedy paths.
-class SumAveIterationTask : public IterationTask {
+class SumAveIterationTask : public AggregateIterationTask {
  public:
   static Result<std::unique_ptr<SumAveIterationTask>> Create(
       const SumAveOptions& options,
@@ -224,6 +305,7 @@ class SumAveIterationTask : public IterationTask {
  protected:
   Status StepImpl(WorkMeter* meter) override;
   double CurrentUncertainty() const override;
+  void Applied(std::size_t i, const Bounds& before) override;
 
  private:
   enum class Phase { kCoarse, kScan, kHeapScan };
@@ -235,22 +317,11 @@ class SumAveIterationTask : public IterationTask {
 
   Status StepScan(WorkMeter* meter);
   Status StepHeap(WorkMeter* meter);
-  Status ApplyIterate(std::size_t chosen, WorkMeter* meter, const char* phase,
-                      double score, double raw_score);
-  Status ApplyIterateBatch(const std::vector<std::size_t>& chosen,
-                           const std::vector<double>& scores,
-                           const std::vector<double>& raw_scores,
-                           WorkMeter* meter, const char* phase);
   Bounds ExactSum() const;
-  void Finish();
+  void Finish(bool limited_by_min_width);
 
-  SumAveOptions options_;
-  std::vector<vao::ResultObject*> objects_;
+  bool use_heap_index_;
   std::vector<double> weights_;
-  std::unique_ptr<IterationStrategy> strategy_;
-  ScoreCorrector corrector_;
-  std::vector<StallGuard> stall_;
-  std::vector<bool> touched_;
   Bounds sum_;
   ScoreHeap heap_;
   Phase phase_ = Phase::kCoarse;
@@ -259,7 +330,7 @@ class SumAveIterationTask : public IterationTask {
 
 /// \brief Resumable TOP-K aggregate: boundary-separation rounds, then
 /// member finalization.
-class TopKIterationTask : public IterationTask {
+class TopKIterationTask : public AggregateIterationTask {
  public:
   static Result<std::unique_ptr<TopKIterationTask>> Create(
       const TopKOptions& options,
@@ -282,20 +353,18 @@ class TopKIterationTask : public IterationTask {
                     const std::vector<vao::ResultObject*>& objects,
                     std::unique_ptr<IterationStrategy> strategy);
 
-  Bounds ViewOf(std::size_t i) const;
-  Bounds EstViewOf(std::size_t i) const;
-  bool EffectivelyConverged(std::size_t i) const;
-  Status IterateOne(std::size_t i, std::uint64_t* phase_counter,
-                    WorkMeter* meter, const char* phase, double score,
-                    double raw_score);
+  Status StepBoundary(WorkMeter* meter);
+  /// Moves the k highest upper bounds (max space) to the front of \p order.
+  void SortTopK(std::vector<std::size_t>* order) const;
+  /// The selection boundary of \p order (top k first, k < n), in max space:
+  /// the members' lowest lower bound and the outsiders' highest upper bound.
+  void Boundary(const std::vector<std::size_t>& order, double* lo,
+                double* hi) const;
+  /// Fills \p outcome's winners from \p members, by descending midpoint.
+  void SetWinners(std::vector<std::size_t> members, TopKOutcome* outcome) const;
   void Finish();
 
-  TopKOptions options_;
-  std::vector<vao::ResultObject*> objects_;
-  std::unique_ptr<IterationStrategy> strategy_;
-  ScoreCorrector corrector_;
-  std::vector<StallGuard> stall_;
-  std::vector<bool> touched_;
+  std::size_t k_;
   std::vector<std::size_t> order_;
   std::vector<std::size_t> members_;
   std::size_t finalize_cursor_ = 0;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,7 +12,10 @@
 #include "operators/operator_base.h"
 #include "operators/selection.h"
 #include "operators/sum_ave.h"
+#include "operators/top_k.h"
 #include "operators/traditional.h"
+#include "testing/chaos_result_object.h"
+#include "vao/synthetic_result_object.h"
 #include "fake_result_object.h"
 
 namespace vaolib::operators {
@@ -475,6 +479,70 @@ TEST(SumAveVaoTest, InputValidation) {
   SumAveOptions bad;
   bad.epsilon = 0.0;
   EXPECT_FALSE(SumAveVao(bad).Evaluate(ptrs, {1.0}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Bounds faults during the parallel coarse pre-phase
+
+TEST(AggregateCoarsePhaseTest, BoundsFaultsFailAtEveryThreadCount) {
+  // Eight objects with true values 0..70; object 7 (the maximum) turns bad
+  // after two iterates, which the coarse pre-phase reaches at threads > 1.
+  // Whichever path iterates it -- the serial loop or the coarse phase --
+  // the malformed bounds must surface as the same NumericError instead of
+  // flowing into the answer.
+  for (const testing::FaultKind fault :
+       {testing::FaultKind::kNanBounds, testing::FaultKind::kInvertedBounds}) {
+    for (const char* task : {"SUM/AVE", "MIN/MAX", "TOP-K"}) {
+      for (const int threads : {1, 2}) {
+        std::vector<vao::ResultObjectPtr> owned;
+        for (int i = 0; i < 8; ++i) {
+          vao::SyntheticResultObject::Config config;
+          config.true_value = 10.0 * i;
+          config.initial_half_width = 16.0;
+          auto object = std::make_unique<vao::SyntheticResultObject>(config);
+          if (i < 7) {
+            owned.push_back(std::move(object));
+            continue;
+          }
+          testing::FaultPlan plan;
+          plan.kind = fault;
+          plan.trigger_iteration = 2;
+          owned.push_back(std::make_unique<testing::ChaosResultObject>(
+              std::move(object), plan));
+        }
+        std::vector<vao::ResultObject*> ptrs;
+        for (auto& object : owned) ptrs.push_back(object.get());
+
+        OperatorOptions shared;
+        shared.epsilon = 0.05;
+        shared.threads = threads;
+        shared.coarse_width = 1.0;
+        shared.coarse_max_steps = 4;
+        Status status;
+        if (std::string(task) == "SUM/AVE") {
+          SumAveOptions options;
+          static_cast<OperatorOptions&>(options) = shared;
+          status = SumAveVao(options).Evaluate(ptrs, SumWeights(8)).status();
+        } else if (std::string(task) == "MIN/MAX") {
+          MinMaxOptions options;
+          static_cast<OperatorOptions&>(options) = shared;
+          status = MinMaxVao(options).Evaluate(ptrs).status();
+        } else {
+          TopKOptions options;
+          static_cast<OperatorOptions&>(options) = shared;
+          options.k = 3;
+          status = TopKVao(options).Evaluate(ptrs).status();
+        }
+        const std::string where = std::string(task) + " " +
+                                  testing::FaultKindName(fault) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_TRUE(status.Is(StatusCode::kNumericError))
+            << where << ": " << status;
+        EXPECT_EQ(status.message().rfind(task, 0), 0u)
+            << where << ": " << status;
+      }
+    }
+  }
 }
 
 TEST(SumWeightsTest, Helpers) {

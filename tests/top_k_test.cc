@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -196,7 +197,15 @@ TEST(TopKVaoTest, InputValidation) {
   EXPECT_FALSE(TopKVao(options).Evaluate(ptrs).ok());
   options.k = 1;
   options.epsilon = 1e-6;  // below minWidth
-  EXPECT_FALSE(TopKVao(options).Evaluate(ptrs).ok());
+  const auto tight = TopKVao(options).Evaluate(ptrs);
+  ASSERT_FALSE(tight.ok());
+  // The message names both numbers, like MIN/MAX's.
+  EXPECT_NE(tight.status().message().find(std::to_string(1e-6)),
+            std::string::npos)
+      << tight.status();
+  EXPECT_NE(tight.status().message().find(std::to_string(0.01)),
+            std::string::npos)
+      << tight.status();
   std::vector<vao::ResultObject*> with_null{nullptr};
   options.epsilon = 0.05;
   EXPECT_FALSE(TopKVao(options).Evaluate(with_null).ok());
