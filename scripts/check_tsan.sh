@@ -2,8 +2,10 @@
 # Builds the concurrency-sensitive targets with ThreadSanitizer (the
 # VAOLIB_SANITIZE=thread CMake option) in a separate build tree and runs the
 # tests that exercise the thread pool, the parallel helpers, the sharded
-# bounds cache, and the executors' parallel coarse phase (engine_test checks
-# that its calibration account is thread-count invariant).
+# bounds cache, the executors' parallel coarse phase (engine_test checks
+# that its calibration account is thread-count invariant), and selection
+# row quarantine on the pooled StepAll notch at threads > 1 (chaos_test,
+# selection_pin_test).
 #
 # Usage:
 #   scripts/check_tsan.sh [build_dir]          # default build-tsan/
@@ -18,7 +20,7 @@ sanitizer="${VAOLIB_SANITIZE:-thread}"
 build_dir="${1:-${repo_root}/build-tsan}"
 
 targets=(thread_pool_test parallel_test vao_test extensions_test obs_test
-         engine_test)
+         engine_test chaos_test selection_pin_test)
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

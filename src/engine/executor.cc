@@ -64,69 +64,10 @@ Result<TickResult> CqExecutor::ProcessTick(const Tuple& stream_tuple) {
     return Status::FailedPrecondition("relation is empty");
   }
   if (mode_ != ExecutionMode::kVao) return RunTraditional(stream_tuple);
-  const QueryKind kind = query().kind;
-  if (kind == QueryKind::kSelect || kind == QueryKind::kSelectRange) {
-    return RunSelection(stream_tuple);
-  }
-  return RunAggregate(stream_tuple);
+  return RunVao(stream_tuple);
 }
 
-Result<TickResult> CqExecutor::RunSelection(const Tuple& stream_tuple) {
-  const Query& query = plan_.query();
-  const obs::ScopedSpan tick_span("tick", QueryKindName(query.kind));
-  TickResult result;
-  result.kind = query.kind;
-  const std::uint64_t work_before = meter_.Total();
-  const ReportCapture capture(meter_, ReportCapture::CacheOf(query.function));
-  const std::size_t n = relation_->size();
-  VAOLIB_ASSIGN_OR_RETURN(const std::vector<std::vector<double>> rows,
-                          plan_.BuildRows(stream_tuple));
-
-  // Under kDegrade, failing rows are quarantined by the batch operator
-  // instead of failing the tick.
-  std::vector<Status> row_status;
-  std::vector<Status>* row_status_ptr =
-      resilience_ == ResiliencePolicy::kDegrade ? &row_status : nullptr;
-  std::vector<operators::SelectionOutcome> outcomes;
-  if (query.kind == QueryKind::kSelect) {
-    const operators::SelectionVao vao(query.cmp, query.constant);
-    VAOLIB_ASSIGN_OR_RETURN(
-        outcomes, vao.EvaluateBatch(*query.function, rows, threads_, &meter_,
-                                    row_status_ptr));
-  } else {
-    const operators::RangeSelectionVao vao(query.range_lo, query.range_hi,
-                                           query.range_inclusive);
-    VAOLIB_ASSIGN_OR_RETURN(
-        outcomes, vao.EvaluateBatch(*query.function, rows, threads_, &meter_,
-                                    row_status_ptr));
-  }
-  std::uint64_t short_circuited = 0;
-  for (std::size_t row = 0; row < n; ++row) {
-    if (row_status_ptr != nullptr && !row_status[row].ok()) {
-      result.quarantined_rows.push_back(row);
-      result.degraded = true;
-      if (result.degradation_cause.ok()) {
-        result.degradation_cause = row_status[row];
-      }
-      continue;  // a quarantined row never enters passing_rows
-    }
-    if (outcomes[row].passes) result.passing_rows.push_back(row);
-    if (outcomes[row].short_circuited) ++short_circuited;
-    result.stats.Merge(outcomes[row].stats);
-  }
-  result.work_units = meter_.Total() - work_before;
-  result.report.query_kind = QueryKindName(query.kind);
-  result.report.rows_scanned = n;
-  result.report.rows_short_circuited = short_circuited;
-  result.report.rows_quarantined = result.quarantined_rows.size();
-  FillOperatorSection(result.stats, &result.report);
-  FillProgressSection(result, query.epsilon, &result.report);
-  capture.Finish(meter_, &result.report);
-  obs::RecordTickMetrics(result.report);
-  return result;
-}
-
-Result<TickResult> CqExecutor::RunAggregate(const Tuple& stream_tuple) {
+Result<TickResult> CqExecutor::RunVao(const Tuple& stream_tuple) {
   const Query& query = plan_.query();
   const obs::ScopedSpan tick_span(
       "tick", query.approx.has_value() ? "approx" : QueryKindName(query.kind));
@@ -134,13 +75,19 @@ Result<TickResult> CqExecutor::RunAggregate(const Tuple& stream_tuple) {
   const std::uint64_t work_before = meter_.Total();
   const ReportCapture capture(meter_, ReportCapture::CacheOf(query.function));
 
-  // Exact aggregates read one result object per relation row (bulk invoke
-  // runs row-parallel when threads_ > 1); sampled ones create their own.
+  // Exact queries read one result object per relation row (bulk invoke
+  // runs row-parallel when threads_ > 1); sampled ones create their own. A
+  // selection row whose Invoke() fails is the task's to settle, like any
+  // other row failure; an aggregate needs every object.
   std::vector<vao::ResultObjectPtr> owned;
+  std::vector<Status> invoke_status;
   if (!query.approx.has_value()) {
     VAOLIB_ASSIGN_OR_RETURN(const std::vector<std::vector<double>> rows,
                             plan_.BuildRows(stream_tuple));
-    auto invoked = vao::InvokeAll(*query.function, rows, threads_, &meter_);
+    const bool selection = query.kind == QueryKind::kSelect ||
+                           query.kind == QueryKind::kSelectRange;
+    auto invoked = vao::InvokeAll(*query.function, rows, threads_, &meter_,
+                                  selection ? &invoke_status : nullptr);
     if (!invoked.ok()) return FallbackOrError(stream_tuple, invoked.status());
     owned = std::move(invoked).value();
   }
@@ -153,13 +100,14 @@ Result<TickResult> CqExecutor::RunAggregate(const Tuple& stream_tuple) {
   inputs.objects = &objects;
   inputs.meter = &meter_;
   inputs.threads = threads_;
+  inputs.invoke_status = std::move(invoke_status);
   auto compiled = plan_.Compile(inputs);
   if (!compiled.ok()) return FallbackOrError(stream_tuple, compiled.status());
   operators::OperatorOptions drive;
   drive.meter = &meter_;
   const auto driven = operators::DriveTask(compiled->task(), drive);
   if (!driven.ok()) return FallbackOrError(stream_tuple, driven.status());
-  compiled->Decode(&result);
+  VAOLIB_RETURN_IF_ERROR(compiled->Decode(resilience_, &result));
 
   result.work_units = meter_.Total() - work_before;
   capture.Finish(meter_, &result.report);

@@ -21,21 +21,6 @@ namespace vaolib::engine {
 /// operators (the Section 6 baseline).
 enum class ExecutionMode { kVao, kTraditional };
 
-/// \brief How a VAO-mode tick reacts to result-object failures (NaN/Inf or
-/// inverted bounds, Iterate() errors, refinement stalls, iteration budgets).
-enum class ResiliencePolicy {
-  /// Any failing row/object fails the whole tick with its Status (default;
-  /// matches the pre-resilience behaviour exactly).
-  kStrict,
-  /// Selections quarantine failing rows (excluded from passing_rows,
-  /// reported in TickResult::quarantined_rows) and still answer; aggregates
-  /// whose VAO evaluation fails with a degradable code (NumericError,
-  /// ResourceExhausted, NotConverged) fall back to the calibrated black-box
-  /// path and mark the result degraded. Crashes and hangs become answers
-  /// with an attached cause, never silent wrong results.
-  kDegrade,
-};
-
 /// \brief Single-query continuous executor.
 ///
 /// The relation and the query's function are borrowed and must outlive the
@@ -44,14 +29,14 @@ enum class ResiliencePolicy {
 class CqExecutor {
  public:
   /// Builds an executor and resolves all column references. \p threads > 1
-  /// runs VAO-mode ticks on the shared thread pool: selection predicates
-  /// resolve row-parallel through the batch operator paths, aggregate
-  /// object creation goes through InvokeAll, and MIN/MAX/SUM/AVE run a
-  /// parallel coarse-convergence phase (to the query epsilon) before their
-  /// serial greedy refinement. Traditional mode ignores \p threads (its
-  /// baseline costs are charged, not solved). Requires the query's function
-  /// to support concurrent Invoke() -- true for every function in this
-  /// library, including CachingFunction.
+  /// runs VAO-mode ticks on the shared thread pool: object creation goes
+  /// through InvokeAll, each selection refinement notch fans out over the
+  /// undecided rows, and MIN/MAX/SUM/AVE run a parallel coarse-convergence
+  /// phase (to the query epsilon) before their serial greedy refinement.
+  /// Traditional mode ignores \p threads (its baseline costs are charged,
+  /// not solved). Requires the query's function to support concurrent
+  /// Invoke() -- true for every function in this library, including
+  /// CachingFunction.
   ///
   /// \p resilience selects the VAO-mode failure policy (see
   /// ResiliencePolicy); traditional mode ignores it.
@@ -76,12 +61,10 @@ class CqExecutor {
   CqExecutor(const Relation* relation, Schema stream_schema, QueryPlan plan,
              ExecutionMode mode, int threads, ResiliencePolicy resilience);
 
-  /// Selections stream the relation row by row (one live result object
-  /// per row), quarantining failing rows under kDegrade.
-  Result<TickResult> RunSelection(const Tuple& stream_tuple);
-  /// Aggregates, exact and approximate: compile the plan over this tick's
-  /// objects, drive its task to completion, decode.
-  Result<TickResult> RunAggregate(const Tuple& stream_tuple);
+  /// Every VAO-mode query, selection or aggregate, exact or approximate:
+  /// compile the plan over this tick's objects, drive its task to
+  /// completion, decode under the resilience policy.
+  Result<TickResult> RunVao(const Tuple& stream_tuple);
   Result<TickResult> RunTraditional(const Tuple& stream_tuple);
 
   /// kDegrade handling of a failed VAO aggregate: when \p cause is a

@@ -164,7 +164,10 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   std::vector<TickResult> results(plans_.size());
   for (std::size_t q = 0; q < plans_.size(); ++q) {
     TickResult& result = results[q];
-    compiled[q].Decode(&result);
+    // Row failures fail the tick, as they always have here; stalled rows
+    // are quarantined like in CqExecutor.
+    VAOLIB_RETURN_IF_ERROR(
+        compiled[q].Decode(ResiliencePolicy::kStrict, &result));
     const TaskScheduleStats& stats = sched_stats[q];
 
     // Exact attribution: the work units the scheduler granted this query.

@@ -42,13 +42,27 @@ void Degrade(const char* cause, TickResult* result) {
 // RangeSelectionVao. Bounds that cleared the predicate decide exactly;
 // bounds still straddling it resolve by the minWidth equality rule, which
 // is also the sound default for rows a budget left undecided (flagged by
-// converged = false).
-void DecodeSelection(const Query& query,
-                     const operators::MultiRowDecisionTask& task,
-                     const std::vector<vao::ResultObject*>& objects,
-                     TickResult* result) {
+// converged = false). A row the task could not decide is quarantined: a
+// stalled row under any policy, a failed one under kDegrade; under kStrict
+// the lowest failed row's error fails the tick.
+Status DecodeSelection(const Query& query,
+                       const operators::MultiRowDecisionTask& task,
+                       const std::vector<vao::ResultObject*>& objects,
+                       ResiliencePolicy policy, TickResult* result) {
   const Bounds range(query.range_lo, query.range_hi);
   for (std::size_t row = 0; row < objects.size(); ++row) {
+    const Status& status = task.RowStatus(row);
+    if (!status.ok()) {
+      if (policy == ResiliencePolicy::kStrict && !task.RowStalled(row)) {
+        return status;
+      }
+      result->quarantined_rows.push_back(row);
+      if (!result->degraded) {
+        result->degraded = true;
+        result->degradation_cause = status;
+      }
+      continue;
+    }
     const Bounds b = objects[row]->bounds();
     bool passes = false;
     if (query.kind == QueryKind::kSelect) {
@@ -67,8 +81,10 @@ void DecodeSelection(const Query& query,
       ++result->report.rows_short_circuited;
     }
   }
+  result->report.rows_quarantined = result->quarantined_rows.size();
   result->stats = task.stats();
   result->converged = task.Converged();
+  return Status::OK();
 }
 
 }  // namespace
@@ -248,7 +264,7 @@ Result<CompiledQuery> QueryPlan::Compile(const TickInputs& inputs) const {
               *inputs.objects,
               query.kind == QueryKind::kSelect ? "selection"
                                                : "range selection",
-              std::move(undecided), options));
+              std::move(undecided), options, inputs.invoke_status));
       compiled.objects_ = *inputs.objects;
       break;
     }
@@ -345,7 +361,8 @@ Result<CompiledQuery> QueryPlan::Compile(const TickInputs& inputs) const {
   return compiled;
 }
 
-void CompiledQuery::Decode(TickResult* result) const {
+Status CompiledQuery::Decode(ResiliencePolicy policy,
+                             TickResult* result) const {
   const Query& query = *query_;
   result->kind = query.kind;
   obs::ExecutionReport& report = result->report;
@@ -354,12 +371,13 @@ void CompiledQuery::Decode(TickResult* result) const {
 
   switch (query.kind) {
     case QueryKind::kSelect:
-    case QueryKind::kSelectRange:
-      DecodeSelection(
-          query,
-          static_cast<const operators::MultiRowDecisionTask&>(*task_),
-          objects_, result);
+    case QueryKind::kSelectRange: {
+      const auto& task =
+          static_cast<const operators::MultiRowDecisionTask&>(*task_);
+      VAOLIB_RETURN_IF_ERROR(
+          DecodeSelection(query, task, objects_, policy, result));
       break;
+    }
     case QueryKind::kMax:
     case QueryKind::kMin: {
       const operators::MinMaxOutcome outcome =
@@ -460,6 +478,7 @@ void CompiledQuery::Decode(TickResult* result) const {
   }
   FillOperatorSection(result->stats, &report);
   FillProgressSection(*result, query.epsilon, &report);
+  return Status::OK();
 }
 
 }  // namespace vaolib::engine

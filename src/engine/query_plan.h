@@ -33,6 +33,23 @@
 
 namespace vaolib::engine {
 
+/// \brief How a VAO-mode tick reacts to result-object failures (NaN/Inf or
+/// inverted bounds, Invoke() and Iterate() errors, iteration budgets).
+/// Refinement stalls are not failures: under either policy a stalled
+/// selection row is quarantined and a stalled aggregate object keeps its
+/// frozen sound bounds, and the tick is marked degraded.
+enum class ResiliencePolicy {
+  /// Any failing row/object fails the whole tick with its Status (default).
+  kStrict,
+  /// Selections quarantine failing rows (excluded from passing_rows,
+  /// reported in TickResult::quarantined_rows) and still answer; aggregates
+  /// whose VAO evaluation fails with a degradable code (NumericError,
+  /// ResourceExhausted, NotConverged) fall back to the calibrated black-box
+  /// path and mark the result degraded. Crashes and hangs become answers
+  /// with an attached cause, never silent wrong results.
+  kDegrade,
+};
+
 /// \brief Output of one stream tick.
 struct TickResult {
   QueryKind kind = QueryKind::kSelect;
@@ -66,17 +83,19 @@ struct TickResult {
   /// which drives every query to convergence.
   bool converged = true;
 
-  /// \name Resilience accounting. Row quarantine and black-box fallback
-  /// happen only under ResiliencePolicy::kDegrade; the degraded flag is
-  /// also set (in any policy and by both executors) when an aggregate
-  /// quarantined stalled objects or a sampled aggregate ran out of rows,
-  /// since the answer is then sound but coarser than requested.
+  /// \name Resilience accounting. Failing rows are quarantined and failed
+  /// aggregates fall back to the black box only under
+  /// ResiliencePolicy::kDegrade. Stalls degrade the tick in any policy and
+  /// in both executors: a stalled selection row is quarantined, and an
+  /// aggregate that quarantined stalled objects (or a sampled aggregate
+  /// that ran out of rows) answers soundly but coarser than requested.
   /// @{
   /// True when any quarantine or black-box fallback happened this tick.
   bool degraded = false;
-  /// The first failure that triggered degradation (OK when !degraded).
+  /// The first failure that triggered degradation (OK when !degraded); for
+  /// selections, the lowest quarantined row's status.
   Status degradation_cause;
-  /// kSelect/kSelectRange: rows whose evaluation failed; they are excluded
+  /// kSelect/kSelectRange: rows that failed or stalled; they are excluded
   /// from passing_rows (ascending order).
   std::vector<std::size_t> quarantined_rows;
   /// @}
@@ -133,6 +152,10 @@ struct TickInputs {
   /// > 1 runs MIN/MAX/SUM/AVE's parallel coarse phase, selection rows and
   /// sampled TOP-K object creation on the shared pool.
   int threads = 1;
+  /// Per-row Invoke() statuses, parallel to `objects`, when some rows
+  /// failed to materialize (their objects are null); selections settle
+  /// those rows as failed. Empty: every object is live.
+  std::vector<Status> invoke_status;
   /// \name Predictive planning (operators/cost_feedback.h), stamped onto
   /// every exact aggregate; the defaults reproduce plain greedy exactly.
   /// The feedback store also records selection-row shrink.
@@ -153,11 +176,14 @@ class CompiledQuery {
 
   /// Fills \p result from the task's current state -- sound at any point,
   /// converged or cut off by a budget: the answer fields, `converged`,
-  /// `degraded`/`degradation_cause` (stalled objects, exhausted samples),
-  /// `stats`, and the report's query kind, row accounting, operator,
-  /// answer-provenance and progress sections. Work and scheduling sections
-  /// are the caller's.
-  void Decode(TickResult* result) const;
+  /// `degraded`/`degradation_cause` (stalled objects, exhausted samples,
+  /// quarantined rows), `stats`, and the report's query kind, row
+  /// accounting, operator, answer-provenance and progress sections. Work
+  /// and scheduling sections are the caller's. \p policy decides a failed
+  /// selection row: under kStrict the lowest failed row's error is
+  /// returned, under kDegrade the row is quarantined. Stalled rows are
+  /// quarantined under both.
+  Status Decode(ResiliencePolicy policy, TickResult* result) const;
 
  private:
   friend class QueryPlan;

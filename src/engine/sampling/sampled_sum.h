@@ -190,7 +190,6 @@ class SampledSumTask : public operators::IterationTask {
   operators::ScoreHeap heap_;
   std::uint64_t iterations_ = 0;
   bool limited_by_min_width_ = false;
-  operators::OperatorStats stats_;
 };
 
 }  // namespace vaolib::engine::sampling

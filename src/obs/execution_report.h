@@ -119,9 +119,10 @@ struct ExecutionReport {
   /// @{
   std::uint64_t rows_scanned = 0;
   std::uint64_t rows_short_circuited = 0;
-  /// Rows excluded from the answer because their evaluation failed and the
-  /// executor ran with ResiliencePolicy::kDegrade (0 in strict mode, where
-  /// any failing row fails the whole tick).
+  /// Selection rows excluded from the answer: rows whose refinement
+  /// stalled (under any resilience policy) and, under
+  /// ResiliencePolicy::kDegrade, rows whose evaluation failed (in strict
+  /// mode a failing row fails the whole tick).
   std::uint64_t rows_quarantined = 0;
   /// @}
 

@@ -8,8 +8,9 @@
 //
 // Wired triggers:
 //   * InvariantChecker violations (testing/invariant_checker.cc),
-//   * refinement-stall degradations (SingleObjectDecisionTask's stall
-//     error and CqExecutor's stall quarantine path),
+//   * refinement stalls, from the IterationTask settle step: a selection
+//     row's stall dumps as "predicate-stall", an aggregate object's as
+//     "refinement-stall",
 //   * DifferentialRunner failing seeds, which clear the rings and re-run
 //     the failing combo first so the dump contains exactly that combo's
 //     decision sequence (the replayable artifact trace_test asserts on).

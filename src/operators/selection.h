@@ -49,23 +49,6 @@ class SelectionVao {
       const vao::VariableAccuracyFunction& function,
       const std::vector<double>& args, WorkMeter* meter) const;
 
-  /// Batch path: resolves the predicate for every row of \p rows using up
-  /// to \p threads workers of the shared pool (threads < 2 runs serially).
-  /// Each row gets a fresh result object driven by exactly one worker; work
-  /// is charged to per-chunk meters merged into \p meter deterministically,
-  /// so totals are independent of \p threads. All rows are attempted; on
-  /// failure returns the lowest-indexed failing row's error.
-  ///
-  /// When \p row_status is non-null, failing rows are quarantined instead:
-  /// the batch succeeds, (*row_status)[i] carries each row's Status, and a
-  /// quarantined row's outcome is the default (predicate fails). Poisoned
-  /// rows (NaN bounds, stalled refinement) then cost one error entry rather
-  /// than the whole tick.
-  Result<std::vector<SelectionOutcome>> EvaluateBatch(
-      const vao::VariableAccuracyFunction& function,
-      const std::vector<std::vector<double>>& rows, int threads,
-      WorkMeter* meter, std::vector<Status>* row_status = nullptr) const;
-
   Comparator comparator() const { return cmp_; }
   double constant() const { return constant_; }
 
@@ -95,13 +78,6 @@ class RangeSelectionVao {
   Result<SelectionOutcome> Evaluate(
       const vao::VariableAccuracyFunction& function,
       const std::vector<double>& args, WorkMeter* meter) const;
-
-  /// Batch path over \p rows; same contract as SelectionVao::EvaluateBatch
-  /// (including the \p row_status quarantine mode).
-  Result<std::vector<SelectionOutcome>> EvaluateBatch(
-      const vao::VariableAccuracyFunction& function,
-      const std::vector<std::vector<double>>& rows, int threads,
-      WorkMeter* meter, std::vector<Status>* row_status = nullptr) const;
 
   const Bounds& range() const { return range_; }
   bool inclusive() const { return inclusive_; }
@@ -155,20 +131,6 @@ class MultiSelectionVao {
   Result<MultiOutcome> Evaluate(const vao::VariableAccuracyFunction& function,
                                 const std::vector<double>& args,
                                 WorkMeter* meter) const;
-
-  /// Batch path over already-created per-row objects: each object is
-  /// iterated (by exactly one worker) until every predicate is decided.
-  /// Objects charge whatever meters they were created against (WorkMeter
-  /// charging is atomic). All rows attempted; lowest-indexed error wins.
-  Result<std::vector<MultiOutcome>> EvaluateBatch(
-      const std::vector<vao::ResultObject*>& objects, int threads) const;
-
-  /// Batch path over \p rows; same contract as SelectionVao::EvaluateBatch
-  /// (including the \p row_status quarantine mode).
-  Result<std::vector<MultiOutcome>> EvaluateBatch(
-      const vao::VariableAccuracyFunction& function,
-      const std::vector<std::vector<double>>& rows, int threads,
-      WorkMeter* meter, std::vector<Status>* row_status = nullptr) const;
 
   const std::vector<Predicate>& predicates() const { return predicates_; }
 

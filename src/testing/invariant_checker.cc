@@ -1,6 +1,8 @@
 #include "testing/invariant_checker.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "obs/flight_recorder.h"
 
@@ -103,8 +105,29 @@ Status InvariantChecker::CheckTickAccounting(const engine::TickResult& tick) {
       }
       break;
     case engine::QueryKind::kSelect:
-    case engine::QueryKind::kSelectRange:
+    case engine::QueryKind::kSelectRange: {
+      const std::vector<std::size_t>& quarantined = tick.quarantined_rows;
+      if (!std::is_sorted(quarantined.begin(), quarantined.end())) {
+        return Violation("quarantined rows not ascending");
+      }
+      for (const std::size_t row : tick.passing_rows) {
+        if (std::binary_search(quarantined.begin(), quarantined.end(), row)) {
+          return Violation("row " + std::to_string(row) +
+                           " both passing and quarantined");
+        }
+      }
+      // A stalled row cannot be decided, so it must be quarantined.
+      if (tick.stats.stalled_objects > quarantined.size()) {
+        return Violation(std::to_string(tick.stats.stalled_objects) +
+                         " stalled rows but only " +
+                         std::to_string(quarantined.size()) +
+                         " quarantined");
+      }
+      if (!quarantined.empty() && !tick.degraded) {
+        return Violation("quarantined rows on an undegraded tick");
+      }
       break;
+    }
   }
   return Status::OK();
 }

@@ -31,7 +31,9 @@ class InvariantChecker {
   /// Checks a tick's internal accounting: report.work.Total() equals
   /// work_units, the report's operator section matches the tick stats, the
   /// phase split sums to the iteration total, quarantine counts agree, and
-  /// any reported bounds are well-formed.
+  /// any reported bounds are well-formed. Selections also need ascending
+  /// quarantined rows disjoint from the passing rows, every stalled row
+  /// quarantined, and a degraded tick whenever a row was quarantined.
   static Status CheckTickAccounting(const engine::TickResult& tick);
 
   /// Checks two ticks of the SAME query are identical: answers, tie flags,

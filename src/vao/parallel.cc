@@ -8,21 +8,27 @@ namespace vaolib::vao {
 Result<std::vector<ResultObjectPtr>> InvokeAll(
     const VariableAccuracyFunction& function,
     const std::vector<std::vector<double>>& rows, int threads,
-    WorkMeter* meter) {
+    WorkMeter* meter, std::vector<Status>* row_status) {
   const std::size_t n = rows.size();
   std::vector<ResultObjectPtr> objects(n);
+  if (row_status != nullptr) row_status->assign(n, Status::OK());
   if (n == 0) return objects;
 
   // Every row is attempted; the body reports the first (lowest-indexed)
   // error in its contiguous chunk, and the pool returns the lowest-indexed
   // failing chunk's error -- together: the lowest-indexed failing row.
+  // Rows are distinct per worker, so row_status needs no synchronization.
   auto invoke_range = [&](std::size_t begin, std::size_t end,
                           WorkMeter* /*chunk_meter*/) {
     Status first_error;
     for (std::size_t i = begin; i < end; ++i) {
       auto object = function.Invoke(rows[i], meter);
       if (!object.ok()) {
-        if (first_error.ok()) first_error = object.status();
+        if (row_status != nullptr) {
+          (*row_status)[i] = object.status();
+        } else if (first_error.ok()) {
+          first_error = object.status();
+        }
         continue;
       }
       objects[i] = std::move(object).value();
@@ -100,32 +106,37 @@ Status ConvergeAllToMinWidth(const std::vector<ResultObject*>& objects,
                                           converge_range);
 }
 
-Status StepAll(const std::vector<ResultObject*>& objects, int threads) {
+std::vector<Status> StepAll(const std::vector<ResultObject*>& objects,
+                            int threads) {
   const std::size_t n = objects.size();
-  for (const auto* object : objects) {
-    if (object == nullptr) {
-      return Status::InvalidArgument("null result object");
-    }
-  }
-  if (n == 0) return Status::OK();
-
+  std::vector<Status> statuses(n);
+  // Objects are distinct per worker, so statuses needs no synchronization.
   auto step_range = [&](std::size_t begin, std::size_t end,
                         WorkMeter* /*chunk_meter*/) {
-    Status first_error;
     for (std::size_t i = begin; i < end; ++i) {
-      const Status status = objects[i]->Iterate();
-      if (!status.ok() && first_error.ok()) first_error = status;
+      statuses[i] = objects[i] != nullptr
+                        ? objects[i]->Iterate()
+                        : Status::InvalidArgument("null result object");
     }
-    return first_error;
+    return Status::OK();
   };
 
   if (threads < 2 || n < 2) {
-    return step_range(0, n, nullptr);
+    step_range(0, n, nullptr);
+  } else {
+    ThreadPool::ForOptions options;
+    options.max_parallelism = threads;
+    const Status pool = ThreadPool::Shared().ParallelFor(
+        n, options, /*meter=*/nullptr, step_range);
+    // A pool-level failure (a nested call, an escaped exception) may have
+    // skipped objects: none of the unfailed ones can be vouched for.
+    if (!pool.ok()) {
+      for (Status& status : statuses) {
+        if (status.ok()) status = pool;
+      }
+    }
   }
-  ThreadPool::ForOptions options;
-  options.max_parallelism = threads;
-  return ThreadPool::Shared().ParallelFor(n, options, /*meter=*/nullptr,
-                                          step_range);
+  return statuses;
 }
 
 }  // namespace vaolib::vao

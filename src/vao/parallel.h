@@ -36,11 +36,13 @@ namespace vaolib::vao {
 ///
 /// Error semantics: every row is attempted even after a failure, and the
 /// returned error is deterministically that of the lowest-indexed failing
-/// row regardless of thread count.
+/// row regardless of thread count. With a non-null \p row_status the call
+/// succeeds instead: (*row_status)[i] carries row i's Invoke() status, and
+/// a failed row's object is null.
 Result<std::vector<ResultObjectPtr>> InvokeAll(
     const VariableAccuracyFunction& function,
     const std::vector<std::vector<double>>& rows, int threads,
-    WorkMeter* meter);
+    WorkMeter* meter, std::vector<Status>* row_status = nullptr);
 
 /// \brief Converges every object to its minWidth using up to \p threads
 /// workers (each object is driven by exactly one worker, so per-object
@@ -69,9 +71,10 @@ Status ConvergeAllToMinWidth(const std::vector<ResultObject*>& objects,
 /// the thread count, and each object receives exactly one call regardless
 /// of errors elsewhere.
 ///
-/// Error semantics: every object is attempted even after a failure; returns
-/// the error of the lowest-indexed failing object, deterministically.
-Status StepAll(const std::vector<ResultObject*>& objects, int threads);
+/// Returns each object's Iterate() status, in input order (a null object
+/// reads InvalidArgument and is skipped).
+std::vector<Status> StepAll(const std::vector<ResultObject*>& objects,
+                            int threads);
 
 }  // namespace vaolib::vao
 

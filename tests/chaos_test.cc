@@ -462,10 +462,87 @@ TEST_F(ChaosExecutorTest, StalledMaxIsDegradedInBothExecutors) {
   EXPECT_EQ(multi_tick.winner_row, solo_tick->winner_row);
 }
 
+TEST_F(ChaosExecutorTest, StalledSelectionIsDegradedInBothExecutors) {
+  // Every row's refinement freezes after a few iterates. Rows whose frozen
+  // bounds still straddle the constant cannot be decided; under any policy
+  // both executors must quarantine them (never decide them by the minWidth
+  // equality rule) and flag the tick degraded.
+  ChaosOptions options;
+  options.fault_probability = 1.0;
+  options.kinds = {FaultKind::kStalledConvergence};
+  const ChaosFunction chaos(workload_.function.get(), options);
+  engine::Query select = SelectQuery(&chaos, workload_.true_values[3] - 0.5);
+  select.cmp = operators::Comparator::kGreaterEqual;
+
+  auto solo = engine::CqExecutor::Create(&workload_.relation,
+                                         engine::Schema{}, select,
+                                         engine::ExecutionMode::kVao);
+  ASSERT_TRUE(solo.ok()) << solo.status();
+  const auto solo_tick = solo.value()->ProcessTick({});
+  ASSERT_TRUE(solo_tick.ok()) << solo_tick.status();
+
+  auto multi = engine::MultiQueryExecutor::Create(&workload_.relation,
+                                                  engine::Schema{}, {select});
+  ASSERT_TRUE(multi.ok()) << multi.status();
+  const auto multi_ticks = multi.value()->ProcessTick({});
+  ASSERT_TRUE(multi_ticks.ok()) << multi_ticks.status();
+  const engine::TickResult& multi_tick = (*multi_ticks)[0];
+
+  for (const engine::TickResult* tick : {&*solo_tick, &multi_tick}) {
+    EXPECT_FALSE(tick->quarantined_rows.empty());
+    EXPECT_EQ(tick->stats.stalled_objects, tick->quarantined_rows.size());
+    EXPECT_TRUE(tick->degraded);
+    EXPECT_EQ(tick->degradation_cause.code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_TRUE(InvariantChecker::CheckTickAccounting(*tick).ok())
+        << InvariantChecker::CheckTickAccounting(*tick);
+    // Every row that did answer answers correctly.
+    for (const std::size_t row : tick->passing_rows) {
+      EXPECT_GE(workload_.true_values[row],
+                select.constant - workload_.min_width)
+          << "row " << row;
+    }
+  }
+  EXPECT_EQ(multi_tick.quarantined_rows, solo_tick->quarantined_rows);
+  EXPECT_EQ(multi_tick.passing_rows, solo_tick->passing_rows);
+  EXPECT_EQ(multi_tick.degradation_cause.message(),
+            solo_tick->degradation_cause.message());
+}
+
 TEST(InvariantCheckerTest, CheckRefinementAcceptsHonestObject) {
   WorkMeter meter;
   vao::SyntheticResultObject object(HonestConfig(5.0, &meter));
   EXPECT_TRUE(InvariantChecker::CheckRefinement(&object, 256, &meter).ok());
+}
+
+TEST(InvariantCheckerTest, CheckTickAccountingChecksSelectionQuarantine) {
+  engine::TickResult healthy;
+  healthy.kind = engine::QueryKind::kSelect;
+  healthy.passing_rows = {0, 4};
+  healthy.quarantined_rows = {1, 3};
+  healthy.report.rows_quarantined = 2;
+  healthy.stats.stalled_objects = 1;
+  healthy.report.stalled_objects = 1;
+  healthy.degraded = true;
+  healthy.degradation_cause = Status::ResourceExhausted("stalled");
+  EXPECT_TRUE(InvariantChecker::CheckTickAccounting(healthy).ok())
+      << InvariantChecker::CheckTickAccounting(healthy);
+
+  engine::TickResult unsorted = healthy;
+  unsorted.quarantined_rows = {3, 1};
+  engine::TickResult overlapping = healthy;
+  overlapping.passing_rows = {0, 3};
+  engine::TickResult uncounted_stall = healthy;
+  uncounted_stall.stats.stalled_objects = 3;
+  uncounted_stall.report.stalled_objects = 3;
+  engine::TickResult undegraded = healthy;
+  undegraded.degraded = false;
+  undegraded.degradation_cause = Status::OK();
+  for (const engine::TickResult* tick :
+       {&unsorted, &overlapping, &uncounted_stall, &undegraded}) {
+    EXPECT_EQ(InvariantChecker::CheckTickAccounting(*tick).code(),
+              StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST(InvariantCheckerTest, CheckRefinementFlagsEscapingBounds) {

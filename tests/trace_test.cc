@@ -23,7 +23,7 @@
 #include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "operators/iteration_task.h"
+#include "operators/selection.h"
 #include "testing/differential_runner.h"
 #include "vao/synthetic_result_object.h"
 
@@ -372,23 +372,21 @@ TEST(FlightRecorderTest, PredicateStallTriggersDump) {
   FlightRecorder::Global().SetDumpDir(dir);
   const std::uint64_t dumps_before = FlightRecorder::Global().dump_count();
 
-  // A synthetic object that never shrinks: the stall guard must trip and
-  // the failure path must leave a flight dump behind.
+  // A synthetic object that never shrinks, straddling the constant: the
+  // stall guard must trip and the failure path must leave a flight dump
+  // behind.
   WorkMeter meter;
   vao::SyntheticResultObject::Config config;
   config.shrink = 1.0;
   config.min_width = 0.01;
   config.meter = &meter;
   vao::SyntheticResultObject object(config);
-  auto task = operators::SingleObjectDecisionTask::Create(
-      &object, "trace_test", [](const Bounds&) { return true; });
-  ASSERT_TRUE(task.ok()) << task.status();
-
-  Status status = Status::OK();
-  for (int i = 0; i < 64 && status.ok(); ++i) {
-    status = task.value()->Step(&meter);
-  }
-  EXPECT_TRUE(status.Is(StatusCode::kResourceExhausted)) << status;
+  const operators::SelectionVao selection(operators::Comparator::kGreaterThan,
+                                          config.true_value);
+  const auto outcome = selection.Evaluate(&object, &meter);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_TRUE(outcome.status().Is(StatusCode::kResourceExhausted))
+      << outcome.status();
   EXPECT_GT(FlightRecorder::Global().dump_count(), dumps_before);
   bool found = false;
   for (const auto& entry : fs::directory_iterator(dir)) {
