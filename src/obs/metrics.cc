@@ -175,17 +175,18 @@ Histogram::Histogram(std::vector<double> upper_bounds)
   }
 }
 
-void Histogram::Observe(double value) {
+void Histogram::Observe(double value, std::uint64_t count) {
 #ifndef VAOLIB_OBS_DISABLED
-  if (!Enabled()) return;
+  if (!Enabled() || count == 0) return;
   const auto it =
       std::lower_bound(upper_bounds_.begin(), upper_bounds_.end(), value);
   const std::size_t bucket =
       static_cast<std::size_t>(it - upper_bounds_.begin());
-  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(sum_, value);
+  counts_[bucket].fetch_add(count, std::memory_order_relaxed);
+  AtomicAddDouble(sum_, value * static_cast<double>(count));
 #else
   (void)value;
+  (void)count;
 #endif
 }
 

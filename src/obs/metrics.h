@@ -138,8 +138,8 @@ class Histogram {
   /// bound land in the +Inf bucket.
   explicit Histogram(std::vector<double> upper_bounds);
 
-  /// Records one observation. Safe from any thread.
-  void Observe(double value);
+  /// Records \p count observations of \p value. Safe from any thread.
+  void Observe(double value, std::uint64_t count = 1);
 
   const std::vector<double>& upper_bounds() const { return upper_bounds_; }
   /// Non-cumulative count of observations in bucket \p i (the +Inf bucket

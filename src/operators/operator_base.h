@@ -168,7 +168,7 @@ struct OperatorStats {
   double corrected_cost_abs_err = 0.0;    ///< sum |actual - corrected est|
   /// @}
 
-  /// Accumulates \p other into this (used by batch/multi-query paths).
+  /// Accumulates \p other into this (e.g. per-row selection outcomes).
   void Merge(const OperatorStats& other) {
     iterations += other.iterations;
     choose_steps += other.choose_steps;

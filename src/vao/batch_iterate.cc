@@ -15,11 +15,12 @@ namespace vaolib::vao {
 
 namespace {
 
-void ObserveBatchSize(std::size_t size) {
+// Records \p count batches of \p size objects.
+void ObserveBatchSize(std::size_t size, std::size_t count = 1) {
   if (!obs::Enabled()) return;
   static obs::Histogram* histogram = obs::MetricsRegistry::Global().GetHistogram(
       "vaolib_batch_size", {}, {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
-  histogram->Observe(static_cast<double>(size));
+  histogram->Observe(static_cast<double>(size), count);
 }
 
 // A shifted wrapper refines through its inner object; kernels dispatch on
@@ -116,8 +117,10 @@ BatchIterateOutcome IterateBatch(const std::vector<ResultObject*>& objects,
     }
   }
 
+  // Every single is a batch of one, recorded at once: multi-row selection
+  // notches pass hundreds of singles per call.
+  ObserveBatchSize(1, singles.size());
   for (const std::size_t i : singles) {
-    ObserveBatchSize(1);
     IterateScalar(objects[i], meter, i, &outcome);
   }
   return outcome;

@@ -478,9 +478,9 @@ TEST_F(ExecutorTest, ObservedIterateSinksAgree) {
 }
 
 TEST_F(ExecutorTest, BlockingSelectionSamplesCalibration) {
-  // CqExecutor's SELECT resolves rows through the blocking selection
-  // operator; it steps each row's task with the row's meter, so every
-  // refinement is costed and sampled.
+  // CqExecutor's SELECT steps its compiled selection task with the tick's
+  // meter; at one thread each row's spend in the batch notch is attributed,
+  // so every refinement is costed and sampled.
   obs::SetEnabled(true);
   Query max_query = BaseQuery();
   max_query.kind = QueryKind::kMax;
