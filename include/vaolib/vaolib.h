@@ -43,11 +43,12 @@
 /// implicitly from Bounds, so pre-existing exact-mode code compiles
 /// unchanged.
 
-#include "vao/answer.h"          // IWYU pragma: export
-#include "vao/black_box.h"       // IWYU pragma: export
-#include "vao/function_cache.h"  // IWYU pragma: export
-#include "vao/parallel.h"        // IWYU pragma: export
-#include "vao/result_object.h"   // IWYU pragma: export
+#include "vao/answer.h"             // IWYU pragma: export
+#include "vao/black_box.h"          // IWYU pragma: export
+#include "vao/function_cache.h"     // IWYU pragma: export
+#include "vao/parallel.h"           // IWYU pragma: export
+#include "vao/pde_profile_cache.h"  // IWYU pragma: export
+#include "vao/result_object.h"      // IWYU pragma: export
 
 /// \defgroup vaolib_operators Adaptive operators and iteration strategies
 /// The four VAO operator families (selection, MIN/MAX, SUM/AVE, TOP-K)

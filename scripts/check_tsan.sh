@@ -5,7 +5,9 @@
 # bounds cache, the executors' parallel coarse phase (engine_test checks
 # that its calibration account is thread-count invariant), and selection
 # row quarantine on the pooled StepAll notch at threads > 1 (chaos_test,
-# selection_pin_test).
+# selection_pin_test), and the PDE profile cache's single-flight solves
+# under InvokeAll and StepAll at threads 2 and 3 (parallel_test
+# ProfileCacheWorkIsThreadCountInvariant, vao_test PdeProfileCacheTest).
 #
 # Usage:
 #   scripts/check_tsan.sh [build_dir]          # default build-tsan/

@@ -53,8 +53,13 @@ Result<vao::ResultObjectPtr> BondPricingFunction::Invoke(
     return Status::InvalidArgument("bond index out of range");
   }
   const auto& bond = bonds_[static_cast<std::size_t>(index_arg)];
+  // Everything MakeBondPdeProblem reads, so bonds with equal parameters
+  // share profiles in an active vao::PdeProfileCache.
+  const std::vector<double> problem_key = {
+      bond.annual_cashflow, bond.maturity_years, bond.sigma, bond.kappa,
+      bond.mu, bond.q, bond.spread, config_.x_min, config_.x_max};
   return vao::PdeResultObject::Create(MakeBondPdeProblem(bond, config_), rate,
-                                      config_.pde, meter);
+                                      config_.pde, meter, problem_key);
 }
 
 }  // namespace vaolib::finance

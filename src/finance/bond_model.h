@@ -48,7 +48,9 @@ class BondPricingFunction : public vao::VariableAccuracyFunction {
   int arity() const override { return 2; }
 
   /// args[0] = decimal interest rate in [x_min, x_max]; args[1] = bond index
-  /// (integral value in [0, bonds().size())).
+  /// (integral value in [0, bonds().size())). The object is keyed by the
+  /// bond's parameters and the rate domain, so it reuses profiles through
+  /// an active vao::PdeProfileCache.
   Result<vao::ResultObjectPtr> Invoke(const std::vector<double>& args,
                                       WorkMeter* meter) const override;
 

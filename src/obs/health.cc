@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/flight_recorder.h"
 
@@ -33,14 +34,17 @@ WindowedView::WindowedView(MetricsRegistry* registry)
     : WindowedView(registry, Options()) {}
 
 WindowedView::WindowedView(MetricsRegistry* registry, Options options)
-    : registry_(registry), options_(options) {
+    : registry_(registry),
+      options_(std::move(options)),
+      selection_(options_.series) {
   if (options_.window_count == 0) options_.window_count = 1;
   Push(0.0, /*has_clock=*/false);  // baseline
 }
 
 void WindowedView::Push(double now_seconds, bool has_clock) {
   Epoch epoch;
-  epoch.snapshot = registry_->Snapshot();
+  epoch.snapshot = options_.series.empty() ? registry_->Snapshot()
+                                           : registry_->Snapshot(&selection_);
   epoch.at_seconds = now_seconds;
   epoch.has_clock = has_clock;
   ring_.push_back(std::move(epoch));
@@ -217,13 +221,42 @@ const char* HealthStateName(HealthState state) {
   return "unknown";
 }
 
+std::vector<MetricsRegistry::Selection::Identity> SeriesReadBy(
+    const std::vector<SloSpec>& specs) {
+  std::vector<MetricsRegistry::Selection::Identity> series;
+  const auto add = [&](const std::string& name,
+                       const MetricsRegistry::Labels& labels) {
+    if (name.empty()) return;
+    MetricsRegistry::Selection::Identity identity(name, labels);
+    if (std::find(series.begin(), series.end(), identity) == series.end()) {
+      series.push_back(std::move(identity));
+    }
+  };
+  for (const SloSpec& spec : specs) {
+    add(spec.bad_metric, spec.bad_labels);
+    add(spec.total_metric, spec.total_labels);
+    add(spec.histogram_metric, spec.histogram_labels);
+  }
+  return series;
+}
+
 SloMonitor::SloMonitor(const WindowedView* view, std::vector<SloSpec> specs)
     : view_(view), specs_(std::move(specs)) {
-  statuses_.resize(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    statuses_[i].name = specs_[i].name;
-  }
   MetricsRegistry* registry = view_->registry();
+  statuses_.resize(specs_.size());
+  gauges_.resize(specs_.size());
+  for (std::size_t i = 0; i < specs_.size(); ++i) {
+    const std::string& name = specs_[i].name;
+    statuses_[i].name = name;
+    gauges_[i].state = registry->GetGauge("vaolib_slo_state", {{"slo", name}});
+    gauges_[i].burn_fast = registry->GetGauge(
+        "vaolib_slo_burn_milli", {{"slo", name}, {"window", "fast"}});
+    gauges_[i].burn_slow = registry->GetGauge(
+        "vaolib_slo_burn_milli", {{"slo", name}, {"window", "slow"}});
+  }
+  health_gauge_ = registry->GetGauge("vaolib_health_state");
+  critical_counter_ =
+      registry->GetCounter("vaolib_slo_critical_transitions_total");
   registry->SetHelp("vaolib_health_state",
                     "Worst SLO state: 0 healthy, 1 degraded, 2 critical.");
   registry->SetHelp("vaolib_slo_state",
@@ -235,7 +268,6 @@ SloMonitor::SloMonitor(const WindowedView* view, std::vector<SloSpec> specs)
 }
 
 HealthState SloMonitor::Evaluate() {
-  MetricsRegistry* registry = view_->registry();
   HealthState worst = HealthState::kHealthy;
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     const SloSpec& spec = specs_[i];
@@ -278,29 +310,20 @@ HealthState SloMonitor::Evaluate() {
     if (status.state == HealthState::kCritical &&
         previous != HealthState::kCritical) {
       ++critical_transitions_;
-      registry->GetCounter("vaolib_slo_critical_transitions_total")
-          ->Increment();
+      critical_counter_->Increment();
       FlightRecorder::Global().DumpIfArmed("slo-critical-" + spec.name);
     }
-    registry->GetGauge("vaolib_slo_state", {{"slo", spec.name}})
-        ->Set(static_cast<std::int64_t>(status.state));
+    gauges_[i].state->Set(static_cast<std::int64_t>(status.state));
     const auto milli = [](double burn) {
       // Saturate: gauges are int64 and a cold denominator can burn huge.
       return static_cast<std::int64_t>(
           std::min(burn * 1000.0, 1.0e12));
     };
-    registry
-        ->GetGauge("vaolib_slo_burn_milli",
-                   {{"slo", spec.name}, {"window", "fast"}})
-        ->Set(milli(status.fast_burn));
-    registry
-        ->GetGauge("vaolib_slo_burn_milli",
-                   {{"slo", spec.name}, {"window", "slow"}})
-        ->Set(milli(status.slow_burn));
+    gauges_[i].burn_fast->Set(milli(status.fast_burn));
+    gauges_[i].burn_slow->Set(milli(status.slow_burn));
   }
   state_ = worst;
-  registry->GetGauge("vaolib_health_state")
-      ->Set(static_cast<std::int64_t>(state_));
+  health_gauge_->Set(static_cast<std::int64_t>(state_));
   return state_;
 }
 

@@ -21,10 +21,11 @@
 //     critical arms the flight recorder (obs/flight_recorder.h).
 //
 // Overhead contract: the hot path pays exactly one MetricsRegistry
-// snapshot per epoch advance plus one ProgressRing store per query-tick;
-// all rate/quantile/burn queries run on the introspection (INSPECT/
-// METRICS) path. bench/obs02_health_overhead gates the total at <2% of
-// tick cost.
+// snapshot per epoch advance -- of only the series the SLOs read, when the
+// view is built with SeriesReadBy() -- plus one ProgressRing store per
+// query-tick; all rate/quantile/burn queries run on the introspection
+// (INSPECT/METRICS) path. bench/obs02_health_overhead gates the total at
+// <2% of tick cost.
 
 #ifndef VAOLIB_OBS_HEALTH_H_
 #define VAOLIB_OBS_HEALTH_H_
@@ -50,6 +51,9 @@ class WindowedView {
     /// Closed epochs retained (the ring's depth); K in queries is clamped
     /// to this.
     std::size_t window_count = 64;
+    /// Metrics each epoch snapshots; empty snapshots the whole registry.
+    /// Queries about any other metric read as 0.
+    std::vector<MetricsRegistry::Selection::Identity> series;
   };
 
   /// Captures the baseline snapshot immediately, so the first closed epoch
@@ -113,6 +117,8 @@ class WindowedView {
 
   MetricsRegistry* registry_;
   Options options_;
+  /// options_.series resolved against the registry (unused when empty).
+  MetricsRegistry::Selection selection_;
   std::deque<Epoch> ring_;  // oldest first; size() == epochs() + 1
   std::uint64_t total_advances_ = 0;
 };
@@ -217,6 +223,11 @@ struct SloStatus {
   HealthState state = HealthState::kHealthy;
 };
 
+/// \brief Every metric identity \p specs read (deduplicated, in first-use
+/// order): the WindowedView::Options::series that serves exactly them.
+std::vector<MetricsRegistry::Selection::Identity> SeriesReadBy(
+    const std::vector<SloSpec>& specs);
+
 /// \brief Evaluates a set of SloSpecs against a WindowedView and maintains
 /// the process health gauges:
 ///   vaolib_health_state                 0|1|2 (worst SLO)
@@ -241,9 +252,19 @@ class SloMonitor {
   std::uint64_t critical_transitions() const { return critical_transitions_; }
 
  private:
+  /// One spec's gauges, resolved at construction.
+  struct SpecGauges {
+    Gauge* state = nullptr;
+    Gauge* burn_fast = nullptr;
+    Gauge* burn_slow = nullptr;
+  };
+
   const WindowedView* view_;
   std::vector<SloSpec> specs_;
   std::vector<SloStatus> statuses_;
+  std::vector<SpecGauges> gauges_;
+  Gauge* health_gauge_ = nullptr;
+  Counter* critical_counter_ = nullptr;
   HealthState state_ = HealthState::kHealthy;
   std::uint64_t critical_transitions_ = 0;
 };

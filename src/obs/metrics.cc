@@ -423,39 +423,58 @@ std::size_t MetricsRegistry::metric_count() const {
   return entries_.size();
 }
 
+void MetricsRegistry::AppendSample(const Entry& entry,
+                                   MetricsSnapshot* snapshot) {
+  switch (entry.type) {
+    case Type::kCounter:
+      if (entry.counter) {
+        snapshot->counters.push_back(
+            {entry.name, entry.labels, entry.counter->Value()});
+      }
+      break;
+    case Type::kGauge:
+      if (entry.gauge) {
+        snapshot->gauges.push_back(
+            {entry.name, entry.labels, entry.gauge->Value()});
+      }
+      break;
+    case Type::kHistogram:
+      if (entry.histogram) {
+        const Histogram& h = *entry.histogram;
+        MetricsSnapshot::HistogramSample sample;
+        sample.name = entry.name;
+        sample.labels = entry.labels;
+        sample.upper_bounds = h.upper_bounds();
+        sample.counts.resize(h.upper_bounds().size() + 1);
+        for (std::size_t i = 0; i <= h.upper_bounds().size(); ++i) {
+          sample.counts[i] = h.BucketCount(i);
+        }
+        sample.sum = h.Sum();
+        snapshot->histograms.push_back(std::move(sample));
+      }
+      break;
+  }
+}
+
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snapshot;
-  for (const auto& entry : entries_) {
-    switch (entry->type) {
-      case Type::kCounter:
-        if (entry->counter) {
-          snapshot.counters.push_back(
-              {entry->name, entry->labels, entry->counter->Value()});
-        }
-        break;
-      case Type::kGauge:
-        if (entry->gauge) {
-          snapshot.gauges.push_back(
-              {entry->name, entry->labels, entry->gauge->Value()});
-        }
-        break;
-      case Type::kHistogram:
-        if (entry->histogram) {
-          const Histogram& h = *entry->histogram;
-          MetricsSnapshot::HistogramSample sample;
-          sample.name = entry->name;
-          sample.labels = entry->labels;
-          sample.upper_bounds = h.upper_bounds();
-          sample.counts.resize(h.upper_bounds().size() + 1);
-          for (std::size_t i = 0; i <= h.upper_bounds().size(); ++i) {
-            sample.counts[i] = h.BucketCount(i);
-          }
-          sample.sum = h.Sum();
-          snapshot.histograms.push_back(std::move(sample));
-        }
-        break;
+  for (const auto& entry : entries_) AppendSample(*entry, &snapshot);
+  return snapshot;
+}
+
+MetricsSnapshot MetricsRegistry::Snapshot(Selection* selection) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  MetricsSnapshot snapshot;
+  for (std::size_t i = 0; i < selection->identities_.size(); ++i) {
+    const Entry*& entry = selection->entries_[i];
+    if (entry == nullptr) {
+      const auto& [name, labels] = selection->identities_[i];
+      const auto it = index_.find(IndexKey(name, labels));
+      if (it == index_.end()) continue;
+      entry = it->second;
     }
+    AppendSample(*entry, &snapshot);
   }
   return snapshot;
 }

@@ -29,6 +29,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vaolib::obs {
@@ -239,6 +240,31 @@ class MetricsRegistry {
   /// Value()): exact once concurrent writers have quiesced. O(metrics).
   MetricsSnapshot Snapshot() const;
 
+ private:
+  struct Entry;
+
+ public:
+  /// \brief A fixed set of metric identities (name plus labels) to snapshot
+  /// repeatedly. Each identity is resolved to its registry entry once, on
+  /// the first Snapshot() that finds it registered; one that is not
+  /// registered yet is simply absent from that snapshot.
+  class Selection {
+   public:
+    using Identity = std::pair<std::string, Labels>;
+    explicit Selection(std::vector<Identity> identities)
+        : identities_(std::move(identities)),
+          entries_(identities_.size(), nullptr) {}
+
+   private:
+    friend class MetricsRegistry;
+    std::vector<Identity> identities_;
+    std::vector<const Entry*> entries_;  // resolved, or null
+  };
+
+  /// Copy of only the metrics \p selection names (same read contract as
+  /// Snapshot()); resolves the identities still unresolved. O(selection).
+  MetricsSnapshot Snapshot(Selection* selection) const;
+
   /// The process-wide registry used by all built-in instrumentation.
   static MetricsRegistry& Global();
 
@@ -255,6 +281,8 @@ class MetricsRegistry {
 
   Entry* FindOrCreate(const std::string& name, const Labels& labels,
                       Type type);
+  /// Appends \p entry's current state to \p snapshot. Needs mutex_.
+  static void AppendSample(const Entry& entry, MetricsSnapshot* snapshot);
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;  // registration order

@@ -129,15 +129,20 @@ Dispatcher::Dispatcher(const engine::Relation* relation,
       config_(std::move(config)),
       admission_(config_.admission) {
   if (config_.health.enabled) {
-    obs::WindowedView::Options view_options;
-    view_options.window_count = config_.health.window_count;
-    health_view_ = std::make_unique<obs::WindowedView>(
-        &obs::MetricsRegistry::Global(), view_options);
-    health_monitor_ = std::make_unique<obs::SloMonitor>(
-        health_view_.get(),
+    std::vector<obs::SloSpec> slos =
         config_.health.slos.empty()
             ? DefaultServerSlos(config_.health, config_.tick_budget)
-            : config_.health.slos);
+            : config_.health.slos;
+    // Register the server's series before the view resolves them, and
+    // snapshot only what the SLOs read: the per-epoch cost on the tick path.
+    Metrics();
+    obs::WindowedView::Options view_options;
+    view_options.window_count = config_.health.window_count;
+    view_options.series = obs::SeriesReadBy(slos);
+    health_view_ = std::make_unique<obs::WindowedView>(
+        &obs::MetricsRegistry::Global(), std::move(view_options));
+    health_monitor_ = std::make_unique<obs::SloMonitor>(health_view_.get(),
+                                                        std::move(slos));
   }
 }
 
@@ -289,6 +294,8 @@ Status Dispatcher::RebuildGroups() {
 Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
                                      std::vector<Delivery>* deliveries) {
   const auto start = std::chrono::steady_clock::now();
+  const vao::PdeProfileCache::Scope profiles(
+      config_.reuse_pde_profiles ? profile_cache_.get() : nullptr);
   if (dirty_) {
     VAOLIB_RETURN_IF_ERROR(RebuildGroups());
     dirty_ = false;
@@ -468,7 +475,13 @@ Result<std::string> Dispatcher::InspectServer() const {
      << ", \"epochs\": " << health_view_->epochs()
      << ", \"window_count\": " << health_view_->options().window_count
      << ", \"critical_transitions\": "
-     << health_monitor_->critical_transitions() << ", \"slos\": [";
+     << health_monitor_->critical_transitions()
+     << ", \"pde_profile_cache\": {\"enabled\": "
+     << (config_.reuse_pde_profiles ? "true" : "false")
+     << ", \"entries\": " << profile_cache_->entries()
+     << ", \"bytes\": " << profile_cache_->bytes()
+     << ", \"hits\": " << profile_cache_->hits()
+     << ", \"misses\": " << profile_cache_->misses() << "}, \"slos\": [";
   bool first = true;
   for (const obs::SloStatus& status : health_monitor_->statuses()) {
     if (!first) os << ", ";

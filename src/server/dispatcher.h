@@ -34,6 +34,7 @@
 #include "engine/sql_parser.h"
 #include "obs/health.h"
 #include "server/admission.h"
+#include "vao/pde_profile_cache.h"
 
 namespace vaolib::server {
 
@@ -79,6 +80,10 @@ struct DispatcherConfig {
   operators::StrategyKind strategy = operators::StrategyKind::kGreedy;
   /// kSentinelGreedy: probe budget per correlation group.
   int sentinel_probes = 2;
+  /// Reuse rate-independent PDE profiles across ticks: every Tick() runs
+  /// with this dispatcher's vao::PdeProfileCache active, so a bond model
+  /// re-priced at a new rate reads the grids an earlier tick solved.
+  bool reuse_pde_profiles = true;
   AdmissionConfig admission;
   HealthConfig health;
 };
@@ -135,7 +140,9 @@ class Dispatcher {
 
   /// Evaluates every standing query for \p stream_tuple; RESULT / REPORT /
   /// SHED frames are appended to \p deliveries. Succeeds with zero queries
-  /// (an empty tick still advances the sequence number).
+  /// (an empty tick still advances the sequence number). With
+  /// config().reuse_pde_profiles the tick runs with profile_cache() active
+  /// on the calling thread.
   Result<TickSummary> Tick(const engine::Tuple& stream_tuple,
                            std::vector<Delivery>* deliveries);
 
@@ -149,6 +156,10 @@ class Dispatcher {
   std::uint64_t total_work_units() const { return total_work_units_; }
   std::uint64_t total_shed() const { return total_shed_; }
 
+  /// This dispatcher's PDE profile cache (fresh per dispatcher; used only
+  /// with config().reuse_pde_profiles).
+  const vao::PdeProfileCache& profile_cache() const { return *profile_cache_; }
+
   /// \name Health plane (config().health.enabled).
   /// @{
   bool health_enabled() const { return health_monitor_ != nullptr; }
@@ -157,6 +168,7 @@ class Dispatcher {
   const obs::SloMonitor* health_monitor() const {
     return health_monitor_.get();
   }
+  /// Windows only the series the SLOs read (obs::SeriesReadBy).
   const obs::WindowedView* health_view() const { return health_view_.get(); }
 
   /// INSPECT payload JSON (see protocol.h for the reply grammar). All three
@@ -227,9 +239,13 @@ class Dispatcher {
   std::uint64_t total_work_units_ = 0;
   std::uint64_t total_shed_ = 0;
 
+  std::unique_ptr<vao::PdeProfileCache> profile_cache_ =
+      std::make_unique<vao::PdeProfileCache>();
+
   /// Health plane (null when config_.health.enabled is false). The view
-  /// snapshots the global registry once per ticks_per_epoch ticks; progress
-  /// rings live and die with their standing query.
+  /// snapshots the SLOs' series of the global registry once per
+  /// ticks_per_epoch ticks; progress rings live and die with their
+  /// standing query.
   std::unique_ptr<obs::WindowedView> health_view_;
   std::unique_ptr<obs::SloMonitor> health_monitor_;
   std::map<QueryKey, ProgressEntry> progress_;

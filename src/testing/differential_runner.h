@@ -82,7 +82,12 @@ struct DifferentialOptions {
   /// again at each `budget_fractions` slice of that run's own spend
   /// (converged answers must still match the oracle exactly; unconverged
   /// ones must stay within the oracle's bounds and the per-query spends
-  /// must sum to the scheduler's reported total). Empty disables the axis.
+  /// must sum to the scheduler's reported total, and a budgeted run may
+  /// not spend past its budget). The axis then runs once more with the
+  /// queries bound to a PDE twin of the workload (same true values, PDE
+  /// result objects) and every run of that sweep under one
+  /// vao::PdeProfileCache, so later runs read the profiles earlier ones
+  /// solved. Empty disables the axis.
   std::vector<engine::SchedulerPolicy> scheduler_policies = {
       engine::SchedulerPolicy::kGreedyGlobal,
       engine::SchedulerPolicy::kFairShare,
@@ -187,6 +192,11 @@ class DifferentialRunner {
   /// unbudgeted then at each budget fraction (see
   /// DifferentialOptions::scheduler_policies).
   Status RunSchedulerSweep(std::uint64_t seed, DifferentialSummary* summary);
+  /// The policy x budget loop of RunSchedulerSweep over \p queries (one
+  /// function), failures labelled with \p axis.
+  Status SweepPolicies(std::uint64_t seed, const Workload& workload,
+                       const std::vector<engine::Query>& queries,
+                       const std::string& axis, DifferentialSummary* summary);
 
   /// Approximate-tier sweep for one seed (see
   /// DifferentialOptions::approx_axis): structural soundness + replay

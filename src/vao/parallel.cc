@@ -2,6 +2,7 @@
 
 #include "common/stall_guard.h"
 #include "common/thread_pool.h"
+#include "vao/pde_profile_cache.h"
 
 namespace vaolib::vao {
 
@@ -18,8 +19,10 @@ Result<std::vector<ResultObjectPtr>> InvokeAll(
   // error in its contiguous chunk, and the pool returns the lowest-indexed
   // failing chunk's error -- together: the lowest-indexed failing row.
   // Rows are distinct per worker, so row_status needs no synchronization.
+  PdeProfileCache* const cache = PdeProfileCache::Active();
   auto invoke_range = [&](std::size_t begin, std::size_t end,
                           WorkMeter* /*chunk_meter*/) {
+    const PdeProfileCache::Scope scope(cache);  // the caller's, on workers
     Status first_error;
     for (std::size_t i = begin; i < end; ++i) {
       auto object = function.Invoke(rows[i], meter);
@@ -111,8 +114,10 @@ std::vector<Status> StepAll(const std::vector<ResultObject*>& objects,
   const std::size_t n = objects.size();
   std::vector<Status> statuses(n);
   // Objects are distinct per worker, so statuses needs no synchronization.
+  PdeProfileCache* const cache = PdeProfileCache::Active();
   auto step_range = [&](std::size_t begin, std::size_t end,
                         WorkMeter* /*chunk_meter*/) {
+    const PdeProfileCache::Scope scope(cache);  // the caller's, on workers
     for (std::size_t i = begin; i < end; ++i) {
       statuses[i] = objects[i] != nullptr
                         ? objects[i]->Iterate()

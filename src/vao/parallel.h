@@ -13,7 +13,9 @@
 // lookups, updates, and destructor write-backs are safe from any worker.
 //
 // Determinism: work-unit totals and returned errors are identical for every
-// thread count, including 1 (see the contracts on each helper).
+// thread count, including 1 (see the contracts on each helper). The caller's
+// active PdeProfileCache is active on the workers too; its single-flight
+// solves keep the totals thread-count independent.
 
 #ifndef VAOLIB_VAO_PARALLEL_H_
 #define VAOLIB_VAO_PARALLEL_H_

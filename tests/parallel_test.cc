@@ -9,6 +9,7 @@
 #include "finance/bond_model.h"
 #include "vao/black_box.h"
 #include "vao/parallel.h"
+#include "vao/pde_profile_cache.h"
 #include "workload/portfolio_gen.h"
 
 namespace vaolib::vao {
@@ -104,6 +105,64 @@ TEST_F(ParallelTest, ConvergeAllMatchesSerialConvergence) {
 TEST_F(ParallelTest, ConvergeAllRejectsNulls) {
   std::vector<ResultObject*> with_null{nullptr};
   EXPECT_FALSE(ConvergeAllToMinWidth(with_null, 2).ok());
+}
+
+// Rows that repeat bonds, at different rates, under a profile cache: the
+// first row of each bond solves, the rest read its profiles. Single-flight
+// solves make creation and stepping work identical at every thread count.
+TEST_F(ParallelTest, ProfileCacheWorkIsThreadCountInvariant) {
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 12; ++i) {
+    rows.push_back(function_->ArgsFor(0.05 + 0.002 * (i / 4), i % 4));
+  }
+  struct Run {
+    WorkMeter created;
+    WorkMeter stepped;
+    std::vector<Bounds> bounds;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+  auto run = [&](int threads) {
+    Run out;
+    PdeProfileCache cache;
+    const PdeProfileCache::Scope scope(&cache);
+    WorkMeter meter;
+    auto objects = InvokeAll(*function_, rows, threads, &meter);
+    EXPECT_TRUE(objects.ok()) << objects.status();
+    if (!objects.ok()) return out;
+    out.created = meter;
+    std::vector<ResultObject*> raw;
+    for (const auto& object : *objects) raw.push_back(object.get());
+    for (int round = 0; round < 5; ++round) {
+      for (const Status& status : StepAll(raw, threads)) {
+        EXPECT_TRUE(status.ok()) << status;
+      }
+    }
+    out.stepped = meter;
+    for (const ResultObject* object : raw) {
+      out.bounds.push_back(object->bounds());
+    }
+    out.hits = cache.hits();
+    out.misses = cache.misses();
+    return out;
+  };
+  const Run serial = run(1);
+  EXPECT_GT(serial.hits, 0u);
+  for (const int threads : {2, 3}) {
+    const Run parallel = run(threads);
+    for (int kind = 0; kind < WorkMeter::kNumKinds; ++kind) {
+      const auto work_kind = static_cast<WorkKind>(kind);
+      EXPECT_EQ(serial.created.Count(work_kind),
+                parallel.created.Count(work_kind))
+          << "threads " << threads << " kind " << kind;
+      EXPECT_EQ(serial.stepped.Count(work_kind),
+                parallel.stepped.Count(work_kind))
+          << "threads " << threads << " kind " << kind;
+    }
+    EXPECT_EQ(serial.bounds, parallel.bounds) << "threads " << threads;
+    EXPECT_EQ(serial.hits, parallel.hits) << "threads " << threads;
+    EXPECT_EQ(serial.misses, parallel.misses) << "threads " << threads;
+  }
 }
 
 TEST(WorkMeterThreadingTest, ConcurrentChargesAreLossless) {
