@@ -315,16 +315,19 @@ TEST(PdeBatchTest, QueryBatchMatchesScalar) {
   const numeric::PdeGrid grid{8, 8};
   const std::vector<double> query_x = {0.3, 0.7};
 
-  std::vector<double> values;
+  std::vector<std::vector<double>> profiles;
   numeric::BatchKernelReport report;
-  ASSERT_TRUE(numeric::SolvePdeBatch(ptrs, grid, query_x, nullptr, &values,
-                                     &report)
+  ASSERT_TRUE(numeric::SolvePdeProfileBatch(ptrs, grid, nullptr, &profiles,
+                                            &report)
                   .ok());
   for (std::size_t lane = 0; lane < ptrs.size(); ++lane) {
+    ASSERT_TRUE(report.ok(lane));
     auto scalar =
         numeric::SolvePde(problems[lane], grid, query_x[lane], nullptr);
     ASSERT_TRUE(scalar.ok());
-    EXPECT_EQ(values[lane], scalar.value());
+    EXPECT_EQ(numeric::InterpolateProfile(problems[lane], grid,
+                                          profiles[lane], query_x[lane]),
+              scalar.value());
   }
 }
 
