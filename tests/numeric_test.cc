@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -300,6 +301,44 @@ TEST(PdeSolverTest, ProfileIsBitIdenticalToPerStepThomasMarch) {
   heat.left_boundary = BoundaryKind::kLinear;
   heat.right_boundary = BoundaryKind::kLinear;
   ExpectReferenceMarch("heat_linear", heat);
+}
+
+TEST(PdeSolverTest, MarchInInstallmentsEqualsOneSolve) {
+  const auto problem =
+      finance::MakeBondPdeProblem(finance::Bond{}, finance::BondModelConfig{});
+  const PdeGrid grid{32, 40};
+  WorkMeter solve_meter;
+  const auto solved = SolvePdeProfile(problem, grid, &solve_meter);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  EXPECT_EQ(solve_meter.ExecUnits(), grid.MeshEntries());
+
+  // Uneven installments, one of them empty, the last asking for more than
+  // is left.
+  WorkMeter meter;
+  PdeMarch march;
+  for (const int steps : {7, 0, 1, 13, 100}) {
+    const int before = march.steps;
+    const std::uint64_t exec_before = meter.ExecUnits();
+    ASSERT_TRUE(AdvancePdeMarch(problem, grid, steps, &march, &meter).ok());
+    const int marched = march.steps - before;
+    EXPECT_EQ(marched, std::min(steps, grid.t_steps - before));
+    EXPECT_EQ(meter.ExecUnits() - exec_before,
+              static_cast<std::uint64_t>(grid.x_intervals + 1) * marched);
+  }
+  EXPECT_EQ(march.steps, grid.t_steps);
+  EXPECT_EQ(meter.ExecUnits(), grid.MeshEntries());
+  ASSERT_EQ(march.profile.size(), solved.value().size());
+  for (std::size_t i = 0; i < march.profile.size(); ++i) {
+    EXPECT_EQ(march.profile[i], solved.value()[i]) << "node=" << i;
+  }
+
+  // A march from another grid is refused, and nothing is charged.
+  const std::uint64_t total = meter.ExecUnits();
+  PdeMarch foreign = march;
+  EXPECT_EQ(AdvancePdeMarch(problem, PdeGrid{16, 40}, 1, &foreign, &meter)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(meter.ExecUnits(), total);
 }
 
 // ---------------------------------------------------------------------------
