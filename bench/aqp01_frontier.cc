@@ -166,12 +166,11 @@ SampledRun RunSampled(std::uint64_t base_seed, std::size_t rows,
                  task.status().ToString().c_str());
     return run;
   }
-  vaolib::operators::OperatorOptions drive;
-  drive.meter = &meter;
-  const auto finished = vaolib::operators::DriveTask(task->get(), drive);
+  const vaolib::Status finished =
+      vaolib::operators::DriveTask(task->get(), &meter);
   if (!finished.ok()) {
     std::fprintf(stderr, "FAIL: sampled arm drive: %s\n",
-                 finished.status().ToString().c_str());
+                 finished.ToString().c_str());
     return run;
   }
   const auto outcome = (*task)->Snapshot();

@@ -35,32 +35,6 @@ void RunningStats::Reset() {
   max_ = -std::numeric_limits<double>::infinity();
 }
 
-void WeightedVariance::Add(double x, double w) {
-  if (!(w > 0.0)) return;
-  ++count_;
-  weight_sum_ += w;
-  const double delta = x - mean_;
-  mean_ += (w / weight_sum_) * delta;
-  m2_ += w * delta * (x - mean_);
-}
-
-double WeightedVariance::PopulationVariance() const {
-  if (count_ < 2 || weight_sum_ <= 0.0) return 0.0;
-  return m2_ / weight_sum_;
-}
-
-double WeightedVariance::SampleVariance() const {
-  if (count_ < 2 || weight_sum_ <= 1.0) return 0.0;
-  return m2_ / (weight_sum_ - 1.0);
-}
-
-void WeightedVariance::Reset() {
-  count_ = 0;
-  weight_sum_ = 0.0;
-  mean_ = 0.0;
-  m2_ = 0.0;
-}
-
 double NormalQuantile(double p) {
   // Acklam's rational approximation to the inverse normal CDF, in the
   // standard three-region form (lower tail, central, upper tail).

@@ -89,42 +89,6 @@ class NeumaierSum {
   double comp_ = 0.0;
 };
 
-/// \brief Single-pass weighted mean/variance accumulator (West's extension
-/// of Welford's update). Weights are frequency weights: with all weights 1
-/// the results match the classic n / (n-1) estimators exactly. Numerically
-/// stable on ill-conditioned inputs (large mean, tiny variance) where the
-/// textbook sum-of-squares formula cancels catastrophically.
-class WeightedVariance {
- public:
-  /// Adds one observation with weight \p w (> 0; non-positive ignored).
-  void Add(double x, double w = 1.0);
-
-  /// Number of Add() calls that contributed.
-  std::size_t count() const { return count_; }
-
-  /// Total weight added.
-  double WeightSum() const { return weight_sum_; }
-
-  /// Weighted mean (0 when empty).
-  double Mean() const { return mean_; }
-
-  /// Population variance: M2 / W (0 with fewer than 2 observations).
-  double PopulationVariance() const;
-
-  /// Sample variance with frequency-weight Bessel correction: M2 / (W - 1)
-  /// (0 when W <= 1 or fewer than 2 observations).
-  double SampleVariance() const;
-
-  /// Resets to the empty state.
-  void Reset();
-
- private:
-  std::size_t count_ = 0;
-  double weight_sum_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
 /// \brief Inverse of the standard normal CDF (the z-value with
 /// P(Z <= z) = p). Acklam's rational approximation, |relative error|
 /// < 1.2e-9 over (0, 1). Returns +/-infinity at the endpoints and NaN

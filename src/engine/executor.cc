@@ -103,10 +103,8 @@ Result<TickResult> CqExecutor::RunVao(const Tuple& stream_tuple) {
   inputs.invoke_status = std::move(invoke_status);
   auto compiled = plan_.Compile(inputs);
   if (!compiled.ok()) return FallbackOrError(stream_tuple, compiled.status());
-  operators::OperatorOptions drive;
-  drive.meter = &meter_;
-  const auto driven = operators::DriveTask(compiled->task(), drive);
-  if (!driven.ok()) return FallbackOrError(stream_tuple, driven.status());
+  const Status driven = operators::DriveTask(compiled->task(), &meter_);
+  if (!driven.ok()) return FallbackOrError(stream_tuple, driven);
   VAOLIB_RETURN_IF_ERROR(compiled->Decode(resilience_, &result));
 
   result.work_units = meter_.Total() - work_before;

@@ -131,8 +131,6 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   inputs.objects = &objects;
   inputs.meter = &meter_;
   inputs.threads = options_.threads;
-  inputs.strategy = options_.strategy;
-  inputs.sentinel_probes = options_.sentinel_probes;
   inputs.feedback = options_.history.get();
   inputs.object_ids = &object_ids_;
   std::vector<CompiledQuery> compiled;

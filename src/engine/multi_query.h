@@ -30,7 +30,6 @@
 #include "engine/relation.h"
 #include "engine/schema.h"
 #include "engine/scheduler.h"
-#include "operators/operator_base.h"
 
 namespace vaolib::engine {
 
@@ -55,13 +54,6 @@ struct MultiQueryOptions {
   /// IterationTask, and accumulated into the
   /// vaolib_owner_work_units_total{owner=...} counter.
   std::vector<std::string> owners;
-
-  /// Iteration strategy for every aggregate operator the executor runs
-  /// (kCalibratedGreedy / kSentinelGreedy enable calibration-corrected
-  /// scoring; see operators/operator_base.h).
-  operators::StrategyKind strategy = operators::StrategyKind::kGreedy;
-  /// kSentinelGreedy: probe budget per correlation group.
-  int sentinel_probes = 2;
 
   /// Optional per-(row, solver kind) cost history shared across ticks: the
   /// executor records every serial iterate into it (keyed by row index, so

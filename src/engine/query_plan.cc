@@ -227,8 +227,6 @@ Result<CompiledQuery> QueryPlan::Compile(const TickInputs& inputs) const {
   auto stamp = [&](operators::OperatorOptions* options, bool coarse) {
     options->epsilon = query.epsilon;
     options->meter = inputs.meter;
-    options->strategy = inputs.strategy;
-    options->sentinel_probes = inputs.sentinel_probes;
     options->feedback = inputs.feedback;
     options->object_ids = inputs.object_ids;
     if (coarse && inputs.threads > 1) {

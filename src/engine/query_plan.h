@@ -157,11 +157,9 @@ struct TickInputs {
   /// those rows as failed. Empty: every object is live.
   std::vector<Status> invoke_status;
   /// \name Predictive planning (operators/cost_feedback.h), stamped onto
-  /// every exact aggregate; the defaults reproduce plain greedy exactly.
-  /// The feedback store also records selection-row shrink.
+  /// every exact aggregate, which runs the greedy strategy. The feedback
+  /// store also records selection-row shrink.
   /// @{
-  operators::StrategyKind strategy = operators::StrategyKind::kGreedy;
-  int sentinel_probes = 2;
   operators::CostFeedback* feedback = nullptr;
   const std::vector<std::uint64_t>* object_ids = nullptr;
   /// @}

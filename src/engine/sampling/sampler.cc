@@ -65,84 +65,4 @@ std::vector<std::size_t> ReservoirSample(std::size_t population,
   return out;
 }
 
-std::vector<std::size_t> ProportionalAllocation(
-    const std::vector<std::size_t>& stratum_sizes, std::size_t total) {
-  std::vector<std::size_t> alloc(stratum_sizes.size(), 0);
-  std::size_t n = 0;
-  for (const std::size_t s : stratum_sizes) n += s;
-  if (n == 0 || total == 0) return alloc;
-  total = std::min(total, n);
-
-  // Floors of the exact proportional shares, then hand out the remaining
-  // draws by largest fractional part (ties broken by stratum index).
-  std::vector<double> frac(stratum_sizes.size(), 0.0);
-  std::size_t given = 0;
-  for (std::size_t i = 0; i < stratum_sizes.size(); ++i) {
-    const double share = static_cast<double>(total) *
-                         static_cast<double>(stratum_sizes[i]) /
-                         static_cast<double>(n);
-    alloc[i] = std::min(stratum_sizes[i],
-                        static_cast<std::size_t>(std::floor(share)));
-    frac[i] = share - std::floor(share);
-    given += alloc[i];
-  }
-  std::vector<std::size_t> order(stratum_sizes.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (frac[a] != frac[b]) return frac[a] > frac[b];
-    return a < b;
-  });
-  for (std::size_t round = 0; given < total; ++round) {
-    bool progressed = false;
-    for (const std::size_t i : order) {
-      if (given >= total) break;
-      if (alloc[i] < stratum_sizes[i]) {
-        ++alloc[i];
-        ++given;
-        progressed = true;
-      }
-    }
-    if (!progressed) break;  // every stratum saturated
-  }
-  return alloc;
-}
-
-std::vector<std::size_t> StratifiedSample(const std::vector<double>& keys,
-                                          std::size_t strata, std::size_t k,
-                                          std::uint64_t seed) {
-  const std::size_t n = keys.size();
-  std::vector<std::size_t> out;
-  if (n == 0 || k == 0) return out;
-  strata = std::max<std::size_t>(1, std::min(strata, n));
-
-  // Equal-count quantile buckets over the sorted key order.
-  std::vector<std::size_t> by_key(n);
-  std::iota(by_key.begin(), by_key.end(), std::size_t{0});
-  std::sort(by_key.begin(), by_key.end(), [&](std::size_t a, std::size_t b) {
-    if (keys[a] != keys[b]) return keys[a] < keys[b];
-    return a < b;
-  });
-  std::vector<std::vector<std::size_t>> buckets(strata);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    const std::size_t s = pos * strata / n;
-    buckets[s].push_back(by_key[pos]);
-  }
-
-  std::vector<std::size_t> sizes(strata);
-  for (std::size_t s = 0; s < strata; ++s) sizes[s] = buckets[s].size();
-  const std::vector<std::size_t> alloc = ProportionalAllocation(sizes, k);
-
-  for (std::size_t s = 0; s < strata; ++s) {
-    if (alloc[s] == 0) continue;
-    // Per-stratum seed derived by splitmix-style mixing so strata draw
-    // independent streams.
-    std::uint64_t sub = seed + 0x9E3779B97F4A7C15ULL * (s + 1);
-    const std::vector<std::size_t> local =
-        ReservoirSample(buckets[s].size(), alloc[s], sub);
-    for (const std::size_t idx : local) out.push_back(buckets[s][idx]);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace vaolib::engine::sampling

@@ -65,24 +65,6 @@ class PrefixSampler {
 std::vector<std::size_t> ReservoirSample(std::size_t population,
                                          std::size_t k, std::uint64_t seed);
 
-/// \brief Proportional (largest-remainder) allocation of \p total draws
-/// over strata of the given sizes. Every nonempty stratum with a nonzero
-/// share gets at least its floor; remainders go to the largest fractional
-/// parts. The result sums to min(total, sum of sizes) and never exceeds any
-/// stratum's size.
-std::vector<std::size_t> ProportionalAllocation(
-    const std::vector<std::size_t>& stratum_sizes, std::size_t total);
-
-/// \brief Stratified SRSWOR: partitions rows into \p strata quantile
-/// buckets of the key column (equal-count by sorted key), allocates \p k
-/// draws proportionally, and samples each stratum uniformly. Returns row
-/// ids. With skewed keys this cuts estimator variance versus plain SRSWOR
-/// while staying self-weighting (proportional allocation keeps every row's
-/// inclusion probability ~k/n).
-std::vector<std::size_t> StratifiedSample(const std::vector<double>& keys,
-                                          std::size_t strata, std::size_t k,
-                                          std::uint64_t seed);
-
 }  // namespace vaolib::engine::sampling
 
 #endif  // VAOLIB_ENGINE_SAMPLING_SAMPLER_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
-#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -362,42 +361,8 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
       break;
     }
 
-    // Round membership: the pick, plus (kGreedyGlobal batch rounds) up to
-    // batch_k - 1 other unfinished tasks of the same kind, best-scored
-    // first. Running same-kind tasks back to back keeps the operators'
-    // kernel batches of the same solver family warm across queries.
-    std::vector<std::size_t> round{pick};
-    if (use_heap && options_.batch_k > 1) {
-      const std::string_view kind = entries[pick].task->name();
-      std::vector<std::size_t> peers;
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (i == pick || !Live(entries[i], stats[i])) continue;
-        if (std::string_view(entries[i].task->name()) != kind) continue;
-        peers.push_back(i);
-      }
-      std::stable_sort(peers.begin(), peers.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return GreedyScore(*entries[a].task) >
-                                GreedyScore(*entries[b].task);
-                       });
-      const std::size_t extra =
-          static_cast<std::size_t>(options_.batch_k) - 1;
-      for (std::size_t j = 0; j < peers.size() && j < extra; ++j) {
-        round.push_back(peers[j]);
-      }
-    }
-
-    for (std::size_t r = 0; r < round.size(); ++r) {
-      // The budget is the loop-top check for the first member; later
-      // members re-check so a batch round can never overshoot further than
-      // a single step would.
-      if (r > 0 && options_.budget > 0 && total_spent >= options_.budget) {
-        break;
-      }
-      if (!Live(entries[round[r]], stats[round[r]])) continue;
-      const Status status = step_one(round[r]);
-      if (!status.ok()) return status;
-    }
+    const Status status = step_one(pick);
+    if (!status.ok()) return status;
   }
 
   std::uint64_t starved_count = 0;

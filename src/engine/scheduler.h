@@ -74,15 +74,6 @@ struct SchedulerOptions {
   /// Total work-unit budget for one Run(); 0 = unlimited (run every task
   /// to completion).
   std::uint64_t budget = 0;
-  /// kGreedyGlobal batch rounds: after the heap picks a task, up to
-  /// batch_k - 1 other unfinished tasks of the same kind (same name()) are
-  /// stepped in the same round, best-scored first, so same-solver work runs
-  /// consecutively across queries and the operators' batch tiers keep their
-  /// kernel batches warm. Every member step stays individually
-  /// meter-bracketed and the budget is re-checked between members, so the
-  /// exact-accounting contract is unchanged. 1 = one task per round (the
-  /// paper's pick-one loop); ignored by the other policies.
-  int batch_k = 1;
 };
 
 /// \brief Per-task account of one Run().

@@ -304,17 +304,9 @@ OperatorStats IterationTask::TalliedStats() const {
   return stats;
 }
 
-Result<bool> DriveTask(IterationTask* task, const OperatorOptions& options) {
-  WorkMeter* meter = options.meter;
-  const std::uint64_t base = meter != nullptr ? meter->Total() : 0;
-  while (!task->Done()) {
-    if (options.budget > 0 && meter != nullptr &&
-        meter->Total() - base >= options.budget) {
-      return false;
-    }
-    VAOLIB_RETURN_IF_ERROR(task->Step(meter));
-  }
-  return true;
+Status DriveTask(IterationTask* task, WorkMeter* meter) {
+  while (!task->Done()) VAOLIB_RETURN_IF_ERROR(task->Step(meter));
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -138,14 +138,16 @@ class IterationTask {
     blocked_ = blocked != nullptr ? vao::Prepayable::Find(*blocked) : nullptr;
   }
   /// Park() on the cheapest next iterate of \p objects[i], i in
-  /// \p candidates (the first on ties).
-  void ParkOnCheapest(const std::vector<vao::ResultObject*>& objects,
+  /// \p candidates (the first on ties); \p objects holds raw or owning
+  /// pointers.
+  template <typename Objects>
+  void ParkOnCheapest(const Objects& objects,
                       const std::vector<std::size_t>& candidates) {
     const vao::ResultObject* cheapest = nullptr;
     for (const std::size_t i : candidates) {
       if (cheapest == nullptr ||
           objects[i]->est_cost() < cheapest->est_cost()) {
-        cheapest = objects[i];
+        cheapest = &*objects[i];
       }
     }
     Park(cheapest);
@@ -200,6 +202,12 @@ class IterationTask {
   /// a stall triggers.
   void TrackObjects(std::size_t n, const char* label,
                     std::uint64_t max_iterations, const char* stall_dump);
+  /// Grows the settle state to \p n objects, for a task whose object set
+  /// grows (the new ones start unrefined and unstalled).
+  void TrackMoreObjects(std::size_t n) {
+    stall_.resize(n);
+    iterates_.resize(n, 0);
+  }
 
   /// Settles one Iterate() of \p object (the task's object \p i), or with
   /// \p bulk > 0 that many iterates of a bulk phase (the parallel coarse
@@ -245,13 +253,10 @@ class IterationTask {
   std::vector<std::uint64_t> iterates_;
 };
 
-/// \brief Drives \p task to completion, honouring \p options.budget when
-/// \p options.meter is present: once the meter delta since the call began
-/// reaches the budget, driving stops early.
-///
-/// \return true when the task completed, false when the budget ran out
-/// first (callers then read a partial answer via the task's Snapshot()).
-Result<bool> DriveTask(IterationTask* task, const OperatorOptions& options);
+/// \brief Steps \p task, unpriced, until it is Done(), charging \p meter
+/// (nullable). Budgets are the WorkScheduler's: a caller that needs one
+/// runs the task there.
+Status DriveTask(IterationTask* task, WorkMeter* meter);
 
 /// \brief The adaptive cycle shared by the aggregate tasks (MIN/MAX, SUM/AVE,
 /// TOP-K). Sections 5.1 and 5.2 run one loop: score each live candidate by

@@ -38,7 +38,7 @@ struct MinMaxOutcome {
   /// some bounds early: the answer is still sound, but winner_bounds may be
   /// wider than epsilon and ties may be coarser than minWidth would allow.
   bool precision_degraded = false;
-  /// False when evaluation stopped on a work budget before termination: the
+  /// False when a scheduler budget cut the task off before termination: the
   /// winner is then the current best guess and winner_bounds a sound
   /// envelope for the true extreme, but neither is final.
   bool converged = true;
@@ -46,7 +46,7 @@ struct MinMaxOutcome {
 };
 
 /// \brief Configuration of a MIN/MAX VAO. All shared knobs (epsilon,
-/// strategy, threads/coarse pre-phase, budget, meter) live on
+/// strategy, threads/coarse pre-phase, meter) live on
 /// OperatorOptions; epsilon must additionally be at least the largest input
 /// minWidth (the paper's footnote 10).
 struct MinMaxOptions : OperatorOptions {

@@ -70,7 +70,7 @@ bool StrategyUsesCorrections(StrategyKind kind);
 /// \brief Options shared by every operator family -- the one consolidated
 /// configuration surface behind the unified operator API. Family-specific
 /// option structs (MinMaxOptions, SumAveOptions, TopKOptions) derive from
-/// this, so code that configures "threads + strategy + budget" works the
+/// this, so code that configures "threads + strategy" works the
 /// same way against any operator. Function-result caching composes at the
 /// function layer (vao::CachingFunction), not here.
 struct OperatorOptions {
@@ -100,13 +100,6 @@ struct OperatorOptions {
   int threads = 1;
   double coarse_width = std::numeric_limits<double>::infinity();
   std::uint64_t coarse_max_steps = 0;
-  /// Per-evaluation work-unit budget (0 = unlimited). Requires `meter`:
-  /// when the meter delta since evaluation start reaches the budget, the
-  /// operator stops and returns its current sound-but-unconverged snapshot
-  /// with `converged = false` instead of blocking. The engine's
-  /// WorkScheduler enforces cross-query budgets one level up through the
-  /// same IterationTask surface.
-  std::uint64_t budget = 0;
 
   /// \name Predictive planning (operators/cost_feedback.h).
   /// When `feedback` is non-null every task iterate's actual-vs-estimated

@@ -27,7 +27,7 @@ Result<OperatorStats> Decide(vao::ResultObject* object, const char* who,
   auto task = MultiRowDecisionTask::Create({object}, who, std::move(undecided),
                                            options);
   if (!task.ok()) return task.status();
-  VAOLIB_RETURN_IF_ERROR(DriveTask(task->get(), options).status());
+  VAOLIB_RETURN_IF_ERROR(DriveTask(task->get(), meter));
   VAOLIB_RETURN_IF_ERROR((*task)->RowStatus(0));
   return (*task)->stats();
 }

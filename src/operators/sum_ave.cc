@@ -47,13 +47,10 @@ Result<SumOutcome> SumAveVao::Evaluate(
     const std::vector<vao::ResultObject*>& objects,
     const std::vector<double>& weights) const {
   // The whole convergence loop (scan and heap-indexed paths alike) lives in
-  // the resumable task; Evaluate just drives it to completion (or to the
-  // work budget, when one is set).
+  // the resumable task; Evaluate just drives it to completion.
   VAOLIB_ASSIGN_OR_RETURN(
       auto task, SumAveIterationTask::Create(options_, objects, weights));
-  VAOLIB_ASSIGN_OR_RETURN(const bool finished,
-                          DriveTask(task.get(), options_));
-  (void)finished;  // Snapshot() reports convergence itself.
+  VAOLIB_RETURN_IF_ERROR(DriveTask(task.get(), options_.meter));
   return task->Snapshot();
 }
 

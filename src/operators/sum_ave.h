@@ -33,7 +33,7 @@ struct SumOutcome {
   /// precision constraint was met (the constraint then holds as tightly as
   /// the inputs allow).
   bool limited_by_min_width = false;
-  /// False when evaluation stopped on a work budget before termination:
+  /// False when a scheduler budget cut the task off before termination:
   /// sum_bounds is still a sound interval for the weighted sum, merely wider
   /// than epsilon.
   bool converged = true;
@@ -41,7 +41,7 @@ struct SumOutcome {
 };
 
 /// \brief Configuration of a SUM/AVE VAO. All shared knobs (epsilon,
-/// strategy, threads/coarse pre-phase, budget, meter) live on
+/// strategy, threads/coarse pre-phase, meter) live on
 /// OperatorOptions.
 struct SumAveOptions : OperatorOptions {
   /// With the greedy strategy, pick iterations through a lazy max-heap in

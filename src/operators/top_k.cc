@@ -8,13 +8,10 @@ namespace vaolib::operators {
 Result<TopKOutcome> TopKVao::Evaluate(
     const std::vector<vao::ResultObject*>& objects) const {
   // The whole boundary-separation and finalization loop lives in the
-  // resumable task; Evaluate just drives it to completion (or to the work
-  // budget, when one is set).
+  // resumable task; Evaluate just drives it to completion.
   VAOLIB_ASSIGN_OR_RETURN(auto task,
                           TopKIterationTask::Create(options_, objects));
-  VAOLIB_ASSIGN_OR_RETURN(const bool finished,
-                          DriveTask(task.get(), options_));
-  (void)finished;  // Snapshot() reports convergence itself.
+  VAOLIB_RETURN_IF_ERROR(DriveTask(task.get(), options_.meter));
   return task->Snapshot();
 }
 

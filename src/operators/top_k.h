@@ -37,7 +37,7 @@ struct TopKOutcome {
   /// some bounds early: the selection is still sound, but winner bounds may
   /// be wider than epsilon and ties coarser than minWidth would allow.
   bool precision_degraded = false;
-  /// False when evaluation stopped on a work budget before termination: the
+  /// False when a scheduler budget cut the task off before termination: the
   /// winners are then the current best guess at the top-k set, each with its
   /// current (sound) bounds, but membership is not final.
   bool converged = true;
@@ -45,7 +45,7 @@ struct TopKOutcome {
 };
 
 /// \brief Configuration of a TOP-K VAO. All shared knobs (epsilon, strategy,
-/// threads/coarse pre-phase, budget, meter) live on OperatorOptions; epsilon
+/// threads/coarse pre-phase, meter) live on OperatorOptions; epsilon
 /// must additionally be at least the largest input minWidth (footnote-10
 /// rule). TOP-K historically hard-wired the greedy strategy; it now honours
 /// `strategy` like the other aggregates (kGreedy by default).

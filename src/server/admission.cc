@@ -120,12 +120,8 @@ engine::QuerySchedule AdmissionController::ScheduleFor(
   const auto usage_it = usage_.find(tenant);
   const std::size_t live =
       usage_it == usage_.end() ? 0 : usage_it->second.queries;
-  const double split = static_cast<double>(std::max<std::size_t>(live, 1));
 
   engine::QuerySchedule schedule;
-  // The whole tenant owns work_share; each of its queries competes with
-  // 1/live of it, so registering more queries never buys more total work.
-  schedule.priority = std::max(quota.work_share / split, 1e-9);
   if (quota.reserved()) {
     schedule.reserve = quota.reserve_units / std::max<std::uint64_t>(
                                                 static_cast<std::uint64_t>(

@@ -2,18 +2,12 @@
 // Multi-tenant admission control for the standing-query server.
 //
 // Tenants are the isolation unit: each carries a quota (standing queries,
-// result objects, a work share, and optionally a reserved per-tick work
-// budget), and the controller maps those quotas onto the WorkScheduler's
-// QuerySchedule parameters so the EXISTING scheduler policies enforce
-// isolation at execution time:
-//
-//   * work_share   -> kFairShare priority, split over the tenant's live
-//                     queries (a tenant registering 4x the queries gets a
-//                     4x-split priority per query, not 4x the work),
-//   * reserve      -> kDeadline per-query reserve + a deadline at the tick
-//                     budget, so reserved tenants run first under EDF and
-//                     keep guaranteed budget headroom no matter how many
-//                     best-effort queries pile up.
+// result objects, and optionally a reserved per-tick work budget), and the
+// controller maps the reserve onto the WorkScheduler's QuerySchedule
+// parameters so the dispatcher's kDeadline policy enforces isolation at
+// execution time: a per-query reserve plus a deadline at the tick budget,
+// so reserved tenants run first under EDF and keep guaranteed budget
+// headroom no matter how many best-effort queries pile up.
 //
 // Registration-time decisions distinguish a tenant exceeding its OWN quota
 // (kRejected -> a clean ERR, the client must withdraw something first) from
@@ -33,16 +27,13 @@
 
 namespace vaolib::server {
 
-/// \brief Per-tenant resource limits and scheduling weight.
+/// \brief Per-tenant resource limits and reserve.
 struct TenantQuota {
   /// Standing queries this tenant may hold at once.
   std::size_t max_queries = 16;
   /// Result-object ceiling: standing queries x relation rows. Bounds the
   /// per-tick object-creation and refinement footprint a tenant can demand.
   std::size_t max_objects = 1u << 20;
-  /// Fair-share weight of the whole tenant (> 0); divided over the
-  /// tenant's live queries when building per-query schedules.
-  double work_share = 1.0;
   /// Work units per tick guaranteed to this tenant (0 = best effort).
   /// Reserved tenants map onto kDeadline reserves and run ahead of
   /// best-effort traffic; they are also exempt from overload shedding.
@@ -109,8 +100,8 @@ class AdmissionController {
                     bool converged, bool missed_deadline);
 
   /// Scheduling parameters for one of \p tenant's queries in a tick whose
-  /// scheduler budget is \p tick_budget work units. The tenant's share and
-  /// reserve are split over its live queries; reserved tenants get
+  /// scheduler budget is \p tick_budget work units. The tenant's reserve
+  /// is split over its live queries; reserved tenants get
   /// deadline = tick_budget so EDF runs them ahead of best-effort tasks.
   engine::QuerySchedule ScheduleFor(const std::string& tenant,
                                     std::uint64_t tick_budget) const;

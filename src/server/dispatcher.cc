@@ -16,6 +16,9 @@ namespace vaolib::server {
 
 namespace {
 
+// Per-query progress samples the health plane retains (one per tick).
+constexpr std::size_t kProgressCapacity = 32;
+
 struct DispatcherMetrics {
   obs::Gauge* standing_queries;
   obs::Counter* registrations;
@@ -258,12 +261,11 @@ Status Dispatcher::RebuildGroups() {
         config_.tick_budget > 0 && total > 0
             ? config_.tick_budget * group.members.size() / total
             : 0;
+    // The executor's default kDeadline policy is what honours the
+    // admission reserves.
     engine::MultiQueryOptions options;
     options.threads = config_.threads;
-    options.scheduler.policy = config_.policy;
     options.scheduler.budget = group.budget;
-    options.strategy = config_.strategy;
-    options.sentinel_probes = config_.sentinel_probes;
     // The history store outlives the executor: fetch-or-create per group
     // signature so corrections learned before a rebuild keep applying.
     auto& history = histories_[signature];
@@ -343,7 +345,7 @@ Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
           entry.kind = result.kind;
           entry.epsilon = standing.query.epsilon;
           entry.signature = signature;
-          entry.ring = obs::ProgressRing(config_.health.progress_capacity);
+          entry.ring = obs::ProgressRing(kProgressCapacity);
           progress_it = progress_.emplace(member, std::move(entry)).first;
         }
         obs::ProgressSample sample;

@@ -49,8 +49,6 @@ struct HealthConfig {
   /// Dispatcher ticks per epoch: every Nth Tick() closes an epoch and
   /// re-evaluates the SLO monitors.
   std::size_t ticks_per_epoch = 1;
-  /// Per-query progress samples retained (one per tick).
-  std::size_t progress_capacity = 32;
   /// Fast/slow burn-rate windows, in epochs, for the default SLO set.
   std::size_t fast_epochs = 6;
   std::size_t slow_epochs = 36;
@@ -64,22 +62,11 @@ struct DispatcherConfig {
   /// Scheduler work-unit budget for one tick, split over query groups
   /// proportional to their query counts. 0 = unlimited (converge-all).
   std::uint64_t tick_budget = 0;
-  /// Scheduling policy inside each group. kDeadline honours the admission
-  /// reserves and is the default for multi-tenant serving.
-  engine::SchedulerPolicy policy = engine::SchedulerPolicy::kDeadline;
   /// Threads for shared object creation / row-parallel phases.
   int threads = 1;
   /// Evict a best-effort standing query after this many CONSECUTIVE
   /// unconverged ticks (0 disables eviction). Reserved tenants are exempt.
   int shed_after_misses = 3;
-  /// Iteration strategy for every group's aggregate operators.
-  /// kCalibratedGreedy / kSentinelGreedy turn on calibration-corrected
-  /// scoring backed by a per-group CostHistory that survives group
-  /// rebuilds, so corrections learned on tick N still apply after a
-  /// register/withdraw churns the group set.
-  operators::StrategyKind strategy = operators::StrategyKind::kGreedy;
-  /// kSentinelGreedy: probe budget per correlation group.
-  int sentinel_probes = 2;
   /// Reuse rate-independent PDE profiles across ticks: every Tick() runs
   /// with this dispatcher's vao::PdeProfileCache active, so a bond model
   /// re-priced at a new rate reads the grids an earlier tick solved.

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/work_meter.h"
-#include "engine/scheduler.h"
 #include "numeric/integration.h"
 #include "numeric/ode_ivp.h"
 #include "numeric/pde_solver.h"
@@ -699,34 +698,6 @@ TEST(BatchGreedyOperatorTest, TopKBatchKConverges) {
   // Integrands scale with the lane constant, so the top-2 are lanes 3, 2.
   EXPECT_EQ(outcome.value().winners[0], 3u);
   EXPECT_EQ(outcome.value().winners[1], 2u);
-}
-
-TEST(SchedulerBatchTest, BatchRoundsPreserveExactAccounting) {
-  WorkMeter meter;
-  auto objects_a = MakeIntegralSet(&meter);
-  auto objects_b = MakeIntegralSet(&meter);
-
-  operators::MinMaxOptions options;
-  options.epsilon = 1e-5;
-  options.meter = &meter;
-  auto task_a =
-      operators::MinMaxIterationTask::Create(options, RawPointers(objects_a));
-  auto task_b =
-      operators::MinMaxIterationTask::Create(options, RawPointers(objects_b));
-  ASSERT_TRUE(task_a.ok() && task_b.ok());
-
-  engine::SchedulerOptions scheduler_options;
-  scheduler_options.batch_k = 2;
-  engine::WorkScheduler scheduler(scheduler_options);
-  const std::uint64_t before = meter.Total();
-  auto stats = scheduler.Run(
-      {{task_a.value().get(), {}}, {task_b.value().get(), {}}}, &meter);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_TRUE(task_a.value()->Done());
-  EXPECT_TRUE(task_b.value()->Done());
-  std::uint64_t attributed = 0;
-  for (const auto& entry : stats.value()) attributed += entry.spent;
-  EXPECT_EQ(attributed, meter.Total() - before);
 }
 
 }  // namespace

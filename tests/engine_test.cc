@@ -446,11 +446,9 @@ TEST_F(ExecutorTest, ObservedIterateSinksAgree) {
           stats = [raw] { return raw->Snapshot().stats; };
           task = std::move(created).value();
         }
-        operators::OperatorOptions drive;
-        drive.meter = &meter;
-        const auto finished = operators::DriveTask(task.get(), drive);
-        ASSERT_TRUE(finished.ok()) << finished.status();
-        ASSERT_TRUE(*finished);
+        const Status driven = operators::DriveTask(task.get(), &meter);
+        ASSERT_TRUE(driven.ok()) << driven;
+        ASSERT_TRUE(task->Done());
 
         const std::vector<obs::TraceEvent> decisions =
             DecisionTraceScope::Decisions(task->name());

@@ -229,7 +229,8 @@ TEST_F(MultiQueryTest, ApproxQueriesRunWithAndWithoutBudget) {
   // A mixed standing set: one exact MAX, one sampled SUM, one sampled
   // TOP-2. The sampled answers must carry full provenance whether the tick
   // runs to completion or is cut off by a budget (half the unbudgeted
-  // spend), and the exact query must stay in exact mode.
+  // spend), and the exact query must stay in exact mode. Last, the sampled
+  // SUM alone gets a budget of 10 units, less than its next iterate costs.
   Query best = BaseQuery(QueryKind::kMax);
   best.epsilon = 0.01;
   Query sum = BaseQuery(QueryKind::kSum);
@@ -304,6 +305,41 @@ TEST_F(MultiQueryTest, ApproxQueriesRunWithAndWithoutBudget) {
           << "budgeted=" << budgeted << " query " << q;
     }
   }
+
+  // Every task prices its step against the allowance, the sampled SUM's
+  // iterates and row draws included, so the tick ends within its budget
+  // and the SUM still answers with a sound, replayable estimate.
+  Query exact_sum = sum;
+  exact_sum.approx.reset();
+  exact_sum.epsilon = 1e-6;
+  auto exact = MultiQueryExecutor::Create(relation_.get(), StreamSchema(),
+                                          {exact_sum});
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  const auto truth = (*exact)->ProcessTick({0.0575});
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  const double true_sum = (*truth)[0].aggregate_bounds.Mid();
+
+  MultiQueryOptions tight;
+  tight.scheduler.budget = 10;
+  std::vector<vao::Answer> estimates;
+  for (int replay = 0; replay < 2; ++replay) {
+    auto executor = MultiQueryExecutor::Create(relation_.get(),
+                                               StreamSchema(), {sum}, tight);
+    ASSERT_TRUE(executor.ok()) << executor.status();
+    const auto results = (*executor)->ProcessTick({0.0575});
+    ASSERT_TRUE(results.ok()) << results.status();
+    EXPECT_LE((*executor)->last_tick_report().scheduler_spent,
+              tight.scheduler.budget);
+    estimates.push_back((*results)[0].aggregate_bounds);
+  }
+  const vao::Answer& estimate = estimates[0];
+  EXPECT_TRUE(estimate.approximate());
+  EXPECT_GT(estimate.confidence, 0.0);
+  EXPECT_GE(estimate.sample_size, 2u);
+  EXPECT_TRUE(estimate.Contains(true_sum)) << estimate << " vs " << true_sum;
+  EXPECT_EQ(estimates[1].lo, estimate.lo);
+  EXPECT_EQ(estimates[1].hi, estimate.hi);
+  EXPECT_EQ(estimates[1].sample_size, estimate.sample_size);
 }
 
 TEST_F(MultiQueryTest, AllApproxSetSkipsSharedObjectCreation) {

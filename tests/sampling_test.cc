@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/macros.h"
@@ -19,19 +20,21 @@
 #include "engine/query.h"
 #include "engine/sampling/sampled_sum.h"
 #include "engine/sampling/sampler.h"
+#include "engine/scheduler.h"
+#include "obs/trace.h"
 #include "operators/iteration_task.h"
+#include "testing/chaos_result_object.h"
 #include "testing/workload_gen.h"
 #include "vao/answer.h"
+#include "vao/synthetic_result_object.h"
 
 namespace vaolib {
 namespace {
 
 using engine::sampling::PrefixSampler;
-using engine::sampling::ProportionalAllocation;
 using engine::sampling::ReservoirSample;
 using engine::sampling::SampledAggregateOptions;
 using engine::sampling::SampledSumTask;
-using engine::sampling::StratifiedSample;
 
 // ---------------------------------------------------------------------------
 // PrefixSampler
@@ -105,29 +108,6 @@ TEST(ReservoirSampleTest, SortedUniqueDeterministic) {
   EXPECT_NE(s1, ReservoirSample(1000, 40, 6));
 }
 
-TEST(ProportionalAllocationTest, ExactProportionsAndRemainders) {
-  EXPECT_EQ(ProportionalAllocation({10, 30, 60}, 10),
-            (std::vector<std::size_t>{1, 3, 6}));
-  // Remainders go to the largest fractional shares; total is preserved.
-  const auto alloc = ProportionalAllocation({1, 1, 1}, 2);
-  EXPECT_EQ(alloc[0] + alloc[1] + alloc[2], 2u);
-  // Never exceeds a stratum's size, and caps at the total population.
-  const auto capped = ProportionalAllocation({2, 2}, 100);
-  EXPECT_EQ(capped, (std::vector<std::size_t>{2, 2}));
-}
-
-TEST(StratifiedSampleTest, CoversStrataDeterministically) {
-  std::vector<double> keys(100);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = static_cast<double>(i % 10);  // skewed, repeated keys
-  }
-  const auto s1 = StratifiedSample(keys, 4, 20, 9);
-  EXPECT_EQ(s1, StratifiedSample(keys, 4, 20, 9));
-  EXPECT_EQ(s1.size(), 20u);
-  EXPECT_EQ(std::set<std::size_t>(s1.begin(), s1.end()).size(), 20u);
-  for (const std::size_t row : s1) EXPECT_LT(row, keys.size());
-}
-
 // ---------------------------------------------------------------------------
 // Accumulators
 
@@ -143,67 +123,6 @@ TEST(NeumaierSumTest, RecoversCancelledLowOrderBits) {
   double naive = 0.0;
   for (const double x : {1.0, 1e100, 1.0, -1e100}) naive += x;
   EXPECT_NE(naive, 2.0);
-}
-
-TEST(WeightedVarianceTest, MatchesTwoPassOnIllConditionedInput) {
-  // Large mean, tiny variance: the textbook E[x^2] - E[x]^2 formula cancels
-  // catastrophically here; the single-pass accumulator must agree with a
-  // compensated two-pass reference to high relative accuracy.
-  constexpr double kMean = 1e9;
-  std::vector<double> values;
-  for (int i = 0; i < 1000; ++i) {
-    values.push_back(kMean + 1e-3 * std::sin(0.1 * i));
-  }
-
-  WeightedVariance one_pass;
-  for (const double v : values) one_pass.Add(v);
-
-  NeumaierSum total;
-  for (const double v : values) total.Add(v);
-  const double mean = total.Sum() / static_cast<double>(values.size());
-  NeumaierSum sq;
-  for (const double v : values) sq.Add((v - mean) * (v - mean));
-  const double two_pass =
-      sq.Sum() / static_cast<double>(values.size() - 1);
-
-  EXPECT_NEAR(one_pass.Mean(), mean, 1e-6);
-  ASSERT_GT(two_pass, 0.0);
-  // Welford tracks the two-pass reference to ~1e-5 here; the residual is
-  // representation error of the inputs themselves (1e9 holds ~1e-7 ulps).
-  EXPECT_NEAR(one_pass.SampleVariance() / two_pass, 1.0, 1e-3);
-
-  // And the naive sum-of-squares formula really is broken on this input
-  // (grossly off or negative), which is what this accumulator replaces.
-  double sum = 0.0;
-  double sum2 = 0.0;
-  for (const double v : values) {
-    sum += v;
-    sum2 += v * v;
-  }
-  const double n = static_cast<double>(values.size());
-  const double naive = (sum2 - sum * sum / n) / (n - 1);
-  EXPECT_GT(std::abs(naive / two_pass - 1.0), 0.5);
-}
-
-TEST(WeightedVarianceTest, UnitWeightsMatchClassicEstimators) {
-  WeightedVariance acc;
-  const std::vector<double> values = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  for (const double v : values) acc.Add(v);
-  EXPECT_EQ(acc.count(), values.size());
-  EXPECT_DOUBLE_EQ(acc.WeightSum(), 8.0);
-  EXPECT_DOUBLE_EQ(acc.Mean(), 5.0);
-  EXPECT_DOUBLE_EQ(acc.PopulationVariance(), 4.0);
-  EXPECT_NEAR(acc.SampleVariance(), 32.0 / 7.0, 1e-12);
-  // A frequency weight of 2 equals adding the value twice.
-  WeightedVariance weighted;
-  weighted.Add(1.0, 2.0);
-  weighted.Add(4.0, 1.0);
-  WeightedVariance repeated;
-  repeated.Add(1.0);
-  repeated.Add(1.0);
-  repeated.Add(4.0);
-  EXPECT_DOUBLE_EQ(weighted.Mean(), repeated.Mean());
-  EXPECT_DOUBLE_EQ(weighted.SampleVariance(), repeated.SampleVariance());
 }
 
 TEST(NormalQuantileTest, KnownValuesAndSymmetry) {
@@ -288,9 +207,7 @@ Result<DrivenSum> DriveSampledSum(std::size_t rows, double target_rel_error,
           },
           [](std::size_t) { return 1.0; }));
 
-  operators::OperatorOptions drive;
-  drive.meter = &meter;
-  VAOLIB_RETURN_IF_ERROR(operators::DriveTask(task.get(), drive).status());
+  VAOLIB_RETURN_IF_ERROR(operators::DriveTask(task.get(), &meter));
 
   DrivenSum result;
   result.outcome = task->Snapshot();
@@ -468,9 +385,7 @@ TEST(SampledSumTaskTest, IllConditionedMeanKeepsVarianceEstimate) {
                   },
                   [](std::size_t) { return 1.0; })
                   .ValueOrDie();
-  operators::OperatorOptions drive;
-  drive.meter = &meter;
-  ASSERT_TRUE(operators::DriveTask(task.get(), drive).ok());
+  ASSERT_TRUE(operators::DriveTask(task.get(), &meter).ok());
 
   const vao::Answer answer = task->Snapshot().answer;
   ASSERT_LT(answer.sample_size, static_cast<std::size_t>(spec.rows));
@@ -483,6 +398,111 @@ TEST(SampledSumTaskTest, IllConditionedMeanKeepsVarianceEstimate) {
   for (const double v : workload.true_values) truth.Add(v);
   EXPECT_TRUE(answer.Contains(truth.Sum())) << answer << " vs "
                                             << truth.Sum();
+}
+
+TEST(SampledSumTaskTest, StallingObjectIsQuarantinedThroughSettle) {
+  // One sampled row freezes its bounds while Iterate() keeps succeeding.
+  // The shared settle step quarantines it: one "stall" trace instant, one
+  // stalled object in the stats, and its frozen (sound) bounds stay in the
+  // interval.
+  constexpr std::size_t kRows = 8;
+  constexpr std::size_t kStalledRow = 3;
+  const obs::TraceMode previous = obs::CurrentTraceMode();
+  obs::SetTraceMode(obs::TraceMode::kFlight);
+  obs::ClearTrace();
+
+  WorkMeter meter;
+  SampledAggregateOptions options;
+  options.spec.confidence = 0.95;
+  options.spec.target_rel_error = 1e-12;  // unreachable: refine every row
+  options.spec.seed = 3;
+  options.spec.initial_samples = kRows;  // the whole population up front
+  options.epsilon = 1e-9;
+  options.meter = &meter;
+  auto task = SampledSumTask::Create(
+      options, kRows,
+      [&meter](std::size_t row) -> Result<vao::ResultObjectPtr> {
+        vao::SyntheticResultObject::Config config;
+        config.true_value = 10.0 * static_cast<double>(row + 1);
+        config.meter = &meter;
+        vao::ResultObjectPtr object =
+            std::make_unique<vao::SyntheticResultObject>(config);
+        if (row != kStalledRow) return object;
+        testing::FaultPlan plan;
+        plan.kind = testing::FaultKind::kStalledConvergence;
+        return vao::ResultObjectPtr(std::make_unique<testing::ChaosResultObject>(
+            std::move(object), plan));
+      },
+      [](std::size_t) { return 1.0; });
+  ASSERT_TRUE(task.ok()) << task.status();
+  ASSERT_TRUE(operators::DriveTask(task->get(), &meter).ok());
+
+  const obs::TraceSnapshot trace = obs::SnapshotTrace();
+  obs::ClearTrace();
+  obs::SetTraceMode(previous);
+
+  const engine::sampling::SampledSumOutcome outcome = (*task)->Snapshot();
+  EXPECT_EQ(outcome.stats.stalled_objects, 1u);
+  EXPECT_EQ(outcome.stats.objects_touched, kRows);
+  EXPECT_TRUE(outcome.limited_by_min_width);
+  EXPECT_TRUE(outcome.answer.Contains(10.0 * 36.0)) << outcome.answer;
+#ifndef VAOLIB_OBS_DISABLED
+  std::size_t stall_instants = 0;
+  for (const obs::TraceEvent& event : trace.events) {
+    if (event.kind == obs::TraceEvent::Kind::kInstant &&
+        std::string(event.cat) == "stall" &&
+        std::string(event.name) == "sampled_sum") {
+      ++stall_instants;
+    }
+  }
+  EXPECT_EQ(stall_instants, 1u);
+#endif
+}
+
+TEST(SampledSumTaskTest, BudgetedRunTakesWhatItsAllowanceCoversThenParks) {
+  // Rows cost 5 units to create and 64 per iterate. A budget of 12 covers
+  // one draw of 2 rows; after it neither a row nor an iterate fits what is
+  // left, so the task parks instead of overspending, and still answers.
+  constexpr std::size_t kRows = 40;
+  constexpr std::uint64_t kBudget = 12;
+  WorkMeter meter;
+  SampledAggregateOptions options;
+  options.spec.confidence = 0.95;
+  options.spec.target_rel_error = 1e-9;
+  options.spec.seed = 5;
+  options.spec.initial_samples = 8;
+  options.epsilon = 1e-9;
+  options.meter = &meter;
+  auto task = SampledSumTask::Create(
+      options, kRows,
+      [&meter](std::size_t row) -> Result<vao::ResultObjectPtr> {
+        meter.Charge(WorkKind::kExec, 5);
+        vao::SyntheticResultObject::Config config;
+        config.true_value = static_cast<double>(row);
+        config.cost_per_iteration = 64;
+        config.meter = &meter;
+        return vao::ResultObjectPtr(
+            std::make_unique<vao::SyntheticResultObject>(config));
+      },
+      [](std::size_t) { return 1.0; });
+  ASSERT_TRUE(task.ok()) << task.status();
+  const std::size_t drawn = (*task)->sample_size();
+
+  engine::SchedulerOptions scheduler_options;
+  scheduler_options.budget = kBudget;
+  engine::WorkScheduler scheduler(scheduler_options);
+  const std::uint64_t before = meter.Total();
+  const auto stats = scheduler.Run({{task->get(), {}}}, &meter);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(meter.Total() - before, 10u);
+  EXPECT_TRUE((*stats)[0].parked);
+  EXPECT_EQ((*task)->sample_size(), drawn + 2);
+
+  const engine::sampling::SampledSumOutcome outcome = (*task)->Snapshot();
+  EXPECT_FALSE(outcome.converged);
+  EXPECT_EQ(outcome.stats.iterations, 0u);
+  EXPECT_TRUE(outcome.answer.approximate());
+  EXPECT_TRUE(outcome.answer.bounds().IsValid());
 }
 
 // ---------------------------------------------------------------------------

@@ -631,27 +631,23 @@ TEST_F(DoublingSumTest, UnaffordableIterateIsNotStartedAndTotalStaysInBudget) {
 }
 
 TEST_F(DoublingSumTest, ParkedTasksUnderGreedyGlobalTerminate) {
-  // Two tasks over the same objects under the greedy heap, one task per
-  // round and in batch rounds: once both park, the run must end rather
-  // than pop a parked task forever.
-  for (const int batch_k : {1, 2}) {
-    Build();
-    auto first = MakeTask();
-    auto second = MakeTask();
-    ASSERT_NE(first, nullptr);
-    ASSERT_NE(second, nullptr);
-    SchedulerOptions options;
-    options.policy = SchedulerPolicy::kGreedyGlobal;
-    options.budget = 20000;
-    options.batch_k = batch_k;
-    WorkScheduler scheduler(options);
-    const auto stats =
-        scheduler.Run({{first.get(), {}}, {second.get(), {}}}, &meter_);
-    ASSERT_TRUE(stats.ok()) << stats.status();
-    EXPECT_LE(meter_.Total(), options.budget);
-    EXPECT_TRUE((*stats)[0].parked);
-    EXPECT_TRUE((*stats)[1].parked);
-  }
+  // Two tasks over the same objects under the greedy heap: once both park,
+  // the run must end rather than pop a parked task forever.
+  Build();
+  auto first = MakeTask();
+  auto second = MakeTask();
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  SchedulerOptions options;
+  options.policy = SchedulerPolicy::kGreedyGlobal;
+  options.budget = 20000;
+  WorkScheduler scheduler(options);
+  const auto stats =
+      scheduler.Run({{first.get(), {}}, {second.get(), {}}}, &meter_);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_LE(meter_.Total(), options.budget);
+  EXPECT_TRUE((*stats)[0].parked);
+  EXPECT_TRUE((*stats)[1].parked);
 }
 
 // ---------------------------------------------------------------------------

@@ -385,7 +385,6 @@ TEST(AdmissionTest, SchedulesMapQuotasOntoSchedulerParameters) {
   AdmissionConfig config;
   AdmissionController admission(config);
   TenantQuota reserved;
-  reserved.work_share = 2.0;
   reserved.reserve_units = 1000;
   admission.SetQuota("vip", reserved);
 
@@ -396,9 +395,8 @@ TEST(AdmissionTest, SchedulesMapQuotasOntoSchedulerParameters) {
 
   const engine::QuerySchedule schedule =
       admission.ScheduleFor("vip", /*tick_budget=*/50000);
-  EXPECT_DOUBLE_EQ(schedule.priority, 1.0);  // share 2.0 over 2 queries
-  EXPECT_EQ(schedule.reserve, 500u);         // reserve split per query
-  EXPECT_EQ(schedule.deadline, 50000u);      // EDF: run before best-effort
+  EXPECT_EQ(schedule.reserve, 500u);     // reserve split per query
+  EXPECT_EQ(schedule.deadline, 50000u);  // EDF: run before best-effort
 
   const engine::QuerySchedule best_effort =
       admission.ScheduleFor("other", /*tick_budget=*/50000);

@@ -4,7 +4,7 @@
 //   vaolib_server [--port P] [--bonds N] [--seed S] [--threads T]
 //                 [--tick-budget UNITS] [--shed-after N]
 //                 [--max-queries N] [--max-objects N] [--max-total N]
-//                 [--reserve TENANT=UNITS] [--share TENANT=WEIGHT]
+//                 [--reserve TENANT=UNITS]
 //                 [--no-health] [--health-windows N] [--ticks-per-epoch N]
 //
 // The runtime health plane (METRICS / INSPECT verbs, SLO burn-rate
@@ -69,7 +69,6 @@ struct Flags {
   std::size_t max_objects = 1u << 20;
   std::size_t max_total = 1024;
   std::map<std::string, std::uint64_t> reserves;
-  std::map<std::string, double> shares;
   bool health = true;
   std::size_t health_windows = 64;
   std::size_t ticks_per_epoch = 1;
@@ -124,15 +123,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         return false;
       }
       flags->reserves[tenant] = static_cast<std::uint64_t>(units);
-    } else if (name == "--share" && (value = next())) {
-      std::string tenant;
-      double weight = 0.0;
-      if (!ParseTenantValue(value, &tenant, &weight) || !(weight > 0.0)) {
-        std::fprintf(stderr, "bad --share '%s' (want TENANT=WEIGHT)\n",
-                     value);
-        return false;
-      }
-      flags->shares[tenant] = weight;
     } else {
       std::fprintf(stderr, "unknown or incomplete flag '%s'\n",
                    name.c_str());
@@ -205,12 +195,6 @@ int main(int argc, char** argv) {
     server::TenantQuota quota = server.dispatcher().admission().QuotaFor(
         tenant);
     quota.reserve_units = units;
-    server.dispatcher().admission().SetQuota(tenant, quota);
-  }
-  for (const auto& [tenant, weight] : flags.shares) {
-    server::TenantQuota quota = server.dispatcher().admission().QuotaFor(
-        tenant);
-    quota.work_share = weight;
     server.dispatcher().admission().SetQuota(tenant, quota);
   }
 
