@@ -1,18 +1,18 @@
 // Copyright 2026 The vaolib Authors.
 // CostHistory: the engine-side store behind operators::CostFeedback.
 //
-// Keyed by (stable object identity, solver kind), each entry keeps EWMA'd
+// Keyed by (object position, solver kind), each entry keeps EWMA'd
 // actual/estimated ratios for per-iteration cost and bound shrink, plus a
-// decaying sample weight. The store survives across ticks of a standing
-// query (the MultiQueryExecutor calls BeginTick() once per tick; the
-// server dispatcher keeps one store per query group across rebuilds), so
-// an object that lies about its estimates on tick 1 is scored honestly on
-// tick 2 even though its result objects are rebuilt from scratch.
+// decaying sample weight. A caller that runs the same rows every tick
+// passes one store as OperatorOptions::feedback to each tick's operators
+// and calls BeginTick() between ticks, so an object that lies about its
+// estimates on tick 1 is scored honestly on tick 2 even though its result
+// objects are rebuilt from scratch.
 //
 // Bounded: at most max_entries live at once; recording past the bound
 // evicts the least-recently-recorded entry. Decayed: BeginTick() scales
 // every weight by `decay` and drops entries below `min_weight`, so stale
-// identities age out of standing queries whose row sets churn.
+// entries age out.
 //
 // Thread-safe (one mutex); the operators only record on their serial
 // adaptive paths, so the recorded sample sequence -- and therefore the

@@ -1,7 +1,6 @@
 #include "engine/multi_query.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "common/macros.h"
@@ -87,14 +86,6 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   if (n == 0) {
     return Status::FailedPrecondition("relation is empty");
   }
-  if (object_ids_.size() != n) {
-    object_ids_.resize(n);
-    std::iota(object_ids_.begin(), object_ids_.end(), std::uint64_t{0});
-  }
-  // Tick boundary for the cross-tick cost history: decay last tick's
-  // learned ratios before this tick's operators read or extend them.
-  if (options_.history != nullptr) options_.history->BeginTick();
-
   const obs::ScopedSpan tick_span("tick", "multi");
   const QueryPlan& lead = plans_.front();
   const ReportCapture tick_capture(
@@ -131,8 +122,6 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   inputs.objects = &objects;
   inputs.meter = &meter_;
   inputs.threads = options_.threads;
-  inputs.feedback = options_.history.get();
-  inputs.object_ids = &object_ids_;
   std::vector<CompiledQuery> compiled;
   compiled.reserve(plans_.size());
   std::vector<WorkScheduler::Entry> entries(plans_.size());
@@ -142,9 +131,6 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
     entries[q].task = compiled[q].task();
     if (!options_.schedules.empty()) {
       entries[q].schedule = options_.schedules[q];
-    }
-    if (!options_.owners.empty()) {
-      entries[q].task->set_owner(options_.owners[q]);
     }
   }
   WorkScheduler scheduler(options_.scheduler);

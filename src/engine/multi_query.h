@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/work_meter.h"
-#include "engine/cost_history.h"
 #include "engine/query.h"
 #include "engine/query_plan.h"
 #include "engine/relation.h"
@@ -50,18 +49,9 @@ struct MultiQueryOptions {
 
   /// Per-query owner labels (tenant ids in multi-tenant serving), parallel
   /// to the query list or empty. Each owner's exact per-tick spend is
-  /// attributed on the query's ExecutionReport (`tenant`) and on its
-  /// IterationTask, and accumulated into the
-  /// vaolib_owner_work_units_total{owner=...} counter.
+  /// attributed on the query's ExecutionReport (`tenant`) and accumulated
+  /// into the vaolib_owner_work_units_total{owner=...} counter.
   std::vector<std::string> owners;
-
-  /// Optional per-(row, solver kind) cost history shared across ticks: the
-  /// executor records every serial iterate into it (keyed by row index, so
-  /// identities survive the per-tick result-object rebuild), calls
-  /// BeginTick() once per tick, and the corrected strategies read it back.
-  /// Share one store across executors (the server dispatcher does, per
-  /// query group) to carry corrections across rebuilds.
-  std::shared_ptr<CostHistory> history;
 };
 
 /// \brief Shared-execution runner for a set of standing queries.
@@ -113,10 +103,6 @@ class MultiQueryExecutor {
   MultiQueryOptions options_;
   WorkMeter meter_;
   obs::ExecutionReport last_tick_report_;
-
-  /// Stable per-row identities for the cost history (row index: the
-  /// relation row a shared object was built from, constant across ticks).
-  std::vector<std::uint64_t> object_ids_;
 };
 
 }  // namespace vaolib::engine

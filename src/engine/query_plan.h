@@ -27,7 +27,6 @@
 #include "engine/relation.h"
 #include "engine/schema.h"
 #include "obs/execution_report.h"
-#include "operators/cost_feedback.h"
 #include "operators/iteration_task.h"
 #include "vao/answer.h"
 
@@ -156,13 +155,6 @@ struct TickInputs {
   /// failed to materialize (their objects are null); selections settle
   /// those rows as failed. Empty: every object is live.
   std::vector<Status> invoke_status;
-  /// \name Predictive planning (operators/cost_feedback.h), stamped onto
-  /// every exact aggregate, which runs the greedy strategy. The feedback
-  /// store also records selection-row shrink.
-  /// @{
-  operators::CostFeedback* feedback = nullptr;
-  const std::vector<std::uint64_t>* object_ids = nullptr;
-  /// @}
 };
 
 /// \brief One query compiled for one tick: its resumable task and the

@@ -112,6 +112,7 @@ class SampledSumTask : public operators::IterationTask {
       RowFactory factory, WeightFn weight);
 
   const char* name() const override { return "sampled_sum"; }
+  double CurrentUncertainty() const override;
 
   /// The best currently-provable probabilistic answer (sound at the stated
   /// confidence at any point; `converged` only once the target is met).
@@ -122,7 +123,6 @@ class SampledSumTask : public operators::IterationTask {
 
  protected:
   Status StepImpl(WorkMeter* meter) override;
-  double CurrentUncertainty() const override;
 
  private:
   SampledSumTask(const SampledAggregateOptions& options,

@@ -13,12 +13,25 @@ namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
-// Benefit-per-work score used by kGreedyGlobal. Estimates self-calibrate
-// inside IterationTask, so a task that just made a cheap high-gain step
-// floats to the top; transition steps (benefit 0) sink but stay
-// schedulable -- when every score is 0 the heap still yields someone.
-double GreedyScore(const operators::IterationTask& task) {
-  return task.EstimatedBenefit() / std::max(1.0, task.EstimatedCost());
+// kGreedyGlobal's estimate of one task's next step, kept for one Run():
+// the uncertainty its last granted step removed and the work that step
+// charged. Before its first step a task promises all of its current
+// uncertainty at cost 1.
+struct StepEstimate {
+  bool calibrated = false;
+  double benefit = 0.0;
+  double cost = 1.0;
+};
+
+// Benefit-per-work score of kGreedyGlobal: a task that just made a cheap
+// high-gain step floats to the top; transition steps (benefit 0) sink but
+// stay schedulable -- when every score is 0 the heap still yields someone.
+double GreedyScore(const operators::IterationTask& task,
+                   const StepEstimate& estimate) {
+  if (task.Done()) return 0.0;
+  const double benefit =
+      estimate.calibrated ? estimate.benefit : task.CurrentUncertainty();
+  return benefit / std::max(1.0, estimate.cost);
 }
 
 struct PolicyCounters {
@@ -172,30 +185,13 @@ std::uint64_t WorkScheduler::AllowanceFor(
   return allowance;
 }
 
-std::size_t WorkScheduler::PickGreedy(
-    const std::vector<Entry>& entries,
-    const std::vector<TaskScheduleStats>& stats) const {
-  // Fallback scan (used when the lazy heap is exhausted by done tasks).
-  std::size_t best = kNone;
-  double best_score = -1.0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (!Live(entries[i], stats[i])) continue;
-    const double score = GreedyScore(*entries[i].task);
-    if (score > best_score) {
-      best = i;
-      best_score = score;
-    }
-  }
-  return best;
-}
-
 std::size_t WorkScheduler::PickNext(
     const std::vector<Entry>& entries,
     const std::vector<TaskScheduleStats>& stats,
     std::uint64_t total_spent) const {
   switch (options_.policy) {
     case SchedulerPolicy::kGreedyGlobal:
-      return PickGreedy(entries, stats);
+      break;  // Run() keeps the lazy heap
     case SchedulerPolicy::kFairShare:
       return PickFairShare(entries, stats);
     case SchedulerPolicy::kDeadline:
@@ -228,14 +224,17 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
 
   // kGreedyGlobal keeps a lazy max-heap over benefit/cost scores; stale
   // entries (score changed since push, or task finished) are skipped or
-  // re-scored on pop instead of rebuilding.
+  // re-scored on pop instead of rebuilding. Only this policy estimates, so
+  // only it asks a task for its uncertainty.
   const bool use_heap = options_.policy == SchedulerPolicy::kGreedyGlobal;
+  std::vector<StepEstimate> estimates(use_heap ? entries.size() : 0);
+  auto score = [&](std::size_t i) {
+    return GreedyScore(*entries[i].task, estimates[i]);
+  };
   GreedyHeap heap;
   if (use_heap) {
     for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (!entries[i].task->Done()) {
-        heap.push({GreedyScore(*entries[i].task), i});
-      }
+      if (!entries[i].task->Done()) heap.push({score(i), i});
     }
   }
   auto pop_greedy = [&]() -> std::size_t {
@@ -243,14 +242,17 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
       const HeapEntry top = heap.top();
       heap.pop();
       if (!Live(entries[top.index], stats[top.index])) continue;
-      const double fresh = GreedyScore(*entries[top.index].task);
+      const double fresh = score(top.index);
       if (fresh != top.score) {
         heap.push({fresh, top.index});  // stale: re-score and retry
         continue;
       }
       return top.index;
     }
-    return PickGreedy(entries, stats);
+    // Every live task has a heap entry (pushed at the start, after each
+    // step that left it live, and on revival), so an empty heap means none
+    // is left.
+    return kNone;
   };
 
   // A park holds only for what it was measured against: the allowance the
@@ -273,7 +275,7 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
         continue;
       }
       stats[i].parked = false;
-      if (use_heap) heap.push({GreedyScore(*entries[i].task), i});
+      if (use_heap) heap.push({score(i), i});
     }
   };
 
@@ -293,30 +295,42 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
     return delta;
   };
 
-  // One task step: its work is attributed to it, the heap (kGreedyGlobal)
-  // gets the fresh score. A step that parks the task takes it out of the
-  // run until it revives.
+  // One task step: its work is attributed to it; under kGreedyGlobal the
+  // step's uncertainty drop and work become the task's estimates and the
+  // heap gets the fresh score (a parked step keeps the last estimates). A
+  // step that parks the task takes it out of the run until it revives.
   auto step_one = [&](std::size_t idx) -> Status {
     operators::IterationTask* task = entries[idx].task;
     const std::uint64_t allowance =
         AllowanceFor(entries, stats, idx, total_spent);
     const std::uint64_t before = meter->Total();
     const obs::WorkByKind work_before = obs::WorkByKind::Capture(*meter);
+    const double uncertainty_before =
+        use_heap ? task->CurrentUncertainty() : 0.0;
     Status status = Status::OK();
     {
       const obs::ScopedSpan step_span("sched_step", task->name(),
                                       obs::TraceDetail::kFine);
       status = task->Step(meter, allowance);
     }
-    attribute(idx, before, work_before);
+    const std::uint64_t delta = attribute(idx, before, work_before);
     stats[idx].parked = status.ok() && task->Parked();
     if (!stats[idx].parked) stats[idx].steps += 1;
     if (!status.ok()) return status;
-    if (stats[idx].parked) parks[idx] = {allowance, total_spent};
+    if (stats[idx].parked) {
+      parks[idx] = {allowance, total_spent};
+    } else if (use_heap) {
+      const double uncertainty_after =
+          task->Done() ? 0.0 : task->CurrentUncertainty();
+      estimates[idx] = {
+          .calibrated = true,
+          .benefit = std::max(0.0, uncertainty_before - uncertainty_after),
+          .cost = std::max(1.0, static_cast<double>(delta))};
+    }
     if (task->Done()) {
       stats[idx].finished_at = total_spent;
     } else if (use_heap && !stats[idx].parked) {
-      heap.push({GreedyScore(*task), idx});
+      heap.push({score(idx), idx});
     }
     return Status::OK();
   };

@@ -37,9 +37,12 @@ namespace vaolib::engine {
 /// \brief How the scheduler picks the next task to step.
 enum class SchedulerPolicy {
   /// Global benefit/cost greedy: step the task whose next Step() promises
-  /// the largest accuracy gain per work unit (a lazy max-heap over the
-  /// tasks' self-calibrating estimates). Converges the whole query set
-  /// with the least total work; no fairness guarantee.
+  /// the largest accuracy gain per work unit (a lazy max-heap). The
+  /// scheduler estimates each task's next step from its last one in this
+  /// Run(): the drop in IterationTask::CurrentUncertainty() and the work
+  /// charged; before its first step a task promises all of its current
+  /// uncertainty at cost 1. Converges the whole query set with the least
+  /// total work; no fairness guarantee.
   kGreedyGlobal,
   /// Weighted fair share: step the unfinished task with the smallest
   /// spent/priority ratio. Starvation-free -- every unfinished task is
@@ -125,14 +128,13 @@ class WorkScheduler {
   const SchedulerOptions& options() const { return options_; }
 
  private:
-  /// Policy dispatch: index of the next entry to step, or npos when no
-  /// entry is eligible (all done or parked, or reserves block everyone).
+  /// Policy dispatch for kFairShare and kDeadline: index of the next entry
+  /// to step, or npos when no entry is eligible (all done or parked, or
+  /// reserves block everyone). kGreedyGlobal picks from Run()'s heap.
   std::size_t PickNext(const std::vector<Entry>& entries,
                        const std::vector<TaskScheduleStats>& stats,
                        std::uint64_t total_spent) const;
 
-  std::size_t PickGreedy(const std::vector<Entry>& entries,
-                         const std::vector<TaskScheduleStats>& stats) const;
   std::size_t PickFairShare(const std::vector<Entry>& entries,
                             const std::vector<TaskScheduleStats>& stats) const;
   std::size_t PickDeadline(const std::vector<Entry>& entries,

@@ -171,8 +171,7 @@ void ProgressRing::Record(const ProgressSample& sample) {
   ++total_recorded_;
 }
 
-EtaEstimate ProgressRing::EstimateEta(double target_width,
-                                      double shrink_hint) const {
+EtaEstimate ProgressRing::EstimateEta(double target_width) const {
   EtaEstimate eta;
   if (samples_.empty() || !(target_width > 0.0)) return eta;
   const ProgressSample& last = samples_.back();
@@ -193,10 +192,9 @@ EtaEstimate ProgressRing::EstimateEta(double target_width,
   if (!std::isfinite(first.width) || first.width <= 0.0 || last.width <= 0.0) {
     return eta;
   }
-  double per_tick =
+  const double per_tick =
       (std::log(first.width) - std::log(last.width)) /
       static_cast<double>(n - 1);
-  per_tick *= std::clamp(shrink_hint, 0.25, 4.0);
   if (!(per_tick > 1e-12)) return eta;  // flat or widening trajectory
 
   eta.known = true;

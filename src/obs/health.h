@@ -10,8 +10,7 @@
 //     deterministic windows.
 //   * ProgressRing records one bound-width sample per standing-query tick
 //     and answers "how wide, shrinking how fast, done when?" from the
-//     retained trajectory (optionally corrected by the CostHistory shrink
-//     ratio the caller passes in as a hint).
+//     retained trajectory alone.
 //   * SloMonitor evaluates declarative objectives over a fast and a slow
 //     window of the view, Google-SRE multi-window burn-rate style:
 //         burn = observed_bad_fraction / error_budget
@@ -159,14 +158,12 @@ class ProgressRing {
   const ProgressSample& newest() const { return samples_.back(); }
 
   /// Extrapolates the per-tick log-width shrink rate of the last few
-  /// samples to estimate ticks/work until width <= \p target_width.
-  /// \p shrink_hint is a multiplicative correction from the query group's
-  /// CostHistory (EWMA actual/estimated shrink ratio; clamped to
-  /// [0.25, 4]); pass 1.0 when no history exists. Unknown when the ring is
-  /// empty, the trajectory is flat or widening, the newest sample is
-  /// limited_by_min_width, or widths are not finite. A query already at or
-  /// below the target reports {known, 0, 0}.
-  EtaEstimate EstimateEta(double target_width, double shrink_hint = 1.0) const;
+  /// samples to estimate ticks/work until width <= \p target_width. The
+  /// samples are measured widths, so the rate already is the actual
+  /// shrink. Unknown when the ring is empty, the trajectory is flat or
+  /// widening, the newest sample is limited_by_min_width, or widths are not
+  /// finite. A query already at or below the target reports {known, 0, 0}.
+  EtaEstimate EstimateEta(double target_width) const;
 
  private:
   std::size_t capacity_;

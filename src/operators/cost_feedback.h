@@ -4,11 +4,12 @@
 // The aggregate operators observe, on their serial adaptive paths, how much
 // one Iterate() actually cost and how much it actually tightened the bounds
 // versus what the object's estimates claimed. A CostFeedback sink receives
-// those observations keyed by (stable object identity, solver kind) and
-// answers multiplicative correction ratios for future decisions. The
-// concrete store -- engine::CostHistory -- lives one layer up so that the
-// engine can persist it across ticks of a standing query; operators only
-// see this interface (operators must not depend on engine).
+// those observations keyed by (object position, solver kind) and answers
+// multiplicative correction ratios for future decisions. It is an operator
+// option (OperatorOptions::feedback), read by the corrected strategies. The
+// concrete store -- engine::CostHistory -- lives one layer up so that a
+// caller running the same rows every tick can keep one store across ticks;
+// operators only see this interface (operators must not depend on engine).
 
 #ifndef VAOLIB_OPERATORS_COST_FEEDBACK_H_
 #define VAOLIB_OPERATORS_COST_FEEDBACK_H_
@@ -32,9 +33,9 @@ inline constexpr double kMinDenominator = 1e-12;
 
 /// \brief One serial-path Iterate() outcome versus its preceding estimates.
 /// Costs are in work units; shrinks are bounds-width reductions (>= 0).
-/// Negative actual_cost / actual_shrink mean "unknown" (e.g. the parallel
-/// selection path cannot attribute per-object meter deltas) -- the sink
-/// skips the corresponding ratio.
+/// Negative actual_cost / actual_shrink mean "unknown" (e.g. an operator
+/// run without a meter cannot attribute per-object work) -- the sink skips
+/// the corresponding ratio.
 struct CostObservation {
   double est_cost = 0.0;      ///< predicted work units (raw estimate)
   double actual_cost = -1.0;  ///< measured work units; < 0 = unknown

@@ -136,32 +136,14 @@ Status IterationTask::Step(WorkMeter* meter, std::uint64_t allowance) {
   parked_ = false;
   blocked_ = nullptr;
   allowance_ = allowance;
-  const std::uint64_t cost_before = meter != nullptr ? meter->Total() : 0;
-  const double uncertainty_before = CurrentUncertainty();
   const Status status = StepImpl(meter);
   allowance_ = kUnlimited;
   if (!status.ok()) {
     done_ = true;
     converged_ = false;
-    return status;
   }
-  if (parked_) return Status::OK();  // no work: keep the last estimates
-  const double uncertainty_after = done_ ? 0.0 : CurrentUncertainty();
-  est_benefit_ = std::max(0.0, uncertainty_before - uncertainty_after);
-  if (meter != nullptr) {
-    est_cost_ = std::max<double>(
-        1.0, static_cast<double>(meter->Total() - cost_before));
-  }
-  calibrated_ = true;
-  return Status::OK();
+  return status;
 }
-
-double IterationTask::EstimatedBenefit() const {
-  if (done_) return 0.0;
-  return calibrated_ ? est_benefit_ : CurrentUncertainty();
-}
-
-double IterationTask::EstimatedCost() const { return est_cost_; }
 
 void IterationTask::Publish(const IterateRecord& record, const char* phase,
                             double score, double raw_score, bool trace,
@@ -413,17 +395,20 @@ Status AggregateIterationTask::GreedyCycle(
     return IterateOne(probe, &stats_.greedy_iterations, "sentinel", meter);
   }
 
+  // Raw candidates are kept apart only when a correction can change the
+  // scores; otherwise the raw scores are the scored ones.
+  const bool correcting = corrector_.correcting();
   std::vector<IterationCandidate> candidates;
   std::vector<IterationCandidate> raw_candidates;
   candidates.reserve(offered->size());
   if (strategy_->WantsScores()) {
-    raw_candidates.reserve(offered->size());
+    if (correcting) raw_candidates.reserve(offered->size());
     for (const std::size_t i : *offered) {
       const double raw_cost = EstCostOf(*objects_[i]);
       const double raw_benefit = benefit(i, EstViewOf(i));
       double cost = raw_cost;
       double scored_benefit = raw_benefit;
-      if (corrector_.correcting()) {
+      if (correcting) {
         const ScoreCorrector::Corrected corrected = corrector_.Correct(
             i, objects_[i]->bounds(), objects_[i]->est_bounds(), raw_cost);
         if (corrected.changed) {
@@ -436,8 +421,10 @@ Status AggregateIterationTask::GreedyCycle(
                                : ViewOf(i).Width();
       candidates.push_back(
           IterationCandidate{i, scored_benefit, cost, width});
-      raw_candidates.push_back(
-          IterationCandidate{i, raw_benefit, raw_cost, width});
+      if (correcting) {
+        raw_candidates.push_back(
+            IterationCandidate{i, raw_benefit, raw_cost, width});
+      }
     }
   } else {
     for (const std::size_t i : *offered) {
@@ -1061,10 +1048,8 @@ MultiRowDecisionTask::MultiRowDecisionTask(
       who_(who),
       undecided_(std::move(undecided)),
       threads_(options.threads),
-      corrector_(options, objects_, /*selection_rows=*/true),
       row_status_(objects_.size()),
       settled_(objects_.size(), false) {
-  ObserveWith(&corrector_);
   TrackObjects(objects_.size(), who, options.max_total_iterations,
                "predicate-stall");
 }
@@ -1128,8 +1113,8 @@ Status MultiRowDecisionTask::StepImpl(WorkMeter* meter) {
   // share one lockstep kernel call; results and work totals are
   // bit-identical to iterating each row), fanned out over the pool
   // otherwise. Either way the records are published on this (driving)
-  // thread in row order, so the trace and the feedback history are
-  // deterministic regardless of how the pool interleaves.
+  // thread in row order, so the trace is deterministic regardless of how
+  // the pool interleaves.
   // Under an allowance the notch holds the rows it covers, in row order.
   std::vector<std::size_t> covered;
   const std::vector<std::size_t>* notch = &unsettled_;

@@ -22,8 +22,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -43,25 +41,19 @@ namespace vaolib::operators {
 
 /// \brief A resumable unit of operator work. Step() performs one loop body
 /// of the underlying operator (at most one Iterate(), except batched
-/// multi-row steps); Done() reports completion; the benefit/cost estimates
-/// let a scheduler rank tasks globally.
-///
-/// Estimates are self-calibrating: benefit is the uncertainty reduction the
-/// previous Step() achieved (the task's full remaining uncertainty before
-/// the first step), cost is the work-unit delta that step charged. Tasks
-/// over shared result objects may see their uncertainty shrink between
-/// steps when other tasks tighten the same objects; estimates are therefore
-/// hints, never soundness-bearing.
+/// multi-row steps); Done() reports completion; CurrentUncertainty() is
+/// what a scheduler that ranks tasks globally measures a step's gain by.
 class IterationTask {
  public:
   virtual ~IterationTask() = default;
 
   virtual const char* name() const = 0;
 
-  /// Predicted accuracy gain of the next Step() (>= 0; 0 once Done).
-  double EstimatedBenefit() const;
-  /// Predicted work units of the next Step() (>= 1).
-  double EstimatedCost() const;
+  /// Current remaining-uncertainty measure (operator-specific, >= 0,
+  /// trending to 0 as the task converges). Only WorkScheduler's
+  /// kGreedyGlobal policy reads it; tasks over shared result objects may
+  /// see it shrink between steps when other tasks tighten the same objects.
+  virtual double CurrentUncertainty() const = 0;
 
   /// Step() allowance that prices nothing: every iterate may start.
   static constexpr std::uint64_t kUnlimited =
@@ -100,20 +92,10 @@ class IterationTask {
   /// erroring); budget-abandoned tasks are simply never Done.
   bool Converged() const { return done_ && converged_; }
 
-  /// Owner label for spend attribution (the tenant id in multi-tenant
-  /// serving; empty outside it). Purely descriptive: scheduling never
-  /// reads it.
-  const std::string& owner() const { return owner_; }
-  void set_owner(std::string owner) { owner_ = std::move(owner); }
-
  protected:
   /// One loop body of the operator. Must call MarkDone() when the machine
   /// reaches its terminal state.
   virtual Status StepImpl(WorkMeter* meter) = 0;
-
-  /// Current remaining-uncertainty measure (operator-specific, >= 0,
-  /// trending to 0 as the task converges). Feeds the benefit estimate.
-  virtual double CurrentUncertainty() const = 0;
 
   void MarkDone(bool converged) {
     done_ = true;
@@ -241,10 +223,6 @@ class IterationTask {
   bool parked_ = false;
   const vao::Prepayable* blocked_ = nullptr;  ///< set while parked_
   std::uint64_t allowance_ = kUnlimited;
-  bool calibrated_ = false;
-  double est_benefit_ = 0.0;
-  double est_cost_ = 1.0;
-  std::string owner_;
   ScoreCorrector* sink_corrector_ = nullptr;
   const char* label_ = "";
   std::uint64_t max_iterations_ = 0;
@@ -348,6 +326,7 @@ class MinMaxIterationTask : public AggregateIterationTask {
       const std::vector<vao::ResultObject*>& objects);
 
   const char* name() const override { return "min_max"; }
+  double CurrentUncertainty() const override;
 
   /// The final outcome once Done(); before that, a sound partial answer --
   /// the current best guess and an envelope interval guaranteed to contain
@@ -356,7 +335,6 @@ class MinMaxIterationTask : public AggregateIterationTask {
 
  protected:
   Status StepImpl(WorkMeter* meter) override;
-  double CurrentUncertainty() const override;
 
  private:
   enum class Phase { kCoarse, kSearch, kFinalize };
@@ -386,6 +364,7 @@ class SumAveIterationTask : public AggregateIterationTask {
       std::vector<double> weights);
 
   const char* name() const override { return "sum_ave"; }
+  double CurrentUncertainty() const override;
 
   /// The final outcome once Done(); before that, the current weighted-sum
   /// interval (always sound) with `converged = false`.
@@ -393,7 +372,6 @@ class SumAveIterationTask : public AggregateIterationTask {
 
  protected:
   Status StepImpl(WorkMeter* meter) override;
-  double CurrentUncertainty() const override;
   void Applied(std::size_t i, const Bounds& before) override;
 
  private:
@@ -426,6 +404,7 @@ class TopKIterationTask : public AggregateIterationTask {
       const std::vector<vao::ResultObject*>& objects);
 
   const char* name() const override { return "top_k"; }
+  double CurrentUncertainty() const override;
 
   /// The final outcome once Done(); before that, the current guessed
   /// member set with each member's (sound) bounds and `converged = false`.
@@ -433,7 +412,6 @@ class TopKIterationTask : public AggregateIterationTask {
 
  protected:
   Status StepImpl(WorkMeter* meter) override;
-  double CurrentUncertainty() const override;
 
  private:
   enum class Phase { kCoarse, kBoundary, kFinalize };
@@ -477,11 +455,9 @@ class MultiRowDecisionTask : public IterationTask {
  public:
   using UndecidedFn = std::function<bool(const Bounds&)>;
 
-  /// Reads `threads`, `max_total_iterations` and the predictive-planning
-  /// store (`feedback`, `object_ids`) from \p options. The store records
-  /// each refined row's predicted-vs-actual bound shrink, never its cost
-  /// (see ScoreCorrector's `selection_rows`); its pointers are borrowed and
-  /// must outlive the task. \p invoke_status, when non-empty, parallels
+  /// Reads `threads` and `max_total_iterations` from \p options; every
+  /// undecided row is iterated, so there is no pick to score and no
+  /// feedback to record. \p invoke_status, when non-empty, parallels
   /// \p objects: a row whose Invoke() failed has a null object and its
   /// error there. \p who labels error messages.
   static Result<std::unique_ptr<MultiRowDecisionTask>> Create(
@@ -490,6 +466,7 @@ class MultiRowDecisionTask : public IterationTask {
       const std::vector<Status>& invoke_status = {});
 
   const char* name() const override { return "selection_rows"; }
+  double CurrentUncertainty() const override;
 
   /// True when row \p i no longer needs refinement.
   bool RowSettled(std::size_t i) const { return settled_[i]; }
@@ -504,7 +481,6 @@ class MultiRowDecisionTask : public IterationTask {
 
  protected:
   Status StepImpl(WorkMeter* meter) override;
-  double CurrentUncertainty() const override;
 
  private:
   MultiRowDecisionTask(std::vector<vao::ResultObject*> objects,
@@ -517,7 +493,6 @@ class MultiRowDecisionTask : public IterationTask {
   const char* who_;
   UndecidedFn undecided_;
   int threads_;
-  ScoreCorrector corrector_;
   std::vector<Status> row_status_;
   std::vector<bool> settled_;
   /// Rows not settled at the last look, ascending: each step's notch.

@@ -46,7 +46,7 @@ enum class StrategyKind {
   kBatchGreedy,  ///< top-K by greedy score per cycle (batch execution tier);
                  ///< K = OperatorOptions::batch_k, K=1 == kGreedy exactly
   /// Greedy over calibration-corrected estimates: each candidate's
-  /// estCPU/estL/estH is rescaled by the per-(object, kind) CostHistory
+  /// estCPU/estL/estH is rescaled by the per-(object, kind) `feedback`
   /// ratios when available, else by the live CalibrationSnapshot bias for
   /// its solver kind. Zero-history, zero-sample candidates score on their
   /// raw estimates bit-exactly, so with no feedback this is kGreedy.
@@ -102,22 +102,19 @@ struct OperatorOptions {
   std::uint64_t coarse_max_steps = 0;
 
   /// \name Predictive planning (operators/cost_feedback.h).
-  /// When `feedback` is non-null every task iterate's actual-vs-estimated
-  /// cost and shrink is recorded into it (under any strategy, so a
-  /// baseline run can collect the same audit), and the corrected
-  /// strategies (kCalibratedGreedy / kSentinelGreedy) consult it when
-  /// scoring. The observation is the one record IterationTask takes per
-  /// iterate (which also feeds the decision trace and the calibration
-  /// histograms); its cost is the delta of `meter`, so `meter` must be the
-  /// meter the objects charge. Iterates of the parallel coarse pre-phase
-  /// run outside the task and are never recorded. Selection-row tasks
-  /// record shrink only. `object_ids`, when set, must parallel the
-  /// operator's object vector and supply stable identities that survive
-  /// object rebuilds across ticks (the engine passes relation row indices);
-  /// when null the object's position is used.
+  /// When `feedback` is non-null every aggregate task iterate's
+  /// actual-vs-estimated cost and shrink is recorded into it (under any
+  /// strategy, so a baseline run can collect the same audit), and the
+  /// corrected strategies (kCalibratedGreedy / kSentinelGreedy) consult it
+  /// when scoring. Entries are keyed by the object's position, so a store
+  /// kept across runs must see the same rows in the same order each run.
+  /// The observation is the one record IterationTask takes per iterate
+  /// (which also feeds the decision trace and the calibration histograms);
+  /// its cost is the delta of `meter`, so `meter` must be the meter the
+  /// objects charge. Iterates of the parallel coarse pre-phase run outside
+  /// the task and are never recorded; selection-row tasks record nothing.
   /// @{
   CostFeedback* feedback = nullptr;
-  const std::vector<std::uint64_t>* object_ids = nullptr;
   /// Probes per correlation group under kSentinelGreedy (clamped to group
   /// size - 1; groups of one are never probed).
   int sentinel_probes = 2;

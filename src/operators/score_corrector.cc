@@ -20,26 +20,14 @@ double ClampRatio(double r) {
 }  // namespace
 
 ScoreCorrector::ScoreCorrector(const OperatorOptions& options,
-                               const std::vector<vao::ResultObject*>& objects,
-                               bool selection_rows)
+                               const std::vector<vao::ResultObject*>& objects)
     : objects_(&objects),
       feedback_(options.feedback),
-      object_ids_(options.object_ids),
-      correcting_(!selection_rows &&
-                  StrategyUsesCorrections(options.strategy)),
-      probing_(!selection_rows &&
-               options.strategy == StrategyKind::kSentinelGreedy),
+      correcting_(StrategyUsesCorrections(options.strategy)),
+      probing_(options.strategy == StrategyKind::kSentinelGreedy),
       flip_(options.mutate_flip_correction),
-      record_cost_(!selection_rows),
       sentinel_probes_(std::max(options.sentinel_probes, 0)) {
   if (correcting_) snapshot_ = obs::CalibrationSnapshot::Capture();
-}
-
-std::uint64_t ScoreCorrector::IdOf(std::size_t i) const {
-  if (object_ids_ != nullptr && i < object_ids_->size()) {
-    return (*object_ids_)[i];
-  }
-  return static_cast<std::uint64_t>(i);
 }
 
 ScoreCorrector::Corrected ScoreCorrector::ApplyRatios(
@@ -78,11 +66,11 @@ ScoreCorrector::Corrected ScoreCorrector::Correct(std::size_t i,
   const int kind = (*objects_)[i]->calibration_kind();
 
   // (1) Per-object history: the strongest signal -- it has seen THIS
-  // object (or its row id) before.
+  // object (keyed by its position) before.
   if (feedback_ != nullptr) {
     double cost_ratio = 1.0;
     double shrink_ratio = 1.0;
-    if (feedback_->Predict(IdOf(i), kind, &cost_ratio, &shrink_ratio)) {
+    if (feedback_->Predict(i, kind, &cost_ratio, &shrink_ratio)) {
       return ApplyRatios(cur, est, raw_cost, cost_ratio, shrink_ratio);
     }
   }
@@ -204,7 +192,7 @@ void ScoreCorrector::Record(const IterateRecord& record,
                             OperatorStats* stats) {
   const std::size_t i = record.index;
   const double raw_cost = std::max(record.est_cost, 1.0);
-  const double actual_cost = record_cost_ ? record.actual_cost : -1.0;
+  const double actual_cost = record.actual_cost;
   const double actual_shrink =
       std::max(0.0, record.before.Width() - record.after.Width());
   const double est_shrink = std::max(0.0, record.est.lo - record.before.lo) +
@@ -236,7 +224,7 @@ void ScoreCorrector::Record(const IterateRecord& record,
     observation.actual_cost = actual_cost;
     observation.est_shrink = est_shrink;
     observation.actual_shrink = actual_shrink;
-    feedback_->Record(IdOf(i), record.kind, observation);
+    feedback_->Record(i, record.kind, observation);
   }
 }
 

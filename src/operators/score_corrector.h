@@ -1,6 +1,6 @@
 // Copyright 2026 The vaolib Authors.
 // ScoreCorrector: the predictive-planning engine shared by the aggregate
-// IterationTasks (and, recording shrink only, the multi-row selection task).
+// IterationTasks.
 //
 // It does three jobs on the serial adaptive loop:
 //
@@ -63,15 +63,8 @@ class ScoreCorrector {
   /// \p objects must outlive the corrector (the owning task guarantees
   /// this). Captures the live CalibrationSnapshot when the strategy is a
   /// corrected one.
-  ///
-  /// \p selection_rows marks the corrector of a MultiRowDecisionTask: it
-  /// never corrects or probes (every undecided row is iterated, so there is
-  /// no pick to correct) and feeds the store shrink only -- per-row cost is
-  /// unattributable on the threaded notch, and recording it on the serial
-  /// notch only would make the history depend on the thread count.
   ScoreCorrector(const OperatorOptions& options,
-                 const std::vector<vao::ResultObject*>& objects,
-                 bool selection_rows = false);
+                 const std::vector<vao::ResultObject*>& objects);
 
   /// True when observations should be recorded (a feedback store is
   /// attached).
@@ -124,7 +117,6 @@ class ScoreCorrector {
     double shrink_ratio = 1.0;
   };
 
-  std::uint64_t IdOf(std::size_t i) const;
   void EnsureGroups();
   void RecordProbe(std::size_t i, double cost_ratio_sample, bool has_cost,
                    double shrink_ratio_sample, bool has_shrink);
@@ -134,11 +126,9 @@ class ScoreCorrector {
 
   const std::vector<vao::ResultObject*>* objects_;
   CostFeedback* feedback_ = nullptr;
-  const std::vector<std::uint64_t>* object_ids_ = nullptr;
   bool correcting_ = false;
   bool probing_ = false;
   bool flip_ = false;
-  bool record_cost_ = true;
   int sentinel_probes_ = 0;
   obs::CalibrationSnapshot snapshot_;
 

@@ -266,11 +266,6 @@ Status Dispatcher::RebuildGroups() {
     engine::MultiQueryOptions options;
     options.threads = config_.threads;
     options.scheduler.budget = group.budget;
-    // The history store outlives the executor: fetch-or-create per group
-    // signature so corrections learned before a rebuild keep applying.
-    auto& history = histories_[signature];
-    if (history == nullptr) history = std::make_shared<engine::CostHistory>();
-    options.history = history;
     std::vector<engine::Query> queries;
     queries.reserve(group.members.size());
     for (const QueryKey& member : group.members) {
@@ -284,11 +279,6 @@ Status Dispatcher::RebuildGroups() {
         group.executor,
         engine::MultiQueryExecutor::Create(relation_, stream_schema_,
                                            std::move(queries), options));
-  }
-  // Drop histories whose signature no longer has a group; a signature that
-  // comes back later starts learning from scratch.
-  for (auto it = histories_.begin(); it != histories_.end();) {
-    it = groups_.count(it->first) ? std::next(it) : histories_.erase(it);
   }
   return Status::OK();
 }
@@ -344,7 +334,6 @@ Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
           entry.tenant = standing.tenant;
           entry.kind = result.kind;
           entry.epsilon = standing.query.epsilon;
-          entry.signature = signature;
           entry.ring = obs::ProgressRing(kProgressCapacity);
           progress_it = progress_.emplace(member, std::move(entry)).first;
         }
@@ -414,19 +403,6 @@ obs::HealthState Dispatcher::health_state() const {
                                     : obs::HealthState::kHealthy;
 }
 
-double Dispatcher::ShrinkHintFor(const std::string& signature) const {
-  const auto it = histories_.find(signature);
-  if (it == histories_.end() || it->second == nullptr) return 1.0;
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& [key, entry] : it->second->Snapshot()) {
-    if (!entry.has_shrink) continue;
-    sum += entry.shrink_ratio;
-    ++n;
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 1.0;
-}
-
 void Dispatcher::RenderQueryProgress(const QueryKey& key,
                                      const ProgressEntry& entry,
                                      std::ostream& os) const {
@@ -445,8 +421,7 @@ void Dispatcher::RenderQueryProgress(const QueryKey& key,
        << ", \"converged\": " << (last.converged ? "true" : "false")
        << ", \"limited_by_min_width\": "
        << (last.limited_by_min_width ? "true" : "false");
-    const obs::EtaEstimate eta =
-        entry.ring.EstimateEta(entry.epsilon, ShrinkHintFor(entry.signature));
+    const obs::EtaEstimate eta = entry.ring.EstimateEta(entry.epsilon);
     os << ", \"eta\": {\"known\": " << (eta.known ? "true" : "false")
        << ", \"ticks\": ";
     AppendDouble(os, eta.ticks);

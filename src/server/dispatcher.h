@@ -203,7 +203,6 @@ class Dispatcher {
     std::string tenant;
     engine::QueryKind kind = engine::QueryKind::kSelect;
     double epsilon = 0.0;
-    std::string signature;  ///< group key, for the CostHistory shrink hint
     obs::ProgressRing ring;
   };
 
@@ -211,15 +210,9 @@ class Dispatcher {
   /// InspectTenant share it).
   void RenderQueryProgress(const QueryKey& key, const ProgressEntry& entry,
                            std::ostream& os) const;
-  /// Mean CostHistory shrink ratio for \p signature (1.0 when unknown).
-  double ShrinkHintFor(const std::string& signature) const;
 
   std::map<QueryKey, StandingQuery> standing_;
   std::map<std::string, Group> groups_;
-  /// Per-group-signature cost history; keyed like `groups_` but kept
-  /// across RebuildGroups() so learned corrections survive query churn.
-  /// Signatures with no surviving group are pruned on rebuild.
-  std::map<std::string, std::shared_ptr<engine::CostHistory>> histories_;
   bool dirty_ = true;
 
   std::uint64_t tick_seq_ = 0;

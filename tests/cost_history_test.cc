@@ -20,7 +20,6 @@
 #include "engine/cost_history.h"
 #include "operators/cost_feedback.h"
 #include "operators/iteration_strategy.h"
-#include "operators/iteration_task.h"
 #include "operators/min_max.h"
 #include "operators/sum_ave.h"
 #include "testing/chaos_result_object.h"
@@ -379,46 +378,6 @@ TEST(CostHistoryTest, RecordedHistoryIsInvariantUnderOperatorThreads) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].first, threaded[i].first);
     EXPECT_EQ(serial[i].second.cost_ratio, threaded[i].second.cost_ratio);
-    EXPECT_EQ(serial[i].second.shrink_ratio,
-              threaded[i].second.shrink_ratio);
-    EXPECT_EQ(serial[i].second.weight, threaded[i].second.weight);
-  }
-}
-
-TEST(CostHistoryTest, SelectionRowsRecordShrinkOnlyAtEveryThreadCount) {
-  // A multi-row selection takes its store through OperatorOptions like the
-  // aggregates, but records shrink only: its notch is threaded at
-  // threads > 1, where per-row cost is unattributable, so recording cost
-  // on the serial notch alone would make the history thread-dependent.
-  constexpr std::size_t kRows = 10;
-  auto run = [&](int threads) {
-    CostHistory history;
-    WorkMeter meter;
-    const auto owned = MakeLyingObjects(kRows, &meter);
-    operators::OperatorOptions options;
-    options.threads = threads;
-    options.feedback = &history;
-    auto task = operators::MultiRowDecisionTask::Create(
-        RawPointers(owned), "selection",
-        [](const Bounds& b) { return b.Contains(4.5); }, options);
-    EXPECT_TRUE(task.ok()) << task.status();
-    while (task.ok() && !(*task)->Done()) {
-      const Status status = (*task)->Step(&meter);
-      EXPECT_TRUE(status.ok()) << status;
-      if (!status.ok()) break;
-    }
-    return history.Snapshot();
-  };
-
-  const auto serial = run(1);
-  const auto threaded = run(3);
-  ASSERT_FALSE(serial.empty());
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].first, threaded[i].first);
-    EXPECT_FALSE(serial[i].second.has_cost);
-    EXPECT_FALSE(threaded[i].second.has_cost);
-    EXPECT_TRUE(serial[i].second.has_shrink);
     EXPECT_EQ(serial[i].second.shrink_ratio,
               threaded[i].second.shrink_ratio);
     EXPECT_EQ(serial[i].second.weight, threaded[i].second.weight);

@@ -202,20 +202,6 @@ TEST(ProgressRingTest, EtaExtrapolatesGeometricShrink) {
   EXPECT_NEAR(eta.work_units, 100.0, 1e-6);
 }
 
-TEST(ProgressRingTest, ShrinkHintScalesTheEta) {
-  ProgressRing ring(8);
-  for (std::uint64_t t = 0; t < 4; ++t) {
-    ring.Record(Sample(t, 16.0 / std::pow(2.0, static_cast<double>(t))));
-  }
-  const EtaEstimate fast = ring.EstimateEta(1.0, /*shrink_hint=*/2.0);
-  ASSERT_TRUE(fast.known);
-  EXPECT_NEAR(fast.ticks, 0.5, 1e-9);
-  // The hint is clamped to [0.25, 4]: an absurd hint cannot zero the ETA.
-  const EtaEstimate clamped = ring.EstimateEta(1.0, /*shrink_hint=*/1000.0);
-  ASSERT_TRUE(clamped.known);
-  EXPECT_NEAR(clamped.ticks, 0.25, 1e-9);
-}
-
 TEST(ProgressRingTest, EtaUnknownWhenFlatWideningOrLimited) {
   ProgressRing flat(8);
   flat.Record(Sample(0, 4.0));

@@ -281,6 +281,51 @@ TEST(WorkSchedulerTest, AlreadyDoneTasksAreAccountedNotStarved) {
   EXPECT_TRUE((*stats)[1].converged);
 }
 
+// A FakeTask that counts CurrentUncertainty() calls.
+class CountingTask : public FakeTask {
+ public:
+  using FakeTask::FakeTask;
+  double CurrentUncertainty() const override {
+    ++evaluations;
+    return FakeTask::CurrentUncertainty();
+  }
+  mutable int evaluations = 0;
+};
+
+TEST(WorkSchedulerTest, OnlyGreedyGlobalEvaluatesUncertainty) {
+  // The benefit estimate is kGreedyGlobal's: driving a task to completion,
+  // or scheduling it under a policy that never ranks by benefit, must not
+  // ask the task for its uncertainty at all.
+  CountingTask driven(4, 2, 8.0);
+  WorkMeter drive_meter;
+  ASSERT_TRUE(operators::DriveTask(&driven, &drive_meter).ok());
+  EXPECT_TRUE(driven.Converged());
+  EXPECT_EQ(driven.evaluations, 0);
+
+  for (const SchedulerPolicy policy :
+       {SchedulerPolicy::kDeadline, SchedulerPolicy::kFairShare,
+        SchedulerPolicy::kGreedyGlobal}) {
+    std::vector<std::unique_ptr<operators::IterationTask>> tasks;
+    tasks.push_back(std::make_unique<CountingTask>(5, 2, 10.0));
+    tasks.push_back(std::make_unique<CountingTask>(3, 1, 4.0));
+    SchedulerOptions options;
+    options.policy = policy;
+    options.budget = 9;  // lands mid-task on purpose
+    WorkScheduler scheduler(options);
+    WorkMeter meter;
+    ASSERT_TRUE(scheduler.Run(Entries(tasks), &meter).ok());
+    int evaluations = 0;
+    for (const auto& task : tasks) {
+      evaluations += static_cast<const CountingTask&>(*task).evaluations;
+    }
+    if (policy == SchedulerPolicy::kGreedyGlobal) {
+      EXPECT_GT(evaluations, 0);
+    } else {
+      EXPECT_EQ(evaluations, 0) << SchedulerPolicyName(policy);
+    }
+  }
+}
+
 TEST(WorkSchedulerTest, StepErrorFailsTheRun) {
   std::vector<std::unique_ptr<operators::IterationTask>> tasks;
   tasks.push_back(std::make_unique<FailingTask>());

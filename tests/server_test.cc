@@ -1049,6 +1049,49 @@ TEST_F(ServerTest, InspectCoversServerQueryAndTenantScopes) {
             std::string::npos);
 }
 
+TEST_F(ServerTest, InspectEtaExtrapolatesTheQuerysOwnTrajectory) {
+  // A budget too small to converge the SUM in one tick: its width shrinks
+  // tick by tick as reused PDE profiles make later ticks cheaper.
+  constexpr int kEtaTicks = 6;
+  ServerConfig config;
+  config.dispatcher.health.enabled = true;
+  config.dispatcher.tick_budget = 100000;
+  config.dispatcher.shed_after_misses = 0;
+  auto server = MakeServer(config);
+  const std::uint64_t session = server->OpenSession();
+  Send(*server, session, "HELLO desk");
+  constexpr double kEpsilon = 0.01;
+  ASSERT_EQ(Send(*server, session,
+                 "REGISTER q1 SELECT SUM(bond_model(rate, bond_index)) FROM "
+                 "bd PRECISION 0.01")[0],
+            "OK REGISTER q1");
+  for (int t = 0; t < kEtaTicks; ++t) Send(*server, session, "TICK 0.0575");
+
+  const auto replies = Send(*server, session, "INSPECT q1");
+  ASSERT_EQ(replies.size(), 1u);
+  const std::string& reply = replies[0];
+  const std::string eta_key = "\"eta\": {\"known\": true, \"ticks\": ";
+  const std::size_t eta_at = reply.find(eta_key);
+  ASSERT_NE(eta_at, std::string::npos) << reply;
+  const double eta_ticks = std::stod(reply.substr(eta_at + eta_key.size()));
+  ASSERT_GT(eta_ticks, 0.0) << reply;
+
+  // The ETA is the reply's own trajectory extrapolated, and nothing else.
+  obs::ProgressRing ring(kEtaTicks);
+  const std::string width_key = "\"width\": ";
+  for (std::size_t at = reply.find("\"trajectory\": [");
+       (at = reply.find(width_key, at)) != std::string::npos;) {
+    at += width_key.size();
+    obs::ProgressSample sample;
+    sample.width = std::stod(reply.substr(at));
+    ring.Record(sample);
+  }
+  ASSERT_EQ(ring.size(), static_cast<std::size_t>(kEtaTicks)) << reply;
+  const obs::EtaEstimate recomputed = ring.EstimateEta(kEpsilon);
+  ASSERT_TRUE(recomputed.known);
+  EXPECT_NEAR(recomputed.ticks, eta_ticks, 1e-6 * eta_ticks) << reply;
+}
+
 TEST_F(ServerTest, InspectAndMetricsReportTheProfileCache) {
   ServerConfig config;
   config.dispatcher.health.enabled = true;
