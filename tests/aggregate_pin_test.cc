@@ -411,11 +411,11 @@ const PinCase kCases[] = {
      " sum=4060d9b949f41eb2:4060e9a26f890e66 lim=0"
      " dec=142/28d2c99ba1d3e13d fb=14650fb0739d0383"},
     {"sum_heap/greedy", Task::kSumHeap, kG, 1, 1,
-     "meter=3280435 it=176 cs=176 touched=11 stalled=0 co=0 gr=176 fi=0"
+     "meter=3280152 it=174 cs=174 touched=11 stalled=0 co=0 gr=174 fi=0"
      " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
-     " its=16,13,17,12,23,0,12,24,11,23,12,13,"
-     " sum=4060da11206ff2e8:4060e96b3a818758 lim=0"
-     " dec=176/9eac28eaf18cf361 fb=14650fb0739d0383"},
+     " its=16,13,17,14,23,0,12,24,7,23,12,13,"
+     " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
+     " dec=174/a3e32ff69c0b4dc8 fb=14650fb0739d0383"},
     {"sum_heap/round_robin", Task::kSumHeap, kRR, 1, 1,
      "meter=71566 it=151 cs=151 touched=11 stalled=0 co=0 gr=151 fi=0"
      " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
@@ -429,17 +429,17 @@ const PinCase kCases[] = {
      " sum=4060d7b94c2339e5:4060e700c825664b lim=0"
      " dec=154/10b70028e79d9665 fb=14650fb0739d0383"},
     {"sum_heap/batch1", Task::kSumHeap, kBG, 1, 1,
-     "meter=3280435 it=176 cs=176 touched=11 stalled=0 co=0 gr=176 fi=0"
+     "meter=3280152 it=174 cs=174 touched=11 stalled=0 co=0 gr=174 fi=0"
      " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
-     " its=16,13,17,12,23,0,12,24,11,23,12,13,"
-     " sum=4060da11206ff2e8:4060e96b3a818758 lim=0"
-     " dec=176/9eac28eaf18cf361 fb=14650fb0739d0383"},
+     " its=16,13,17,14,23,0,12,24,7,23,12,13,"
+     " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
+     " dec=174/a3e32ff69c0b4dc8 fb=14650fb0739d0383"},
     {"sum_heap/batch4", Task::kSumHeap, kBG, 4, 1,
-     "meter=3280509 it=177 cs=177 touched=11 stalled=0 co=0 gr=177 fi=0"
+     "meter=3280306 it=175 cs=47 touched=11 stalled=0 co=0 gr=175 fi=0"
      " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
-     " its=16,13,17,12,23,0,12,24,12,23,12,13,"
-     " sum=4060da45d453d8a1:4060e94a1ab0364f lim=0"
-     " dec=177/68d7b51cb7692041 fb=14650fb0739d0383"},
+     " its=16,13,17,12,23,0,12,24,10,23,12,13,"
+     " sum=4060d9b949f41eb2:4060e9a26f890e66 lim=0"
+     " dec=175/8dad3ed90071ad71 fb=14650fb0739d0383"},
     {"sum_heap/calibrated", Task::kSumHeap, kCal, 1, 1,
      "meter=3280323 it=174 cs=174 touched=11 stalled=0 co=0 gr=174 fi=0"
      " ces=174 cd=169 raw=0000000000000000 cor=40c56d80f43e47d8"
@@ -453,17 +453,17 @@ const PinCase kCases[] = {
      " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
      " dec=174/e2088ffa61da4b86 fb=16fb80fdf0eed70b"},
     {"sum_heap/coarse_greedy", Task::kSumHeap, kG, 1, 2,
-     "meter=3280284 it=180 cs=144 touched=12 stalled=0 co=36 gr=144 fi=0"
+     "meter=3279963 it=177 cs=141 touched=12 stalled=0 co=36 gr=141 fi=0"
      " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
-     " its=16,13,17,12,23,3,12,24,12,23,12,13,"
-     " sum=4060da45d453d8a1:4060e94a1ab0364f lim=0"
-     " dec=144/6ba82ea88deff179 fb=14650fb0739d0383"},
+     " its=16,13,17,14,23,3,12,24,7,23,12,13,"
+     " sum=4060d87944cdd401:4060e6a945edf2fe lim=0"
+     " dec=141/a7bc5e139b11d55c fb=14650fb0739d0383"},
     {"sum_heap/coarse_batch4", Task::kSumHeap, kBG, 4, 2,
-     "meter=3280284 it=180 cs=144 touched=12 stalled=0 co=36 gr=144 fi=0"
+     "meter=3280123 it=178 cs=37 touched=12 stalled=0 co=36 gr=142 fi=0"
      " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
-     " its=16,13,17,12,23,3,12,24,12,23,12,13,"
-     " sum=4060da45d453d8a1:4060e94a1ab0364f lim=0"
-     " dec=144/d750bc4035c38369 fb=14650fb0739d0383"},
+     " its=16,13,17,12,23,3,12,24,10,23,12,13,"
+     " sum=4060d9b949f41eb2:4060e9a26f890e66 lim=0"
+     " dec=142/cdb7192109a2477d fb=14650fb0739d0383"},
     {"topk/greedy", Task::kTopK, kG, 1, 1,
      "meter=3286764 it=161 cs=153 touched=11 stalled=0 co=0 gr=153 fi=8"
      " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000"
