@@ -282,6 +282,7 @@ Result<CompiledQuery> QueryPlan::Compile(const TickInputs& inputs) const {
       if (!query.approx.has_value()) {
         operators::SumAveOptions options;
         stamp(&options, /*coarse=*/true);
+        options.use_heap_index = true;
         VAOLIB_ASSIGN_OR_RETURN(
             compiled.task_,
             operators::SumAveIterationTask::Create(options, *inputs.objects,

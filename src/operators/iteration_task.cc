@@ -687,6 +687,14 @@ void SumAveIterationTask::Applied(std::size_t i, const Bounds& before) {
   const Bounds after = objects_[i]->bounds();
   sum_.lo += weights_[i] * (after.lo - before.lo);
   sum_.hi += weights_[i] * (after.hi - before.hi);
+  // A refined object re-enters the heap with its new score; stalled and
+  // converged ones stay out, their (sound, frozen) contribution in the sum.
+  if (phase_ == Phase::kHeapScan && !EffectivelyConverged(i)) Push(i);
+}
+
+void SumAveIterationTask::Push(std::size_t i) {
+  heap_.Update(i, GreedyScore(*objects_[i], weights_[i]));
+  pushed_at_[i] = objects_[i]->iterations();
 }
 
 Status SumAveIterationTask::StepImpl(WorkMeter* meter) {
@@ -702,10 +710,9 @@ Status SumAveIterationTask::StepImpl(WorkMeter* meter) {
           (options_.strategy == StrategyKind::kGreedy ||
            options_.strategy == StrategyKind::kBatchGreedy)) {
         heap_.Reset(objects_.size());
+        pushed_at_.assign(objects_.size(), 0);
         for (std::size_t i = 0; i < objects_.size(); ++i) {
-          if (weights_[i] > 0.0 && !objects_[i]->AtStoppingCondition()) {
-            heap_.Update(i, GreedyScore(*objects_[i], weights_[i]));
-          }
+          if (weights_[i] > 0.0 && !EffectivelyConverged(i)) Push(i);
         }
         phase_ = Phase::kHeapScan;
       } else {
@@ -758,48 +765,66 @@ Status SumAveIterationTask::StepHeap(WorkMeter* meter) {
   }
 
   // Pop up to batch_k best-scored objects for this cycle (one for the
-  // scalar strategies). Each pop-plus-push is O(log N) chooseIter work.
+  // scalar strategies), in the scan's order: equal scores pop lowest index
+  // first. An entry is re-validated at pop, since its object may have moved
+  // after the push: another task sharing it refined it (or converged it),
+  // or a profile-cache hit re-priced its next iterate. A converged object's
+  // entry is dropped; a stale one is re-pushed with its fresh score and the
+  // pop retried. Each pop-plus-push is O(log N) chooseIter work, charged
+  // up to the cycle's last pick.
   const std::size_t batch_k = CycleBatchK(options_);
   const std::uint64_t pop_charge = 2 * Log2Ceil(objects_.size());
   std::vector<std::size_t> picks;
   std::vector<double> scores;
-  // Pops the allowance cannot pay for go back on the heap afterwards.
-  std::vector<std::pair<std::size_t, double>> unaffordable;
+  // Live pops the cycle does not take (the allowance cannot pay for them,
+  // or the fallback decides) go back on the heap afterwards.
+  std::vector<std::size_t> put_back;
   std::uint64_t priced = 0;
-  std::size_t chosen = 0;
+  std::uint64_t pops = 0;
+  std::uint64_t charged_pops = 0;
+  bool fallback = false;
+  std::size_t i = 0;
   double score = 0.0;
-  while (picks.size() < batch_k && heap_.PopBest(&chosen, &score)) {
-    if (!Affordable(*objects_[chosen], priced + pop_charge)) {
-      unaffordable.emplace_back(chosen, score);
+  while (picks.size() < batch_k && heap_.PopBest(&i, &score)) {
+    ++pops;
+    if (EffectivelyConverged(i)) continue;
+    if (objects_[i]->iterations() != pushed_at_[i] ||
+        GreedyScore(*objects_[i], weights_[i]) != score) {
+      Push(i);
       continue;
     }
-    priced += pop_charge + objects_[chosen]->est_cost();
-    picks.push_back(chosen);
+    if (!Affordable(*objects_[i], priced + pops * pop_charge)) {
+      put_back.push_back(i);
+      continue;
+    }
+    if (picks.empty() && !(score > 0.0)) {
+      // No live candidate predicts progress: the scan's widest-width
+      // fallback decides this cycle.
+      put_back.push_back(i);
+      fallback = true;
+      break;
+    }
+    priced += objects_[i]->est_cost();
+    charged_pops = pops;
+    picks.push_back(i);
     scores.push_back(score);
-    ++stats_.choose_steps;
-    if (meter != nullptr) meter->Charge(WorkKind::kChooseIter, pop_charge);
   }
-  for (const auto& [i, s] : unaffordable) heap_.Update(i, s);
+  for (const std::size_t j : put_back) Push(j);
+  if (fallback) return StepScan(meter);
   if (picks.empty()) {
-    if (unaffordable.empty()) {
+    if (put_back.empty()) {
       Finish(/*limited_by_min_width=*/true);
     } else {
-      std::vector<std::size_t> blocked;
-      for (const auto& [i, s] : unaffordable) blocked.push_back(i);
-      ParkOnCheapest(objects_, blocked);
+      ParkOnCheapest(objects_, put_back);
     }
     return Status::OK();
   }
 
-  VAOLIB_RETURN_IF_ERROR(IteratePicks(picks, "heap", meter, scores, scores));
-  // Stalled objects simply stop being re-pushed, so their (sound, frozen)
-  // contribution stays in the sum.
-  for (const std::size_t i : picks) {
-    if (!EffectivelyConverged(i)) {
-      heap_.Update(i, GreedyScore(*objects_[i], weights_[i]));
-    }
+  ++stats_.choose_steps;
+  if (meter != nullptr) {
+    meter->Charge(WorkKind::kChooseIter, charged_pops * pop_charge);
   }
-  return Status::OK();
+  return IteratePicks(picks, "heap", meter, scores, scores);
 }
 
 void SumAveIterationTask::Finish(bool limited_by_min_width) {

@@ -384,6 +384,8 @@ class SumAveIterationTask : public AggregateIterationTask {
 
   Status StepScan(WorkMeter* meter);
   Status StepHeap(WorkMeter* meter);
+  /// (Re-)enters object \p i in the heap with its current score.
+  void Push(std::size_t i);
   Bounds ExactSum() const;
   void Finish(bool limited_by_min_width);
 
@@ -391,6 +393,8 @@ class SumAveIterationTask : public AggregateIterationTask {
   std::vector<double> weights_;
   Bounds sum_;
   ScoreHeap heap_;
+  /// Each object's iterations() when its live heap entry was pushed.
+  std::vector<int> pushed_at_;
   Phase phase_ = Phase::kCoarse;
   SumOutcome outcome_;
 };

@@ -5,7 +5,11 @@
 // object's score depends only on its own state (true for SUM/AVE, where the
 // score is w_i * predicted-error-reduction / estCPU): after iterating
 // object i only i's score changes, so the heap is updated lazily with
-// versioned entries and stale entries are discarded on pop.
+// versioned entries and stale entries are discarded on pop. Equal scores pop
+// lowest index first, the tie-break of the greedy scans it replaces. An
+// entry's score is the one it was pushed with: a caller whose scores can
+// also move between its own updates (objects another task refines)
+// re-validates each pop.
 
 #ifndef VAOLIB_OPERATORS_SCORE_HEAP_H_
 #define VAOLIB_OPERATORS_SCORE_HEAP_H_
@@ -62,7 +66,11 @@ class ScoreHeap {
     double score;
     std::size_t index;
     std::uint64_t version;
-    bool operator<(const Entry& other) const { return score < other.score; }
+    // Max-heap order: higher score first, then the lower index.
+    bool operator<(const Entry& other) const {
+      if (score != other.score) return score < other.score;
+      return index > other.index;
+    }
   };
   std::priority_queue<Entry> heap_;
   std::vector<std::uint64_t> versions_;

@@ -44,10 +44,16 @@ struct SumOutcome {
 /// strategy, threads/coarse pre-phase, meter) live on
 /// OperatorOptions.
 struct SumAveOptions : OperatorOptions {
-  /// With the greedy strategy, pick iterations through a lazy max-heap in
-  /// O(log N) instead of the O(N) scan -- the indexing optimization the
+  /// With kGreedy or kBatchGreedy, pick iterations through a lazy max-heap
+  /// in O(log N) instead of the O(N) scan -- the indexing optimization the
   /// paper mentions as unnecessary at 500 bonds but available (Section 5.2).
-  /// Valid because a SUM score depends only on its own object's state.
+  /// Valid because a SUM score depends only on its own object's state. The
+  /// heap picks what the scan picks: equal scores go to the lowest index, a
+  /// zero best score falls back to the scan's widest-width cycle, and each
+  /// pop is re-validated against the object (its iterations() and score),
+  /// so an object another task refined or converged is re-scored or
+  /// dropped. Other strategies always scan. Compiled queries (QueryPlan)
+  /// turn it on; the default keeps the paper benches on the scan.
   bool use_heap_index = false;
 };
 
