@@ -93,6 +93,16 @@ bool Live(const WorkScheduler::Entry& entry, const TaskScheduleStats& stats) {
   return !entry.task->Done() && !stats.parked;
 }
 
+// The part of a live entry's reserve it has not spent yet. A parked task
+// can use no more of its reserve this run, so it holds none back from the
+// others.
+std::uint64_t Unmet(const WorkScheduler::Entry& entry,
+                    const TaskScheduleStats& stats) {
+  const std::uint64_t reserve = entry.schedule.reserve;
+  return Live(entry, stats) && stats.spent < reserve ? reserve - stats.spent
+                                                     : 0;
+}
+
 }  // namespace
 
 const char* SchedulerPolicyName(SchedulerPolicy policy) {
@@ -135,11 +145,13 @@ std::size_t WorkScheduler::PickDeadline(
   // a task whose reserve is unmet always has headroom of exactly that
   // reserve. With Sum(reserves) <= budget this guarantees each query its
   // reserved share no matter the deadline order.
+  const std::uint64_t live_unmet = LiveUnmet(entries, stats);
   auto eligible = [&](std::size_t q) {
     if (!Live(entries[q], stats[q])) return false;
     if (options_.budget == 0) return true;
     return total_spent < options_.budget &&
-           options_.budget - total_spent > OthersUnmet(entries, stats, q);
+           options_.budget - total_spent >
+               live_unmet - Unmet(entries[q], stats[q]);
   };
 
   // Earliest deadline first; deadline 0 = none = after everything else.
@@ -158,29 +170,29 @@ std::size_t WorkScheduler::PickDeadline(
   return best;
 }
 
-std::uint64_t WorkScheduler::OthersUnmet(
+std::uint64_t WorkScheduler::LiveUnmet(
     const std::vector<Entry>& entries,
-    const std::vector<TaskScheduleStats>& stats, std::size_t q) const {
-  // A parked task can use no more of its reserve this run, so it holds
-  // none back from the others.
-  std::uint64_t others_unmet = 0;
-  for (std::size_t p = 0; p < entries.size(); ++p) {
-    if (p == q || !Live(entries[p], stats[p])) continue;
-    const std::uint64_t reserve = entries[p].schedule.reserve;
-    if (stats[p].spent < reserve) others_unmet += reserve - stats[p].spent;
+    const std::vector<TaskScheduleStats>& stats) const {
+  if (options_.policy != SchedulerPolicy::kDeadline || options_.budget == 0) {
+    return 0;
   }
-  return others_unmet;
+  std::uint64_t unmet = 0;
+  for (std::size_t p = 0; p < entries.size(); ++p) {
+    unmet += Unmet(entries[p], stats[p]);
+  }
+  return unmet;
 }
 
 std::uint64_t WorkScheduler::AllowanceFor(
     const std::vector<Entry>& entries,
     const std::vector<TaskScheduleStats>& stats, std::size_t q,
-    std::uint64_t total_spent) const {
+    std::uint64_t total_spent, std::uint64_t live_unmet) const {
   if (options_.budget == 0) return operators::IterationTask::kUnlimited;
   if (total_spent >= options_.budget) return 0;
   std::uint64_t allowance = options_.budget - total_spent;
   if (options_.policy == SchedulerPolicy::kDeadline) {
-    allowance -= std::min(allowance, OthersUnmet(entries, stats, q));
+    allowance -=
+        std::min(allowance, live_unmet - Unmet(entries[q], stats[q]));
   }
   return allowance;
 }
@@ -267,14 +279,16 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
   };
   std::vector<Park> parks(entries.size());
   auto revive_parked = [&]() {
+    std::uint64_t live_unmet = LiveUnmet(entries, stats);
     for (std::size_t i = 0; i < entries.size(); ++i) {
       if (!stats[i].parked || entries[i].task->Done()) continue;
       if (total_spent == parks[i].total_spent &&
-          AllowanceFor(entries, stats, i, total_spent) <=
+          AllowanceFor(entries, stats, i, total_spent, live_unmet) <=
               parks[i].allowance) {
         continue;
       }
       stats[i].parked = false;
+      live_unmet += Unmet(entries[i], stats[i]);
       if (use_heap) heap.push({score(i), i});
     }
   };
@@ -301,8 +315,8 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
   // step that parks the task takes it out of the run until it revives.
   auto step_one = [&](std::size_t idx) -> Status {
     operators::IterationTask* task = entries[idx].task;
-    const std::uint64_t allowance =
-        AllowanceFor(entries, stats, idx, total_spent);
+    const std::uint64_t allowance = AllowanceFor(
+        entries, stats, idx, total_spent, LiveUnmet(entries, stats));
     const std::uint64_t before = meter->Total();
     const obs::WorkByKind work_before = obs::WorkByKind::Capture(*meter);
     const double uncertainty_before =
@@ -342,10 +356,12 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
   // was spent; each such round spends at least one unit, so it ends.
   auto prepay_parked = [&]() {
     bool spent = false;
+    // Prepaying moves only parked tasks' spending, so the live total holds.
+    const std::uint64_t live_unmet = LiveUnmet(entries, stats);
     for (std::size_t i = 0; i < entries.size(); ++i) {
       if (!stats[i].parked || entries[i].task->Done()) continue;
       const std::uint64_t allowance =
-          AllowanceFor(entries, stats, i, total_spent);
+          AllowanceFor(entries, stats, i, total_spent, live_unmet);
       if (allowance == 0) continue;
       const std::uint64_t before = meter->Total();
       const obs::WorkByKind work_before = obs::WorkByKind::Capture(*meter);

@@ -141,14 +141,17 @@ class WorkScheduler {
                            const std::vector<TaskScheduleStats>& stats,
                            std::uint64_t total_spent) const;
 
-  /// kDeadline: unmet reserves of the live entries other than \p q.
-  std::uint64_t OthersUnmet(const std::vector<Entry>& entries,
-                            const std::vector<TaskScheduleStats>& stats,
-                            std::size_t q) const;
-  /// The allowance of entry \p q's next Step() (see the budget contract).
+  /// kDeadline under a budget: the unmet reserves of the live entries,
+  /// summed once per pick (0 otherwise: no allowance reads it). An entry's
+  /// "others' unmet reserves" are this total less its own.
+  std::uint64_t LiveUnmet(const std::vector<Entry>& entries,
+                          const std::vector<TaskScheduleStats>& stats) const;
+  /// The allowance of entry \p q's next Step() (see the budget contract);
+  /// \p live_unmet is LiveUnmet() of the current state.
   std::uint64_t AllowanceFor(const std::vector<Entry>& entries,
                              const std::vector<TaskScheduleStats>& stats,
-                             std::size_t q, std::uint64_t total_spent) const;
+                             std::size_t q, std::uint64_t total_spent,
+                             std::uint64_t live_unmet) const;
 
   SchedulerOptions options_;
 };
