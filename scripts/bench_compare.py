@@ -2,14 +2,16 @@
 r"""Compares perfbench captures of a parent and a change, pair by pair.
 
     python3 scripts/bench_compare.py --parent parent/*.txt \
-        --change change/*.txt
+        --change change/*.txt [--allow-digest-fields choose_iter,answers]
 
 Each capture is the standard output of one `perfbench/run.py` run: its
 `digest workload=... seed=...` line and its last line, the JSON result.
-Parent and change captures are paired by workload and seed. The script
-fails (exit 1) when
-  * a pair's digest lines differ (the two programs did different work or
-    gave different answers),
+Parent and change captures are paired by workload and seed. For every pair
+whose digest lines differ, the script prints which fields differ and their
+two values. It fails (exit 1) when
+  * a pair's digest lines differ in a field not named by
+    --allow-digest-fields (by default none is: the two programs did
+    different work or gave different answers),
   * on a workload, the change's median of an end-to-end metric is worse
     than the parent's median by more than that metric's bound (a fraction
     of the parent's median) in the repository's BENCHMARK.json, or
@@ -39,8 +41,13 @@ def parse_capture(path):
                 result = json.loads(line)
     if digest is None or result is None:
         raise ValueError(f"{path}: no digest line or no JSON result")
-    fields = dict(f.split("=", 1) for f in digest.split()[1:] if "=" in f)
+    fields = digest_fields(digest)
     return fields["workload"], int(fields["seed"]), digest, result
+
+
+def digest_fields(digest):
+    """The name=value fields of a digest line, as a dict."""
+    return dict(f.split("=", 1) for f in digest.split()[1:] if "=" in f)
 
 
 def load(paths):
@@ -62,18 +69,29 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def compare(parent, change, metrics, out):
-    """Prints the comparison to `out`; returns the list of failures."""
+def compare(parent, change, metrics, out, allowed=()):
+    """Prints the comparison to `out`; returns the list of failures.
+
+    Digest fields named in `allowed` may differ within a pair."""
     failures = []
     pairs = sorted(set(parent) & set(change))
     for key in sorted(set(parent) ^ set(change)):
         side = "parent" if key in parent else "change"
         print(f"unpaired {side} capture: {key[0]} seed {key[1]}", file=out)
     for key in pairs:
-        if parent[key][0] != change[key][0]:
-            failures.append(f"{key[0]} seed {key[1]}: digests differ\n"
-                            f"  parent {parent[key][0]}\n"
-                            f"  change {change[key][0]}")
+        p_fields = digest_fields(parent[key][0])
+        c_fields = digest_fields(change[key][0])
+        differing = [f for f in dict.fromkeys([*p_fields, *c_fields])
+                     if p_fields.get(f) != c_fields.get(f)]
+        if not differing:
+            continue
+        print(f"{key[0]} seed {key[1]}: digest fields differ: "
+              + ", ".join(f"{f} {p_fields.get(f)} -> {c_fields.get(f)}"
+                          for f in differing), file=out)
+        refused = [f for f in differing if f not in allowed]
+        if refused:
+            failures.append(f"{key[0]} seed {key[1]}: digests differ in "
+                            f"{', '.join(refused)}")
 
     for workload in sorted({w for w, _ in pairs}):
         seeds = [s for w, s in pairs if w == workload]
@@ -124,11 +142,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", nargs="+", required=True)
     parser.add_argument("--change", nargs="+", required=True)
+    parser.add_argument("--allow-digest-fields", default="",
+                        help="comma-separated digest fields that may "
+                             "differ within a pair (default: none)")
     args = parser.parse_args(argv)
+    allowed = [f for f in args.allow_digest_fields.split(",") if f]
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as spec:
         metrics = json.load(spec)["end_to_end"]
+    if allowed:
+        print(f"allowed to differ: digest fields {', '.join(allowed)}")
     failures = compare(load(args.parent), load(args.change), metrics,
-                       sys.stdout)
+                       sys.stdout, allowed)
     for failure in failures:
         print("FAIL " + failure)
     print("FAIL" if failures else "OK")

@@ -15,7 +15,8 @@ sys.path.insert(0, os.path.join(ROOT, "scripts"))
 import bench_compare  # noqa: E402
 
 
-def capture(workload, seed, answers="00000000000000aa", norm_ops=100.0):
+def capture(workload, seed, answers="00000000000000aa", norm_ops=100.0,
+            choose_iter=7):
     """One run's standard output, shaped as perfbench prints it."""
     metrics = {
         "norm_ops_per_s": {"value": norm_ops, "unit": "1/s"},
@@ -25,7 +26,8 @@ def capture(workload, seed, answers="00000000000000aa", norm_ops=100.0):
     }
     return (f"{workload} samples=120\n"
             f"digest workload={workload} seed={seed} ops=24 exec=100 "
-            f"get_state=5 store_state=5 choose_iter=7 answers={answers}\n"
+            f"get_state=5 store_state=5 choose_iter={choose_iter} "
+            f"answers={answers}\n"
             f"{workload} norm_ops_per_s {norm_ops:.6g} 1/s\n"
             + json.dumps({"correct": True, "attempted": 120, "failed": 0,
                           "metrics": metrics}) + "\n")
@@ -44,7 +46,7 @@ class BenchCompareTest(unittest.TestCase):
             out.write(text)
         return path
 
-    def run_compare(self, change_for_seed):
+    def run_compare(self, change_for_seed, flags=()):
         parent, change = [], []
         for seed in range(1, 11):
             parent.append(self.write(f"parent-{seed}.txt",
@@ -53,7 +55,7 @@ class BenchCompareTest(unittest.TestCase):
                                      change_for_seed(seed)))
         with redirect_stdout(io.StringIO()) as out:
             code = bench_compare.main(["--parent", *parent,
-                                       "--change", *change])
+                                       "--change", *change, *flags])
         return code, out.getvalue()
 
     def test_equal_digests_pass(self):
@@ -69,6 +71,34 @@ class BenchCompareTest(unittest.TestCase):
                               else "00000000000000aa"))
         self.assertEqual(code, 1, out)
         self.assertIn("serve_storm seed 4: digests differ", out)
+
+    def test_differing_fields_are_named(self):
+        code, out = self.run_compare(
+            lambda s: capture("serve_storm", s, choose_iter=3))
+        self.assertEqual(code, 1, out)
+        self.assertIn("serve_storm seed 2: digest fields differ: "
+                      "choose_iter 7 -> 3", out)
+        self.assertIn("serve_storm seed 2: digests differ in choose_iter",
+                      out)
+
+    def test_allowed_fields_may_differ(self):
+        code, out = self.run_compare(
+            lambda s: capture("serve_storm", s, choose_iter=3,
+                              answers="00000000000000bb"),
+            ["--allow-digest-fields", "choose_iter,answers"])
+        self.assertEqual(code, 0, out)
+        self.assertIn("digest fields differ: choose_iter 7 -> 3, answers "
+                      "00000000000000aa -> 00000000000000bb", out)
+        self.assertTrue(out.rstrip().endswith("OK"), out)
+
+    def test_an_unallowed_field_still_fails(self):
+        code, out = self.run_compare(
+            lambda s: capture("serve_storm", s, choose_iter=3,
+                              answers="00000000000000bb"),
+            ["--allow-digest-fields", "choose_iter"])
+        self.assertEqual(code, 1, out)
+        self.assertIn("digests differ in answers", out)
+        self.assertNotIn("digests differ in choose_iter", out)
 
     def test_throughput_drop_past_its_bound_fails(self):
         code, out = self.run_compare(
