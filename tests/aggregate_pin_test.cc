@@ -6,9 +6,16 @@
 // store, value for value. The expected lines were recorded from the
 // implementation and any change to the adaptive cycle that alters one of
 // them is a behaviour change, not a refactor.
+//
+// The `cq/*` pins run every aggregate kind, exact and approximate, through
+// CqExecutor at threads 1 and 2 under both resilience policies, plus a
+// function whose Invoke() fails once on one row under SELECT and SUM. They
+// pin the executor's tick: work units, the meter, the answer bits, the
+// degradation flag and cause, and the report's operator and row counts.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -19,10 +26,12 @@
 #include "common/rng.h"
 #include "common/work_meter.h"
 #include "engine/cost_history.h"
+#include "engine/executor.h"
 #include "obs/trace.h"
 #include "operators/min_max.h"
 #include "operators/sum_ave.h"
 #include "operators/top_k.h"
+#include "testing/workload_gen.h"
 #include "vao/synthetic_result_object.h"
 
 namespace vaolib::operators {
@@ -545,6 +554,349 @@ TEST(AggregatePinTest, ExactBehaviourIsUnchanged) {
     EXPECT_EQ(RunCase(pin), pin.expected) << pin.name;
   }
   obs::SetTraceMode(obs::TraceMode::kOff);
+}
+
+// --- CqExecutor pins -------------------------------------------------------
+
+enum class CqKind {
+  kMin,
+  kMax,
+  kSum,
+  kAve,
+  kTopK,
+  kApproxSum,
+  kApproxAve,
+  kApproxTopK,
+  kFailingSelect,  ///< the failing-Invoke function under SELECT
+  kFailingSum,     ///< the failing-Invoke function under SUM
+};
+
+struct CqPinCase {
+  const char* name;
+  CqKind kind;
+  int threads;
+  engine::ResiliencePolicy policy;
+  const char* expected;
+};
+
+constexpr std::size_t kFailingRow = 5;
+
+// The synthetic table function, except that the first Invoke() of
+// kFailingRow fails with a NumericError; later ones (the kDegrade black-box
+// fallback's) succeed.
+class FailOnceFunction : public vao::VariableAccuracyFunction {
+ public:
+  explicit FailOnceFunction(const vao::VariableAccuracyFunction* inner)
+      : inner_(inner) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  int arity() const override { return inner_->arity(); }
+  Result<vao::ResultObjectPtr> Invoke(const std::vector<double>& args,
+                                      WorkMeter* meter) const override {
+    if (args[0] == static_cast<double>(kFailingRow) &&
+        !failed_.exchange(true)) {
+      return Status::NumericError("injected Invoke() failure");
+    }
+    return inner_->Invoke(args, meter);
+  }
+
+ private:
+  const vao::VariableAccuracyFunction* inner_;
+  mutable std::atomic<bool> failed_{false};
+};
+
+std::string CqMeterLine(const WorkMeter& meter) {
+  return "work=" + std::to_string(meter.Count(WorkKind::kExec)) + "/" +
+         std::to_string(meter.Count(WorkKind::kGetState)) + "/" +
+         std::to_string(meter.Count(WorkKind::kStoreState)) + "/" +
+         std::to_string(meter.Count(WorkKind::kChooseIter));
+}
+
+std::string RowsLine(const std::vector<std::size_t>& rows) {
+  std::string line;
+  for (const std::size_t row : rows) line += std::to_string(row) + ",";
+  return line;
+}
+
+engine::Query MakeCqQuery(CqKind kind,
+                          const vao::VariableAccuracyFunction* function) {
+  engine::Query::Builder query(function);
+  query.Args({engine::ArgRef::RelationField("id")});
+  engine::ApproxSpec approx;
+  approx.seed = 11;
+  approx.initial_samples = 8;
+  approx.target_rel_error = 0.15;
+  switch (kind) {
+    case CqKind::kMin:
+      query.Min().Epsilon(0.05);
+      break;
+    case CqKind::kMax:
+      query.Max().Epsilon(0.05);
+      break;
+    case CqKind::kSum:
+    case CqKind::kFailingSum:
+      query.Sum().WeightColumn("weight").Epsilon(2.0);
+      break;
+    case CqKind::kAve:
+      query.Ave().Epsilon(0.5);
+      break;
+    case CqKind::kTopK:
+      query.TopK(3).Epsilon(0.05);
+      break;
+    case CqKind::kApproxSum:
+      approx.max_samples = 32;
+      query.Sum().WeightColumn("weight").Epsilon(2.0).Approximate(approx);
+      break;
+    case CqKind::kApproxAve:
+      approx.max_samples = 32;
+      query.Ave().Epsilon(0.5).Approximate(approx);
+      break;
+    case CqKind::kApproxTopK:
+      approx.max_samples = 16;
+      query.TopK(3).Epsilon(0.05).Approximate(approx);
+      break;
+    case CqKind::kFailingSelect:
+      query.Select(Comparator::kGreaterThan, 60.0);
+      break;
+  }
+  return query.Build();
+}
+
+// Runs one case through a fresh CqExecutor and renders what it pins.
+std::string RunCqCase(const vaolib::testing::Workload& workload,
+                      const CqPinCase& pin) {
+  const FailOnceFunction failing(workload.function.get());
+  const bool fails = pin.kind == CqKind::kFailingSelect ||
+                     pin.kind == CqKind::kFailingSum;
+  const vao::VariableAccuracyFunction* function =
+      fails ? static_cast<const vao::VariableAccuracyFunction*>(&failing)
+            : workload.function.get();
+  auto executor = engine::CqExecutor::Create(
+      &workload.relation, engine::Schema{}, MakeCqQuery(pin.kind, function),
+      engine::ExecutionMode::kVao, pin.threads, pin.policy);
+  if (!executor.ok()) return executor.status().ToString();
+  const auto tick = (*executor)->ProcessTick({});
+  const std::string meter = CqMeterLine((*executor)->meter());
+  if (!tick.ok()) {
+    return meter + " err=" +
+           std::to_string(static_cast<int>(tick.status().code()));
+  }
+  const vao::Answer& answer = tick->aggregate_bounds;
+  std::string top;
+  for (std::size_t j = 0; j < tick->top_rows.size(); ++j) {
+    top += std::to_string(tick->top_rows[j]) + "@" +
+           BoundsLine(tick->top_bounds[j]) + ",";
+  }
+  return meter + " wu=" + std::to_string(tick->work_units) +
+         " deg=" + std::to_string(tick->degraded) + "/" +
+         std::to_string(static_cast<int>(tick->degradation_cause.code())) +
+         " ans=" + BoundsLine(answer) + " n=" +
+         std::to_string(answer.sample_size) +
+         " w=" + std::to_string(tick->winner_row.value_or(~0ULL)) +
+         " top=" + top + " pass=" + RowsLine(tick->passing_rows) +
+         " quar=" + RowsLine(tick->quarantined_rows) +
+         " it=" + std::to_string(tick->report.iterations) +
+         " cs=" + std::to_string(tick->report.choose_steps) +
+         " rs=" + std::to_string(tick->report.rows_scanned);
+}
+
+constexpr auto kStrict = engine::ResiliencePolicy::kStrict;
+constexpr auto kDegrade = engine::ResiliencePolicy::kDegrade;
+
+const CqPinCase kCqCases[] = {
+    {"cq/min/t1/strict", CqKind::kMin, 1, kStrict,
+     "work=77549/0/0/1326 wu=78875 deg=0/0"
+     " ans=403497894baf5aef:4034999c8cbf8c2b n=0 w=41 top= pass="
+     " quar= it=100 cs=100 rs=64"},
+    {"cq/min/t2/strict", CqKind::kMin, 2, kStrict,
+     "work=79108/0/0/100 wu=79208 deg=0/0"
+     " ans=403497894baf5aef:4034999c8cbf8c2b n=0 w=41 top= pass="
+     " quar= it=284 cs=28 rs=64"},
+    {"cq/min/t1/degrade", CqKind::kMin, 1, kDegrade,
+     "work=77549/0/0/1326 wu=78875 deg=0/0"
+     " ans=403497894baf5aef:4034999c8cbf8c2b n=0 w=41 top= pass="
+     " quar= it=100 cs=100 rs=64"},
+    {"cq/min/t2/degrade", CqKind::kMin, 2, kDegrade,
+     "work=79108/0/0/100 wu=79208 deg=0/0"
+     " ans=403497894baf5aef:4034999c8cbf8c2b n=0 w=41 top= pass="
+     " quar= it=284 cs=28 rs=64"},
+    {"cq/max/t1/strict", CqKind::kMax, 1, kStrict,
+     "work=723/0/0/539 wu=1262 deg=0/0"
+     " ans=4058fb2070c48dd7:4058fd156d82bbad n=0 w=11 top= pass="
+     " quar= it=47 cs=44 rs=64"},
+    {"cq/max/t2/strict", CqKind::kMax, 2, kStrict,
+     "work=2881/0/0/8 wu=2889 deg=0/0"
+     " ans=4058fb2070c48dd7:4058fd156d82bbad n=0 w=11 top= pass="
+     " quar= it=262 cs=3 rs=64"},
+    {"cq/max/t1/degrade", CqKind::kMax, 1, kDegrade,
+     "work=723/0/0/539 wu=1262 deg=0/0"
+     " ans=4058fb2070c48dd7:4058fd156d82bbad n=0 w=11 top= pass="
+     " quar= it=47 cs=44 rs=64"},
+    {"cq/max/t2/degrade", CqKind::kMax, 2, kDegrade,
+     "work=2881/0/0/8 wu=2889 deg=0/0"
+     " ans=4058fb2070c48dd7:4058fd156d82bbad n=0 w=11 top= pass="
+     " quar= it=262 cs=3 rs=64"},
+    {"cq/sum/t1/strict", CqKind::kSum, 1, kStrict,
+     "work=326268/0/0/12026 wu=338294 deg=0/0"
+     " ans=40af5a179c221026:40af5e02205de6c3 n=0"
+     " w=18446744073709551615 top= pass= quar= it=859 cs=859 rs=64"},
+    {"cq/sum/t2/strict", CqKind::kSum, 2, kStrict,
+     "work=326268/0/0/8540 wu=334808 deg=0/0"
+     " ans=40af5a179c221026:40af5e02205de6c3 n=0"
+     " w=18446744073709551615 top= pass= quar= it=859 cs=610 rs=64"},
+    {"cq/sum/t1/degrade", CqKind::kSum, 1, kDegrade,
+     "work=326268/0/0/12026 wu=338294 deg=0/0"
+     " ans=40af5a179c221026:40af5e02205de6c3 n=0"
+     " w=18446744073709551615 top= pass= quar= it=859 cs=859 rs=64"},
+    {"cq/sum/t2/degrade", CqKind::kSum, 2, kDegrade,
+     "work=326268/0/0/8540 wu=334808 deg=0/0"
+     " ans=40af5a179c221026:40af5e02205de6c3 n=0"
+     " w=18446744073709551615 top= pass= quar= it=859 cs=610 rs=64"},
+    {"cq/ave/t1/strict", CqKind::kAve, 1, kStrict,
+     "work=18760/0/0/8736 wu=27496 deg=0/0"
+     " ans=404d3da8f02c4a77:404d7d744d390b40 n=0"
+     " w=18446744073709551615 top= pass= quar= it=624 cs=624 rs=64"},
+    {"cq/ave/t2/strict", CqKind::kAve, 2, kStrict,
+     "work=18760/0/0/5166 wu=23926 deg=0/0"
+     " ans=404d3da8f02c4a77:404d7d744d390b40 n=0"
+     " w=18446744073709551615 top= pass= quar= it=624 cs=369 rs=64"},
+    {"cq/ave/t1/degrade", CqKind::kAve, 1, kDegrade,
+     "work=18760/0/0/8736 wu=27496 deg=0/0"
+     " ans=404d3da8f02c4a77:404d7d744d390b40 n=0"
+     " w=18446744073709551615 top= pass= quar= it=624 cs=624 rs=64"},
+    {"cq/ave/t2/degrade", CqKind::kAve, 2, kDegrade,
+     "work=18760/0/0/5166 wu=23926 deg=0/0"
+     " ans=404d3da8f02c4a77:404d7d744d390b40 n=0"
+     " w=18446744073709551615 top= pass= quar= it=624 cs=369 rs=64"},
+    {"cq/topk/t1/strict", CqKind::kTopK, 1, kStrict,
+     "work=32157/0/0/4175 wu=36332 deg=0/0"
+     " ans=4058fb2070c48dd7:4058fd156d82bbad n=0 w=11"
+     " top=11@4058fb2070c48dd7:4058fd156d82bbad,"
+     "15@4058ae18d8d26d40:4058af5b653c8576,"
+     "36@40588ae20766ce96:40588d98c48027b7,"
+     " pass= quar= it=146 cs=137 rs=64"},
+    {"cq/topk/t2/strict", CqKind::kTopK, 2, kStrict,
+     "work=32157/0/0/4175 wu=36332 deg=0/0"
+     " ans=4058fb2070c48dd7:4058fd156d82bbad n=0 w=11"
+     " top=11@4058fb2070c48dd7:4058fd156d82bbad,"
+     "15@4058ae18d8d26d40:4058af5b653c8576,"
+     "36@40588ae20766ce96:40588d98c48027b7,"
+     " pass= quar= it=146 cs=137 rs=64"},
+    {"cq/topk/t1/degrade", CqKind::kTopK, 1, kDegrade,
+     "work=32157/0/0/4175 wu=36332 deg=0/0"
+     " ans=4058fb2070c48dd7:4058fd156d82bbad n=0 w=11"
+     " top=11@4058fb2070c48dd7:4058fd156d82bbad,"
+     "15@4058ae18d8d26d40:4058af5b653c8576,"
+     "36@40588ae20766ce96:40588d98c48027b7,"
+     " pass= quar= it=146 cs=137 rs=64"},
+    {"cq/topk/t2/degrade", CqKind::kTopK, 2, kDegrade,
+     "work=32157/0/0/4175 wu=36332 deg=0/0"
+     " ans=4058fb2070c48dd7:4058fd156d82bbad n=0 w=11"
+     " top=11@4058fb2070c48dd7:4058fd156d82bbad,"
+     "15@4058ae18d8d26d40:4058af5b653c8576,"
+     "36@40588ae20766ce96:40588d98c48027b7,"
+     " pass= quar= it=146 cs=137 rs=64"},
+    {"cq/approx_sum/t1/strict", CqKind::kApproxSum, 1, kStrict,
+     "work=120157372/0/0/0 wu=120157372 deg=1/6"
+     " ans=40a8bc48029a5273:40b76121b40f6912 n=32"
+     " w=18446744073709551615 top= pass= quar= it=530 cs=538 rs=32"},
+    {"cq/approx_sum/t2/strict", CqKind::kApproxSum, 2, kStrict,
+     "work=120157372/0/0/0 wu=120157372 deg=1/6"
+     " ans=40a8bc48029a5273:40b76121b40f6912 n=32"
+     " w=18446744073709551615 top= pass= quar= it=530 cs=538 rs=32"},
+    {"cq/approx_sum/t1/degrade", CqKind::kApproxSum, 1, kDegrade,
+     "work=120157372/0/0/0 wu=120157372 deg=1/6"
+     " ans=40a8bc48029a5273:40b76121b40f6912 n=32"
+     " w=18446744073709551615 top= pass= quar= it=530 cs=538 rs=32"},
+    {"cq/approx_sum/t2/degrade", CqKind::kApproxSum, 2, kDegrade,
+     "work=120157372/0/0/0 wu=120157372 deg=1/6"
+     " ans=40a8bc48029a5273:40b76121b40f6912 n=32"
+     " w=18446744073709551615 top= pass= quar= it=530 cs=538 rs=32"},
+    {"cq/approx_ave/t1/strict", CqKind::kApproxAve, 1, kStrict,
+     "work=110708078/0/0/0 wu=110708078 deg=0/0"
+     " ans=40483e40fd12c303:40505b91f1e09474 n=22"
+     " w=18446744073709551615 top= pass= quar= it=337 cs=342 rs=22"},
+    {"cq/approx_ave/t2/strict", CqKind::kApproxAve, 2, kStrict,
+     "work=110708078/0/0/0 wu=110708078 deg=0/0"
+     " ans=40483e40fd12c303:40505b91f1e09474 n=22"
+     " w=18446744073709551615 top= pass= quar= it=337 cs=342 rs=22"},
+    {"cq/approx_ave/t1/degrade", CqKind::kApproxAve, 1, kDegrade,
+     "work=110708078/0/0/0 wu=110708078 deg=0/0"
+     " ans=40483e40fd12c303:40505b91f1e09474 n=22"
+     " w=18446744073709551615 top= pass= quar= it=337 cs=342 rs=22"},
+    {"cq/approx_ave/t2/degrade", CqKind::kApproxAve, 2, kDegrade,
+     "work=110708078/0/0/0 wu=110708078 deg=0/0"
+     " ans=40483e40fd12c303:40505b91f1e09474 n=22"
+     " w=18446744073709551615 top= pass= quar= it=337 cs=342 rs=22"},
+    {"cq/approx_topk/t1/strict", CqKind::kApproxTopK, 1, kStrict,
+     "work=28040/0/0/393 wu=28433 deg=0/0"
+     " ans=40588ae20766ce96:40588d98c48027b7 n=16 w=36"
+     " top=36@40588ae20766ce96:40588d98c48027b7,"
+     "22@4057b38b929e92be:4057b564f34d5f78,"
+     "43@40579f97ececa515:4057a1bcf183e5e6,"
+     " pass= quar= it=59 cs=38 rs=16"},
+    {"cq/approx_topk/t2/strict", CqKind::kApproxTopK, 2, kStrict,
+     "work=28040/0/0/393 wu=28433 deg=0/0"
+     " ans=40588ae20766ce96:40588d98c48027b7 n=16 w=36"
+     " top=36@40588ae20766ce96:40588d98c48027b7,"
+     "22@4057b38b929e92be:4057b564f34d5f78,"
+     "43@40579f97ececa515:4057a1bcf183e5e6,"
+     " pass= quar= it=59 cs=38 rs=16"},
+    {"cq/approx_topk/t1/degrade", CqKind::kApproxTopK, 1, kDegrade,
+     "work=28040/0/0/393 wu=28433 deg=0/0"
+     " ans=40588ae20766ce96:40588d98c48027b7 n=16 w=36"
+     " top=36@40588ae20766ce96:40588d98c48027b7,"
+     "22@4057b38b929e92be:4057b564f34d5f78,"
+     "43@40579f97ececa515:4057a1bcf183e5e6,"
+     " pass= quar= it=59 cs=38 rs=16"},
+    {"cq/approx_topk/t2/degrade", CqKind::kApproxTopK, 2, kDegrade,
+     "work=28040/0/0/393 wu=28433 deg=0/0"
+     " ans=40588ae20766ce96:40588d98c48027b7 n=16 w=36"
+     " top=36@40588ae20766ce96:40588d98c48027b7,"
+     "22@4057b38b929e92be:4057b564f34d5f78,"
+     "43@40579f97ececa515:4057a1bcf183e5e6,"
+     " pass= quar= it=59 cs=38 rs=16"},
+    {"cq/failing_select/t1/strict", CqKind::kFailingSelect, 1, kStrict,
+     "work=774/0/0/0 err=8"},
+    {"cq/failing_select/t2/strict", CqKind::kFailingSelect, 2, kStrict,
+     "work=774/0/0/0 err=8"},
+    {"cq/failing_select/t1/degrade", CqKind::kFailingSelect, 1, kDegrade,
+     "work=774/0/0/0 wu=774 deg=1/8"
+     " ans=0000000000000000:0000000000000000 n=0"
+     " w=18446744073709551615 top="
+     " pass=1,9,11,13,15,17,20,22,23,24,25,26,28,30,31,32,34,36,37,43,44,46,"
+     "47,48,52,55,57,59,63,"
+     " quar=5, it=78 cs=0 rs=64"},
+    {"cq/failing_select/t2/degrade", CqKind::kFailingSelect, 2, kDegrade,
+     "work=774/0/0/0 wu=774 deg=1/8"
+     " ans=0000000000000000:0000000000000000 n=0"
+     " w=18446744073709551615 top="
+     " pass=1,9,11,13,15,17,20,22,23,24,25,26,28,30,31,32,34,36,37,43,44,46,"
+     "47,48,52,55,57,59,63,"
+     " quar=5, it=78 cs=0 rs=64"},
+    {"cq/failing_sum/t1/strict", CqKind::kFailingSum, 1, kStrict,
+     "work=0/0/0/0 err=8"},
+    {"cq/failing_sum/t2/strict", CqKind::kFailingSum, 2, kStrict,
+     "work=0/0/0/0 err=8"},
+    {"cq/failing_sum/t1/degrade", CqKind::kFailingSum, 1, kDegrade,
+     "work=256129830/0/0/0 wu=256129830 deg=1/8"
+     " ans=40af5c3f8e88cc68:40af5c3f8e88cc68 n=0"
+     " w=18446744073709551615 top= pass= quar= it=0 cs=0 rs=64"},
+    {"cq/failing_sum/t2/degrade", CqKind::kFailingSum, 2, kDegrade,
+     "work=256129830/0/0/0 wu=256129830 deg=1/8"
+     " ans=40af5c3f8e88cc68:40af5c3f8e88cc68 n=0"
+     " w=18446744073709551615 top= pass= quar= it=0 cs=0 rs=64"},
+};
+
+TEST(AggregatePinTest, CqExecutorBehaviourIsUnchanged) {
+  vaolib::testing::WorkloadSpec spec;
+  spec.rows = 64;
+  spec.value_lo = 20.0;  // positive: the APPROX error targets are reachable
+  const vaolib::testing::Workload workload =
+      vaolib::testing::MakeWorkload(spec, 20261018);
+  for (const CqPinCase& pin : kCqCases) {
+    EXPECT_EQ(RunCqCase(workload, pin), pin.expected) << pin.name;
+  }
 }
 
 }  // namespace
