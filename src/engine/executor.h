@@ -1,7 +1,10 @@
 // Copyright 2026 The vaolib Authors.
 // CqExecutor: runs one continuous query over an interest-style stream and a
 // relation, re-evaluating on every stream tick (the paper's Figure 1 system
-// with the function-execution and operator modules fused into VAOs).
+// with the function-execution and operator modules fused into VAOs). Its VAO
+// mode runs the query as a one-query MultiQueryExecutor group, the engine's
+// one VAO tick path, and adds the kDegrade black-box fallback; its
+// traditional mode is the paper's Section 6 baseline.
 
 #ifndef VAOLIB_ENGINE_EXECUTOR_H_
 #define VAOLIB_ENGINE_EXECUTOR_H_
@@ -9,6 +12,7 @@
 #include <memory>
 
 #include "common/work_meter.h"
+#include "engine/multi_query.h"
 #include "engine/query.h"
 #include "engine/query_plan.h"
 #include "engine/relation.h"
@@ -28,48 +32,42 @@ enum class ExecutionMode { kVao, kTraditional };
 /// carried across ticks (function caching is orthogonal, Section 3.1).
 class CqExecutor {
  public:
-  /// Builds an executor and resolves all column references. \p threads > 1
-  /// runs VAO-mode ticks on the shared thread pool: object creation goes
-  /// through InvokeAll, each selection refinement notch fans out over the
-  /// undecided rows, and MIN/MAX/SUM/AVE run a parallel coarse-convergence
-  /// phase (to the query epsilon) before their serial greedy refinement.
-  /// Traditional mode ignores \p threads (its baseline costs are charged,
-  /// not solved). Requires the query's function to support concurrent
-  /// Invoke() -- true for every function in this library, including
-  /// CachingFunction.
-  ///
-  /// \p resilience selects the VAO-mode failure policy (see
-  /// ResiliencePolicy); traditional mode ignores it.
+  /// Builds an executor and resolves all column references. VAO mode runs
+  /// the query as a one-query MultiQueryExecutor with \p threads and
+  /// \p resilience (see MultiQueryOptions and ResiliencePolicy) under the
+  /// default scheduler, which steps the query's task to completion.
+  /// Traditional mode ignores both (its baseline costs are charged, not
+  /// solved). Requires the query's function to support concurrent Invoke()
+  /// -- true for every function in this library, including CachingFunction.
   static Result<std::unique_ptr<CqExecutor>> Create(
       const Relation* relation, Schema stream_schema, Query query,
       ExecutionMode mode, int threads = 1,
       ResiliencePolicy resilience = ResiliencePolicy::kStrict);
 
-  /// Re-evaluates the query for \p stream_tuple.
+  /// Re-evaluates the query for \p stream_tuple. A VAO-mode result is the
+  /// group's, but its work_units and its report's work, solver, cache and
+  /// pool sections cover the whole tick, object creation included.
   Result<TickResult> ProcessTick(const Tuple& stream_tuple);
 
-  /// Cumulative work across all ticks so far.
+  /// Cumulative work across all ticks so far: VAO work plus black-box
+  /// fallback work.
   const WorkMeter& meter() const { return meter_; }
   void ResetMeter() { meter_.Reset(); }
 
-  ExecutionMode mode() const { return mode_; }
+  ExecutionMode mode() const {
+    return group_ != nullptr ? ExecutionMode::kVao
+                             : ExecutionMode::kTraditional;
+  }
   const Query& query() const { return plan_.query(); }
-  int threads() const { return threads_; }
-  ResiliencePolicy resilience() const { return resilience_; }
 
  private:
-  CqExecutor(const Relation* relation, Schema stream_schema, QueryPlan plan,
-             ExecutionMode mode, int threads, ResiliencePolicy resilience);
+  CqExecutor(const Relation* relation, Schema stream_schema, QueryPlan plan);
 
-  /// Every VAO-mode query, selection or aggregate, exact or approximate:
-  /// compile the plan over this tick's objects, drive its task to
-  /// completion, decode under the resilience policy.
-  Result<TickResult> RunVao(const Tuple& stream_tuple);
   Result<TickResult> RunTraditional(const Tuple& stream_tuple);
 
-  /// kDegrade handling of a failed VAO aggregate: when \p cause is a
-  /// degradable code, re-answers the tick through the calibrated black-box
-  /// path (created lazily) and marks the result degraded; otherwise (or in
+  /// kDegrade handling of a failed VAO tick: when \p cause is a degradable
+  /// code, re-answers the tick through the calibrated black-box path
+  /// (created lazily) and marks the result degraded; otherwise (or in
   /// strict mode) forwards \p cause. The fallback's report covers only the
   /// fallback work; meter() accumulates both attempts.
   Result<TickResult> FallbackOrError(const Tuple& stream_tuple,
@@ -78,11 +76,10 @@ class CqExecutor {
   const Relation* relation_;
   Schema stream_schema_;
   QueryPlan plan_;
-  ExecutionMode mode_;
-  int threads_;
-  ResiliencePolicy resilience_;
   WorkMeter meter_;
 
+  /// VAO mode's one-query group; its meter holds one tick's work.
+  std::unique_ptr<MultiQueryExecutor> group_;
   /// Calibrated baseline for traditional mode (lazy per-args cache inside).
   std::unique_ptr<vao::CalibratedBlackBox> black_box_;
 };

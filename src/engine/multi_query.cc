@@ -1,6 +1,7 @@
 #include "engine/multi_query.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "common/macros.h"
@@ -16,6 +17,14 @@ namespace {
 bool SameBinding(const ArgRef& a, const ArgRef& b) {
   return a.source == b.source && a.field == b.field &&
          a.constant == b.constant;
+}
+
+// Exact aggregates read every shared object; selections and approximate
+// queries do not.
+bool NeedsEveryObject(const QueryPlan& plan) {
+  const Query& query = plan.query();
+  return !query.approx.has_value() && query.kind != QueryKind::kSelect &&
+         query.kind != QueryKind::kSelectRange;
 }
 
 }  // namespace
@@ -99,13 +108,23 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
       std::any_of(plans_.begin(), plans_.end(), [](const QueryPlan& plan) {
         return !plan.query().approx.has_value();
       });
+  // A selection settles a row whose Invoke() failed like any other row
+  // failure; the other exact kinds need every object, so there the lowest
+  // failed row fails the tick.
   std::vector<vao::ResultObjectPtr> owned;
+  std::vector<Status> invoke_status;
   if (need_shared) {
     VAOLIB_ASSIGN_OR_RETURN(const std::vector<std::vector<double>> rows,
                             lead.BuildRows(stream_tuple));
-    VAOLIB_ASSIGN_OR_RETURN(owned,
-                            vao::InvokeAll(*lead.query().function, rows,
-                                           options_.threads, &meter_));
+    VAOLIB_ASSIGN_OR_RETURN(
+        owned, vao::InvokeAll(*lead.query().function, rows, options_.threads,
+                              &meter_, &invoke_status));
+    const auto failed = std::find_if_not(
+        invoke_status.begin(), invoke_status.end(), std::mem_fn(&Status::ok));
+    if (failed != invoke_status.end() &&
+        std::any_of(plans_.begin(), plans_.end(), NeedsEveryObject)) {
+      return *failed;
+    }
   }
   std::vector<vao::ResultObject*> objects;
   objects.reserve(owned.size());
@@ -122,6 +141,7 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   inputs.objects = &objects;
   inputs.meter = &meter_;
   inputs.threads = options_.threads;
+  inputs.invoke_status = std::move(invoke_status);
   std::vector<CompiledQuery> compiled;
   compiled.reserve(plans_.size());
   std::vector<WorkScheduler::Entry> entries(plans_.size());
@@ -141,17 +161,15 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   last_tick_report_ = obs::ExecutionReport();
   obs::ExecutionReport& tick = last_tick_report_;
   tick.query_kind = "multi";
-  tick.rows_scanned = n;
+  // The shared objects when they were created, plus every sampled row.
+  tick.rows_scanned = need_shared ? n : 0;
   tick.scheduled = true;
   tick.scheduler_policy = policy_name;
   tick.scheduler_budget = options_.scheduler.budget;
   std::vector<TickResult> results(plans_.size());
   for (std::size_t q = 0; q < plans_.size(); ++q) {
     TickResult& result = results[q];
-    // Row failures fail the tick, as they always have here; stalled rows
-    // are quarantined like in CqExecutor.
-    VAOLIB_RETURN_IF_ERROR(
-        compiled[q].Decode(ResiliencePolicy::kStrict, &result));
+    VAOLIB_RETURN_IF_ERROR(compiled[q].Decode(options_.resilience, &result));
     const TaskScheduleStats& stats = sched_stats[q];
 
     // Exact attribution: the work units the scheduler granted this query.
@@ -182,6 +200,11 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
     tick.finalize_iterations += report.finalize_iterations;
     tick.choose_steps += report.choose_steps;
     tick.objects_touched += report.objects_touched;
+    tick.stalled_objects += report.stalled_objects;
+    tick.rows_quarantined += report.rows_quarantined;
+    if (plans_[q].query().approx.has_value()) {
+      tick.rows_scanned += report.rows_scanned;
+    }
     tick.rows_short_circuited =
         std::max(tick.rows_short_circuited, report.rows_short_circuited);
     tick.scheduler_spent += stats.spent;

@@ -1,7 +1,9 @@
 // Copyright 2026 The vaolib Authors.
 // MultiQueryExecutor: shared execution of many standing queries over the
 // same UDF -- the continuous-query deployment the paper's introduction
-// motivates (many traders' queries over the same bond models).
+// motivates (many traders' queries over the same bond models). It is the
+// engine's one VAO tick path: CqExecutor runs its query as a one-query
+// group.
 //
 // All registered queries must bind the SAME function with the SAME argument
 // references; that is exactly what makes sharing sound: per stream tick one
@@ -52,6 +54,10 @@ struct MultiQueryOptions {
   /// attributed on the query's ExecutionReport (`tenant`) and accumulated
   /// into the vaolib_owner_work_units_total{owner=...} counter.
   std::vector<std::string> owners;
+
+  /// How a failed selection row decodes: kStrict fails the tick with the
+  /// lowest failed row's status, kDegrade quarantines the row.
+  ResiliencePolicy resilience = ResiliencePolicy::kStrict;
 };
 
 /// \brief Shared-execution runner for a set of standing queries.
@@ -73,7 +79,9 @@ class MultiQueryExecutor {
   /// TickResult's work_units is the exact work the scheduler granted that
   /// query (the spends sum to the scheduler run's meter delta); creating
   /// the shared objects is accounted only in last_tick_report(). converged
-  /// reflects whether the query finished within the budget.
+  /// reflects whether the query finished within the budget. A failed
+  /// Invoke() of a shared row fails the tick when an exact aggregate needs
+  /// the row; selections settle it under options().resilience.
   Result<std::vector<TickResult>> ProcessTick(const Tuple& stream_tuple);
 
   /// Cumulative work across all ticks and queries.
@@ -82,9 +90,12 @@ class MultiQueryExecutor {
 
   /// Tick-wide observability account of the most recent ProcessTick():
   /// query_kind "multi", work/cache/pool sections covering the whole tick
-  /// (shared object creation included), operator section summed over the
-  /// per-query reports. Each TickResult additionally carries its own report
-  /// whose work section is that query's exact work_units split by kind.
+  /// (shared object creation included), operator section (stalls and
+  /// quarantines included) summed over the per-query reports, and
+  /// rows_scanned counting the shared rows when they were created plus each
+  /// approximate query's sampled rows. Each TickResult additionally carries
+  /// its own report whose work section is that query's exact work_units
+  /// split by kind.
   const obs::ExecutionReport& last_tick_report() const {
     return last_tick_report_;
   }

@@ -8,9 +8,8 @@
 // IterationTask over that tick's result objects, plus the decoder that
 // turns the task's state into the query's TickResult and report sections.
 // Approximate queries compile into tasks over private row samples instead
-// of the shared objects. Who steps the task is the caller's business:
-// CqExecutor drives it to completion, MultiQueryExecutor hands every
-// query's task to a WorkScheduler.
+// of the shared objects. MultiQueryExecutor, the one VAO tick path (a
+// CqExecutor runs a one-query group), steps every task by a WorkScheduler.
 
 #ifndef VAOLIB_ENGINE_QUERY_PLAN_H_
 #define VAOLIB_ENGINE_QUERY_PLAN_H_

@@ -509,6 +509,38 @@ TEST_F(ChaosExecutorTest, StalledSelectionIsDegradedInBothExecutors) {
             solo_tick->degradation_cause.message());
 }
 
+TEST_F(ChaosExecutorTest, GroupTickReportSumsStallsAndQuarantines) {
+  // The tick-wide report of a group sums the operator section over its
+  // queries, stall and quarantine counts included, so
+  // vaolib_query_stalled_objects reads the group's stalls.
+  ChaosOptions options;
+  options.fault_probability = 1.0;
+  options.kinds = {FaultKind::kStalledConvergence};
+  const ChaosFunction chaos(workload_.function.get(), options);
+  engine::Query select = SelectQuery(&chaos, workload_.true_values[3] - 0.5);
+  select.cmp = operators::Comparator::kGreaterEqual;
+  engine::Query max = select;
+  max.kind = engine::QueryKind::kMax;
+  max.epsilon = 0.05;
+
+  auto multi = engine::MultiQueryExecutor::Create(
+      &workload_.relation, engine::Schema{}, {select, max});
+  ASSERT_TRUE(multi.ok()) << multi.status();
+  const auto ticks = multi.value()->ProcessTick({});
+  ASSERT_TRUE(ticks.ok()) << ticks.status();
+  std::uint64_t stalled = 0;
+  std::uint64_t quarantined = 0;
+  for (const engine::TickResult& tick : *ticks) {
+    stalled += tick.report.stalled_objects;
+    quarantined += tick.report.rows_quarantined;
+  }
+  EXPECT_GT(stalled, 0u);
+  EXPECT_GT(quarantined, 0u);
+  const obs::ExecutionReport& report = multi.value()->last_tick_report();
+  EXPECT_EQ(report.stalled_objects, stalled);
+  EXPECT_EQ(report.rows_quarantined, quarantined);
+}
+
 TEST(InvariantCheckerTest, CheckRefinementAcceptsHonestObject) {
   WorkMeter meter;
   vao::SyntheticResultObject object(HonestConfig(5.0, &meter));

@@ -529,6 +529,74 @@ TEST_F(ReportIntegrationTest, MultiQueryTickReportCoversWholeTick) {
                                  (*results)[1].report.iterations);
 }
 
+// A CqExecutor tick runs as a one-query group: its report carries the
+// group's scheduler section, its work covers the whole tick, and the tick's
+// span and metrics are recorded once.
+TEST_F(ReportIntegrationTest, CqExecutorTickCarriesTheSchedulerSection) {
+  Query query = BaseQuery();
+  query.kind = QueryKind::kMax;
+  query.epsilon = 0.01;
+  auto executor = CqExecutor::Create(relation_.get(), stream_schema_, query,
+                                     ExecutionMode::kVao);
+  ASSERT_TRUE(executor.ok()) << executor.status();
+
+#ifndef VAOLIB_OBS_DISABLED
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter* ticks = registry.GetCounter("vaolib_ticks_total");
+  Counter* scanned = registry.GetCounter("vaolib_rows_scanned_total");
+  std::vector<Counter*> work_counters;
+  for (const char* kind : {"exec", "get_state", "store_state", "choose_iter"}) {
+    work_counters.push_back(
+        registry.GetCounter("vaolib_work_units_total", {{"kind", kind}}));
+  }
+  auto total_work = [&] {
+    std::uint64_t total = 0;
+    for (const Counter* counter : work_counters) total += counter->Value();
+    return total;
+  };
+  const std::uint64_t ticks_before = ticks->Value();
+  const std::uint64_t scanned_before = scanned->Value();
+  const std::uint64_t work_before = total_work();
+  SetTraceMode(TraceMode::kFlight);
+  ClearTrace();
+#endif
+  const auto result = (*executor)->ProcessTick({0.0575});
+  ASSERT_TRUE(result.ok()) << result.status();
+#ifndef VAOLIB_OBS_DISABLED
+  const TraceSnapshot trace = SnapshotTrace();
+  SetTraceMode(TraceMode::kOff);
+  std::size_t tick_spans = 0;
+  for (const TraceEvent& event : trace.events) {
+    if (event.kind == TraceEvent::Kind::kSpan &&
+        std::string(event.cat) == "tick") {
+      ++tick_spans;
+    }
+  }
+  EXPECT_EQ(tick_spans, 1u);
+  EXPECT_EQ(ticks->Value(), ticks_before + 1);
+  EXPECT_EQ(scanned->Value(), scanned_before + bonds_.size());
+  EXPECT_EQ(total_work(), work_before + result->work_units);
+#endif
+
+  // Object creation: one Invoke() per relation row.
+  WorkMeter creation;
+  for (std::size_t i = 0; i < bonds_.size(); ++i) {
+    ASSERT_TRUE(
+        function_->Invoke({0.0575, static_cast<double>(i)}, &creation).ok());
+  }
+  const ExecutionReport& report = result->report;
+  EXPECT_EQ(report.query_kind, "max");
+  EXPECT_TRUE(report.scheduled);
+  EXPECT_EQ(report.scheduler_policy, "deadline");
+  EXPECT_EQ(report.scheduler_budget, 0u);
+  EXPECT_GT(creation.Total(), 0u);
+  EXPECT_EQ(report.scheduler_spent, result->work_units - creation.Total());
+  EXPECT_GT(report.scheduler_steps, 0u);
+  EXPECT_EQ(report.work.Total(), result->work_units);
+  EXPECT_EQ(result->work_units, (*executor)->meter().Total());
+  EXPECT_EQ(report.rows_scanned, bonds_.size());
+}
+
 TEST(ExecutionReportTest, ProgressBlockRoundTripsAndIsOptional) {
   ExecutionReport report;
   report.query_kind = "max";

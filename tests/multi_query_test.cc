@@ -367,6 +367,32 @@ TEST_F(MultiQueryTest, AllApproxSetSkipsSharedObjectCreation) {
   EXPECT_FALSE((*results)[0].converged);
 }
 
+TEST_F(MultiQueryTest, AllApproxTickScansOnlyTheSampledRows) {
+  // No shared object is created for an all-APPROX group, so the tick-wide
+  // report scans exactly the rows the queries sampled.
+  Query sum = BaseQuery(QueryKind::kSum);
+  sum.epsilon = 0.10;
+  sum.approx = ApproxSpec{};
+  sum.approx->seed = 5;
+  sum.approx->initial_samples = 2;
+  sum.approx->max_samples = 3;
+  sum.approx->target_rel_error = 1e-12;  // unreachable: cap binds
+  Query top = BaseQuery(QueryKind::kTopK);
+  top.k = 1;
+  top.approx = ApproxSpec{};
+  top.approx->seed = 9;
+  top.approx->max_samples = 2;
+
+  auto executor = MultiQueryExecutor::Create(relation_.get(), StreamSchema(),
+                                             {sum, top});
+  ASSERT_TRUE(executor.ok()) << executor.status();
+  const auto results = (*executor)->ProcessTick({0.0575});
+  ASSERT_TRUE(results.ok()) << results.status();
+  EXPECT_EQ((*results)[0].report.rows_scanned, 3u);
+  EXPECT_EQ((*results)[1].report.rows_scanned, 2u);
+  EXPECT_EQ((*executor)->last_tick_report().rows_scanned, 3u + 2u);
+}
+
 TEST_F(MultiQueryTest, ApproxValidationRejectsBadSpecs) {
   Query sum = BaseQuery(QueryKind::kSum);
   sum.approx = ApproxSpec{};
