@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -481,21 +482,24 @@ const PinCase kCases[] = {
      " 9@40423354cdf2ad2a:4042381052e1ec3b"
      " 5@4040e35745600d81:4040e46b742ca2fd dec=161/45c026689272dd50"
      " fb=14650fb0739d0383"},
+    // round_robin and random pick by position in the candidate list, so
+    // they moved when the outsiders' order was fixed (upper bound
+    // descending, lowest index first) instead of partial_sort's leftovers.
     {"topk/round_robin", Task::kTopK, kRR, 1, 1,
-     "meter=2567 it=59 cs=27 touched=12 stalled=0 co=0 gr=27 fi=32 ces=0"
+     "meter=2991 it=70 cs=45 touched=12 stalled=0 co=0 gr=45 fi=25 ces=0"
      " cd=0 raw=0000000000000000 cor=0000000000000000"
-     " its=2,2,2,3,3,10,1,1,2,19,3,11, tie=0 w="
+     " its=2,6,3,5,5,10,2,1,4,19,2,11, tie=0 w="
      " 11@4042ccd81cef96de:4042d076bf307625"
      " 9@40423354cdf2ad2a:4042381052e1ec3b"
-     " 5@4040e2c1d5615d06:4040e7129093b2f5 dec=59/77d29ac0282a57a7"
+     " 5@4040e2c1d5615d06:4040e7129093b2f5 dec=70/c5a82de34d0df25d"
      " fb=14650fb0739d0383"},
     {"topk/random", Task::kTopK, kRnd, 1, 1,
-     "meter=2915 it=68 cs=41 touched=12 stalled=0 co=0 gr=41 fi=27 ces=0"
+     "meter=2647 it=60 cs=35 touched=10 stalled=0 co=0 gr=35 fi=25 ces=0"
      " cd=0 raw=0000000000000000 cor=0000000000000000"
-     " its=4,3,1,2,3,10,4,3,6,19,2,11, tie=0 w="
+     " its=1,0,3,4,4,10,1,0,5,19,2,11, tie=0 w="
      " 11@4042ccd81cef96de:4042d076bf307625"
      " 9@40423354cdf2ad2a:4042381052e1ec3b"
-     " 5@4040e2c1d5615d06:4040e7129093b2f5 dec=68/33f9dec21a6ef714"
+     " 5@4040e2c1d5615d06:4040e7129093b2f5 dec=60/28c626e3169ebe2f"
      " fb=14650fb0739d0383"},
     {"topk/batch1", Task::kTopK, kBG, 1, 1,
      "meter=3286764 it=161 cs=153 touched=11 stalled=0 co=0 gr=153 fi=8"
@@ -552,6 +556,173 @@ TEST(AggregatePinTest, ExactBehaviourIsUnchanged) {
   obs::SetTraceMode(obs::TraceMode::kFlight);
   for (const PinCase& pin : kCases) {
     EXPECT_EQ(RunCase(pin), pin.expected) << pin.name;
+  }
+  obs::SetTraceMode(obs::TraceMode::kOff);
+}
+
+// --- TOP-K edge pins -------------------------------------------------------
+
+// Objects in blocks of four identical ones (every upper bound and score in a
+// block ties), every ninth of zero width (converged from the start), and
+// object 1, in the top block, never shrinks until its stall guard trips.
+std::vector<std::unique_ptr<SyntheticResultObject>> MakeEdgeObjects(
+    std::size_t n, WorkMeter* meter) {
+  std::vector<std::unique_ptr<SyntheticResultObject>> objects;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t key = i / 4;
+    SyntheticResultObject::Config config;
+    config.true_value =
+        110.0 - 0.06 * static_cast<double>(key * 7919 % 997);
+    config.initial_half_width =
+        i % 9 == 4 ? 0.0 : 3.0 + static_cast<double>(key % 5);
+    config.shrink = i == 1 ? 1.0 : 0.5;
+    config.skew = 0.25 + 0.125 * static_cast<double>(key % 5);
+    config.min_width = 0.01;
+    config.cost_per_iteration = 1 + key % 3;
+    config.honest_estimates = key % 6 != 5;
+    config.meter = meter;
+    objects.push_back(std::make_unique<SyntheticResultObject>(config));
+  }
+  return objects;
+}
+
+struct TopKEdgeCase {
+  const char* name;
+  std::size_t n;
+  std::size_t k;
+  ExtremeKind kind;
+  StrategyKind strategy;
+  const char* expected;
+};
+
+std::string RunTopKEdgeCase(const TopKEdgeCase& pin) {
+  WorkMeter meter;
+  auto owned = MakeEdgeObjects(pin.n, &meter);
+  std::vector<vao::ResultObject*> objects;
+  for (auto& object : owned) objects.push_back(object.get());
+
+  obs::ClearTrace();
+  TopKOptions options;
+  options.strategy = pin.strategy;
+  options.meter = &meter;
+  options.epsilon = 0.05;
+  options.k = pin.k;
+  options.kind = pin.kind;
+  const auto outcome = TopKVao(options).Evaluate(objects);
+  if (!outcome.ok()) return outcome.status().ToString();
+
+  Fnv decisions;
+  std::uint64_t decision_count = 0;
+  const obs::TraceSnapshot trace = obs::SnapshotTrace();
+  for (const obs::TraceEvent& event : trace.events) {
+    if (event.kind != obs::TraceEvent::Kind::kDecision) continue;
+    ++decision_count;
+    decisions.Add(event.object_index);
+    decisions.Add(event.lo_after);
+    decisions.Add(event.hi_after);
+    decisions.Add(event.score);
+  }
+  EXPECT_EQ(trace.dropped, 0u) << pin.name;
+  Fnv iterations;
+  for (const auto& object : owned) {
+    iterations.Add(static_cast<std::uint64_t>(object->iterations()));
+  }
+  Fnv winners;
+  for (std::size_t j = 0; j < outcome->winners.size(); ++j) {
+    winners.Add(static_cast<std::uint64_t>(outcome->winners[j]));
+    winners.Add(outcome->winner_bounds[j].lo);
+    winners.Add(outcome->winner_bounds[j].hi);
+  }
+  std::string first;
+  for (std::size_t j = 0; j < std::min<std::size_t>(5, pin.k); ++j) {
+    first += " " + std::to_string(outcome->winners[j]) + "@" +
+             BoundsLine(outcome->winner_bounds[j]);
+  }
+  char digests[96];
+  std::snprintf(digests, sizeof(digests),
+                "its=%016llx win=%016llx dec=%llu/%016llx",
+                static_cast<unsigned long long>(iterations.hash),
+                static_cast<unsigned long long>(winners.hash),
+                static_cast<unsigned long long>(decision_count),
+                static_cast<unsigned long long>(decisions.hash));
+  return "meter=" + std::to_string(meter.Total()) + " " +
+         StatsLine(outcome->stats) + " tie=" + std::to_string(outcome->tie) +
+         " w=" + first + " " + digests;
+}
+
+constexpr ExtremeKind kHigh = ExtremeKind::kMax;
+constexpr ExtremeKind kLow = ExtremeKind::kMin;
+
+const TopKEdgeCase kTopKEdgeCases[] = {
+    {"topk_edge/top3", 48, 3, kHigh, kG,
+     "meter=215 it=43 cs=43 touched=4 stalled=1 co=0 gr=43 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000 tie=1 w="
+     " 1@405b200000000000:405ca00000000000"
+     " 0@405b7fe800000000:405b804800000000"
+     " 2@405b7fe800000000:405b804800000000 its=bb689797a5d12764"
+     " win=1401ef5ec68b463b dec=43/9b530a64fed5d164"},
+    {"topk_edge/bottom3", 48, 3, kLow, kG,
+     "meter=580 it=51 cs=51 touched=14 stalled=0 co=0 gr=51 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000 tie=1 w="
+     " 5@404acc6ccccccccd:404acd6ccccccccd"
+     " 6@404acc6ccccccccd:404acd6ccccccccd"
+     " 7@404acc6ccccccccd:404acd6ccccccccd its=13648b2d9df306aa"
+     " win=8d11925355e22bfc dec=51/027c1b6fdbbd7ccc"},
+    {"topk_edge/top3_round_robin", 48, 3, kHigh, kRR,
+     "meter=215 it=43 cs=43 touched=4 stalled=1 co=0 gr=43 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000 tie=1 w="
+     " 1@405b200000000000:405ca00000000000"
+     " 0@405b7fe800000000:405b804800000000"
+     " 2@405b7fe800000000:405b804800000000 its=bb689797a5d12764"
+     " win=1401ef5ec68b463b dec=43/bf927f521682d249"},
+    {"topk_edge/k1", 48, 1, kHigh, kG,
+     "meter=215 it=43 cs=43 touched=4 stalled=1 co=0 gr=43 fi=0 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000 tie=1 w="
+     " 1@405b200000000000:405ca00000000000 its=bb689797a5d12764"
+     " win=2dc489a916ac149d dec=43/7c5c6273b173c4bf"},
+    {"topk_edge/k_n_minus_1", 48, 47, kHigh, kG,
+     "meter=986 it=354 cs=41 touched=43 stalled=1 co=0 gr=41 fi=313"
+     " ces=0 cd=0 raw=0000000000000000 cor=0000000000000000 tie=1 w="
+     " 1@405b200000000000:405ca00000000000"
+     " 2@405b7f4000000000:405b824000000000"
+     " 3@405b7f4000000000:405b824000000000"
+     " 0@405b7f4000000000:405b824000000000"
+     " 44@4055f27333333333:4055f47333333333 its=797d8b6c2f534483"
+     " win=7b2dc35330a6b5c0 dec=354/5b229f4519a02c2e"},
+    {"topk_edge/k_n", 48, 48, kHigh, kG,
+     "meter=687 it=348 cs=0 touched=43 stalled=1 co=0 gr=0 fi=348 ces=0"
+     " cd=0 raw=0000000000000000 cor=0000000000000000 tie=0 w="
+     " 1@405b200000000000:405ca00000000000"
+     " 2@405b7f4000000000:405b824000000000"
+     " 3@405b7f4000000000:405b824000000000"
+     " 0@405b7f4000000000:405b824000000000"
+     " 44@4055f27333333333:4055f47333333333 its=99bf0ef65c719c01"
+     " win=e3cfff6d4d4a769f dec=348/0aff9d1ad170c84a"},
+    {"topk_edge/n2000_top5", 2000, 5, kHigh, kG,
+     "meter=488572 it=2033 cs=2033 touched=294 stalled=1 co=0 gr=2033"
+     " fi=0 ces=0 cd=0 raw=0000000000000000 cor=0000000000000000 tie=1"
+     " w= 1@405b200000000000:405ca00000000000"
+     " 0@405b7fe800000000:405b804800000000"
+     " 2@405b7fe800000000:405b804800000000"
+     " 3@405b7fe800000000:405b804800000000"
+     " 1888@405b461666666666:405b46b666666666 its=875059135f9cb602"
+     " win=3b6413d19cdc1704 dec=2033/983d17a369854e2f"},
+    {"topk_edge/n2000_bottom5", 2000, 5, kLow, kG,
+     "meter=625959 it=2249 cs=2249 touched=364 stalled=0 co=0 gr=2249"
+     " fi=0 ces=0 cd=0 raw=0000000000000000 cor=0000000000000000 tie=1"
+     " w= 140@40491d3851eb851f:4049233851eb851f"
+     " 141@40491d3851eb851f:4049233851eb851f"
+     " 142@40491d3851eb851f:4049233851eb851f"
+     " 143@40491d3851eb851f:4049233851eb851f"
+     " 280@4049263666666667:404926f666666667 its=f24b2bf296c6e06c"
+     " win=de2de62c32994a90 dec=2249/fcb9fc431f257320"},
+};
+
+TEST(AggregatePinTest, TopKEdgeBehaviourIsUnchanged) {
+  obs::SetTraceRingCapacity(1 << 16);
+  obs::SetTraceMode(obs::TraceMode::kFlight);
+  for (const TopKEdgeCase& pin : kTopKEdgeCases) {
+    EXPECT_EQ(RunTopKEdgeCase(pin), pin.expected) << pin.name;
   }
   obs::SetTraceMode(obs::TraceMode::kOff);
 }
