@@ -213,6 +213,11 @@ bool RunRoundRobin(const BenchContext& context, bool shared,
     }
   }
 
+  // The tasks hear of each other's settles, as under WorkScheduler.
+  std::vector<operators::IterationTask*> stepped;
+  for (const auto& task : tasks) stepped.push_back(task.get());
+  const operators::SettleNotices notices(stepped);
+
   const std::uint64_t before_run = meter.Total();
   arm->finished_at.assign(tasks.size(), 0);
   bool all_done = false;

@@ -230,6 +230,12 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
 
   const obs::ScopedSpan run_span("scheduler",
                                  SchedulerPolicyName(options_.policy));
+  // The tasks may share result objects: each hears which objects the
+  // others settle.
+  std::vector<operators::IterationTask*> tasks;
+  tasks.reserve(entries.size());
+  for (const Entry& entry : entries) tasks.push_back(entry.task);
+  const operators::SettleNotices notices(tasks);
   std::vector<TaskScheduleStats> stats(entries.size());
   std::uint64_t total_spent = 0;
   bool budget_exhausted = false;

@@ -118,7 +118,9 @@ class WorkScheduler {
 
   /// Steps the entries' tasks until all are Done() or the budget is
   /// exhausted, charging bookkeeping to \p meter (required: it is the
-  /// budget's clock). Tasks already Done() on entry are fine (their stats
+  /// budget's clock). For the run the tasks share one
+  /// operators::SettleNotices, so a task hears which objects the others
+  /// settled. Tasks already Done() on entry are fine (their stats
   /// just record zero steps without counting as starved). Returns per-entry
   /// stats parallel to \p entries; a Step() error fails the run with that
   /// task's Status.
