@@ -2,7 +2,8 @@
 // unshared objects it must iterate exactly what the scan iterates (equal
 // scores break toward the lowest index, a zero best score falls back to the
 // widest weighted width), and over objects another task refines it must
-// never iterate an object past its stopping condition.
+// never iterate an object past its stopping condition, nor keep refining
+// once the exact sum meets epsilon.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "common/stats.h"
 #include "common/work_meter.h"
 #include "engine/scheduler.h"
+#include "obs/trace.h"
 #include "operators/iteration_task.h"
 #include "operators/min_max.h"
 #include "operators/sum_ave.h"
@@ -162,7 +164,8 @@ TEST(SumAveHeapTest, SharedObjectRefinedElsewhereIsNotOveriterated) {
 
   for (const engine::SchedulerPolicy policy :
        {engine::SchedulerPolicy::kGreedyGlobal,
-        engine::SchedulerPolicy::kFairShare}) {
+        engine::SchedulerPolicy::kFairShare,
+        engine::SchedulerPolicy::kDeadline}) {
     const std::string label = engine::SchedulerPolicyName(policy);
     auto objects = MakeObjects(configs);
     WorkMeter meter;
@@ -195,6 +198,79 @@ TEST(SumAveHeapTest, SharedObjectRefinedElsewhereIsNotOveriterated) {
     EXPECT_LE(answer.lo, converged.lo) << label;
     EXPECT_GE(answer.hi, converged.hi) << label;
   }
+}
+
+TEST(SumAveHeapTest, SharedSumStopsOnceTheExactSumMeetsEpsilon) {
+  // Fifty objects, a third of them near the maximum, so the MAX refines many
+  // objects the SUM also sums. Every SUM iterate must start while the exact
+  // sum over the objects' live bounds is still wider than epsilon: a SUM that
+  // reads only its own iterates keeps refining after the MAX tightened the
+  // exact sum past it.
+  std::vector<SyntheticResultObject::Config> configs;
+  std::vector<double> weights;
+  for (std::size_t i = 0; i < 50; ++i) {
+    const double value = i % 3 == 0 ? 90.0 + static_cast<double>(i % 5)
+                                    : 20.0 + static_cast<double>(i * 7 % 40);
+    configs.push_back(Config(value, 6.0 + static_cast<double>(i % 9),
+                             1 + i % 4));
+    weights.push_back(1.0);
+  }
+  constexpr double kEpsilon = 50.0;
+
+  obs::SetTraceRingCapacity(1 << 16);
+  obs::SetTraceMode(obs::TraceMode::kFlight);
+  obs::ClearTrace();
+  auto objects = MakeObjects(configs);
+  std::vector<Bounds> live;
+  for (const vao::ResultObject* object : objects->ptrs) {
+    live.push_back(object->bounds());
+  }
+  WorkMeter meter;
+  SumAveOptions sum_options;
+  sum_options.epsilon = kEpsilon;
+  sum_options.use_heap_index = true;
+  auto sum = SumAveIterationTask::Create(sum_options, objects->ptrs, weights);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  MinMaxOptions max_options;
+  max_options.epsilon = 0.01;
+  auto max = MinMaxIterationTask::Create(max_options, objects->ptrs);
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  engine::SchedulerOptions scheduler_options;
+  scheduler_options.policy = engine::SchedulerPolicy::kFairShare;
+  const auto stats = engine::WorkScheduler(scheduler_options)
+                         .Run({{sum->get(), {}}, {max->get(), {}}}, &meter);
+  const obs::TraceSnapshot trace = obs::SnapshotTrace();
+  obs::SetTraceMode(obs::TraceMode::kOff);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE((*sum)->Converged());
+  ASSERT_TRUE((*max)->Converged());
+  ASSERT_EQ(trace.dropped, 0u);
+
+  // Replay the decisions in order over the objects' bounds, counting the
+  // SUM iterates that started once the exact sum already met epsilon.
+  std::uint64_t sum_iterates = 0;
+  std::uint64_t late_iterates = 0;
+  std::uint64_t max_iterates = 0;
+  for (const obs::TraceEvent& event : trace.events) {
+    if (event.kind != obs::TraceEvent::Kind::kDecision) continue;
+    if (std::string(event.name) == "sum_ave") {
+      NeumaierSum lo;
+      NeumaierSum hi;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        lo.Add(weights[i] * live[i].lo);
+        hi.Add(weights[i] * live[i].hi);
+      }
+      if (!(hi.Sum() - lo.Sum() > kEpsilon)) ++late_iterates;
+      ++sum_iterates;
+    } else {
+      ++max_iterates;
+    }
+    live[event.object_index] = Bounds(event.lo_after, event.hi_after);
+  }
+  EXPECT_EQ(late_iterates, 0u) << "of " << sum_iterates << " SUM iterates";
+  EXPECT_EQ(sum_iterates, (*sum)->Snapshot().stats.iterations);
+  EXPECT_EQ(max_iterates, (*max)->Snapshot().stats.iterations);
+  EXPECT_LE((*sum)->Snapshot().sum_bounds.Width(), kEpsilon);
 }
 
 }  // namespace
