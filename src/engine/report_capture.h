@@ -64,15 +64,7 @@ class ReportCapture {
     const obs::CalibrationSnapshot calibration_delta =
         obs::CalibrationSnapshot::Capture().DeltaSince(calibration_before_);
     for (int k = 0; k < obs::kNumSolverKinds; ++k) {
-      const obs::CalibrationSnapshot::Kind& d = calibration_delta.kinds[k];
-      obs::CalibrationKindStats& out = report->calibration[k];
-      out.samples = d.samples;
-      out.cost_err_sum = d.cost_err_sum;
-      out.cost_abs_err_sum = d.cost_abs_err_sum;
-      out.lo_err_sum = d.lo_err_sum;
-      out.lo_abs_err_sum = d.lo_abs_err_sum;
-      out.hi_err_sum = d.hi_err_sum;
-      out.hi_abs_err_sum = d.hi_abs_err_sum;
+      report->calibration[k] = calibration_delta.kinds[k];
     }
 
     const ThreadPool::Stats pool_after = ThreadPool::Shared().stats();

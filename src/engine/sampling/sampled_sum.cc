@@ -38,10 +38,8 @@ SampledSumTask::SampledSumTask(const SampledAggregateOptions& options,
       weight_(std::move(weight)),
       sampler_(population, options.spec.seed),
       z_(NormalQuantile(0.5 * (1.0 + options.spec.confidence))) {
-  // The settle state grows with the sample (DrawBatch); the cap is every
-  // operator's default.
-  TrackObjects(0, kLabel, operators::OperatorOptions{}.max_total_iterations,
-               "refinement-stall");
+  // The settle state grows with the sample (DrawBatch).
+  TrackObjects(0, kLabel, "refinement-stall");
 }
 
 Result<std::unique_ptr<SampledSumTask>> SampledSumTask::Create(

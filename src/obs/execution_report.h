@@ -23,6 +23,7 @@
 #include "common/result.h"
 #include "common/work_meter.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace vaolib::obs {
 
@@ -51,40 +52,6 @@ struct CacheShardStats {
   std::uint64_t evictions = 0;
 
   bool operator==(const CacheShardStats&) const = default;
-};
-
-/// \brief Estimator-calibration account for one solver kind: signed and
-/// absolute error sums of the UDF's estCPU/estL/estH predictions against
-/// the actuals of the query's sampled iterates (obs::RecordEstimatorSample
-/// deltas over a query). Samples are the operator tasks' attributable
-/// iterates -- serial steps costed by the step meter, batch steps by
-/// per-object spend, blocking selections by the row meter -- each taken
-/// from the one record that also feeds the decision trace; the parallel
-/// coarse pre-phase and threaded selection notches are not sampled, so
-/// `samples` never depends on the thread count. Stored as sums so the
-/// JSON round-trip is exact; bias and MAE are derived views.
-struct CalibrationKindStats {
-  std::uint64_t samples = 0;
-  double cost_err_sum = 0.0;
-  double cost_abs_err_sum = 0.0;
-  double lo_err_sum = 0.0;
-  double lo_abs_err_sum = 0.0;
-  double hi_err_sum = 0.0;
-  double hi_abs_err_sum = 0.0;
-
-  double CostBias() const { return Mean(cost_err_sum); }
-  double CostMae() const { return Mean(cost_abs_err_sum); }
-  double LoBias() const { return Mean(lo_err_sum); }
-  double LoMae() const { return Mean(lo_abs_err_sum); }
-  double HiBias() const { return Mean(hi_err_sum); }
-  double HiMae() const { return Mean(hi_abs_err_sum); }
-
-  bool operator==(const CalibrationKindStats&) const = default;
-
- private:
-  double Mean(double sum) const {
-    return samples == 0 ? 0.0 : sum / static_cast<double>(samples);
-  }
 };
 
 /// \brief Structured account of one query evaluation.

@@ -447,7 +447,7 @@ CalibrationSnapshot CalibrationSnapshot::Capture() {
 #ifndef VAOLIB_OBS_DISABLED
   const CalibrationHistograms& families = CalibrationFamilies();
   for (int k = 0; k < kNumSolverKinds; ++k) {
-    Kind& out = snapshot.kinds[k];
+    CalibrationKindStats& out = snapshot.kinds[k];
     out.samples = families.err[k][0]->TotalCount();
     out.cost_err_sum = families.err[k][0]->Sum();
     out.lo_err_sum = families.err[k][1]->Sum();

@@ -218,34 +218,51 @@ void RecordEstimatorSample(SolverKind kind, double est_cost, double est_lo,
                            double est_hi, double actual_cost, double actual_lo,
                            double actual_hi);
 
+/// \brief Estimator-calibration account for one solver kind: signed and
+/// absolute error sums of the UDF's estCPU/estL/estH predictions against
+/// the actuals of sampled iterates (RecordEstimatorSample). A
+/// CalibrationSnapshot holds the running totals; the per-query deltas land
+/// in ExecutionReport::calibration. Samples are the operator tasks'
+/// attributable iterates -- serial steps costed by the step meter, batch
+/// steps by per-object spend, blocking selections by the row meter -- each
+/// taken from the one record that also feeds the decision trace; the
+/// parallel coarse pre-phase and threaded selection notches are not
+/// sampled, so `samples` never depends on the thread count. Stored as sums
+/// so the JSON round-trip is exact; bias and MAE are derived views.
+struct CalibrationKindStats {
+  std::uint64_t samples = 0;
+  double cost_err_sum = 0.0;
+  double cost_abs_err_sum = 0.0;
+  double lo_err_sum = 0.0;
+  double lo_abs_err_sum = 0.0;
+  double hi_err_sum = 0.0;
+  double hi_abs_err_sum = 0.0;
+
+  /// \name Guarded bias/MAE accessors (error convention: actual - est).
+  /// Zero-sample kinds return 0.0 -- never NaN -- so consumers (the
+  /// calibrated scoring path, ExecutionReport JSON) stay finite and fall
+  /// back to raw estimates bit-exactly.
+  /// @{
+  double CostBias() const { return Mean(cost_err_sum); }
+  double CostMae() const { return Mean(cost_abs_err_sum); }
+  double LoBias() const { return Mean(lo_err_sum); }
+  double LoMae() const { return Mean(lo_abs_err_sum); }
+  double HiBias() const { return Mean(hi_err_sum); }
+  double HiMae() const { return Mean(hi_abs_err_sum); }
+  /// @}
+
+  bool operator==(const CalibrationKindStats&) const = default;
+
+ private:
+  double Mean(double sum) const {
+    return samples == 0 ? 0.0 : sum / static_cast<double>(samples);
+  }
+};
+
 /// \brief Snapshot of the per-kind calibration accumulators; DeltaSince()
 /// gives per-query attribution exactly like SolverWorkSnapshot.
 struct CalibrationSnapshot {
-  struct Kind {
-    std::uint64_t samples = 0;
-    double cost_err_sum = 0.0, cost_abs_err_sum = 0.0;
-    double lo_err_sum = 0.0, lo_abs_err_sum = 0.0;
-    double hi_err_sum = 0.0, hi_abs_err_sum = 0.0;
-
-    /// \name Guarded bias/MAE accessors (error convention: actual - est).
-    /// Zero-sample kinds return 0.0 -- never NaN -- so consumers (the
-    /// calibrated scoring path, ExecutionReport JSON) stay finite and
-    /// fall back to raw estimates bit-exactly.
-    /// @{
-    double CostBias() const { return Mean(cost_err_sum); }
-    double CostMae() const { return Mean(cost_abs_err_sum); }
-    double LoBias() const { return Mean(lo_err_sum); }
-    double LoMae() const { return Mean(lo_abs_err_sum); }
-    double HiBias() const { return Mean(hi_err_sum); }
-    double HiMae() const { return Mean(hi_abs_err_sum); }
-    /// @}
-
-   private:
-    double Mean(double sum) const {
-      return samples == 0 ? 0.0 : sum / static_cast<double>(samples);
-    }
-  };
-  Kind kinds[kNumSolverKinds] = {};
+  CalibrationKindStats kinds[kNumSolverKinds] = {};
 
   static CalibrationSnapshot Capture();
   CalibrationSnapshot DeltaSince(const CalibrationSnapshot& before) const;

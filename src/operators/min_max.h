@@ -61,7 +61,7 @@ class MinMaxVao {
   /// Runs the aggregate over \p objects (all non-null; at least one).
   ///
   /// \return InvalidArgument if epsilon < max minWidth or inputs malformed;
-  /// NotConverged past max_total_iterations.
+  /// NotConverged past kMaxTotalIterations.
   Result<MinMaxOutcome> Evaluate(
       const std::vector<vao::ResultObject*>& objects) const;
 

@@ -67,6 +67,10 @@ const char* StrategyKindName(StrategyKind kind);
 /// (kCalibratedGreedy, kSentinelGreedy).
 bool StrategyUsesCorrections(StrategyKind kind);
 
+/// Safety valve against adversarial inputs: a task whose settled iterates
+/// exceed it fails NotConverged.
+inline constexpr std::uint64_t kMaxTotalIterations = 50'000'000;
+
 /// \brief Options shared by every operator family -- the one consolidated
 /// configuration surface behind the unified operator API. Family-specific
 /// option structs (MinMaxOptions, SumAveOptions, TopKOptions) derive from
@@ -84,8 +88,6 @@ struct OperatorOptions {
   /// paper's one-object-per-cycle semantics exactly; ignored by the other
   /// strategies.
   int batch_k = 1;
-  /// Safety valve against adversarial inputs; NotConverged when exceeded.
-  std::uint64_t max_total_iterations = 50'000'000;
   /// Required when strategy == kRandom.
   Rng* rng = nullptr;
   /// chooseIter bookkeeping work is charged here when non-null.

@@ -147,7 +147,7 @@ bool ScoreCorrector::NextProbe(const std::vector<std::size_t>& iterable,
     if (group.probes_retired >= group.probes.size()) continue;
     for (std::size_t p : group.probes) {
       if (p >= probe_state_.size() || probe_state_[p] != 1) continue;
-      if (std::binary_search(iterable.begin(), iterable.end(), p)) {
+      if (std::find(iterable.begin(), iterable.end(), p) != iterable.end()) {
         *probe = p;
         return true;
       }

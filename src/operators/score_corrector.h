@@ -91,7 +91,7 @@ class ScoreCorrector {
                     double raw_cost) const;
 
   /// Sentinel pick override: when a correlation-group probe is still
-  /// pending among \p iterable (ascending object indices), sets \p probe
+  /// pending among \p iterable (object indices, in any order), sets \p probe
   /// and returns true. Pending probes that are no longer iterable
   /// (converged, pruned, stalled) are retired without an observation so
   /// the queue cannot wedge.

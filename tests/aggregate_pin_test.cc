@@ -525,14 +525,16 @@ const PinCase kCases[] = {
      " 9@40423354cdf2ad2a:4042381052e1ec3b"
      " 5@4040e35745600d81:4040e46b742ca2fd dec=161/b8cb6c14e890b80a"
      " fb=546d3cdf945dc7a9"},
+    // sentinel moved when a pending probe among the rank-ordered candidates
+    // stopped being missed: object 8's probe now runs.
     {"topk/sentinel", Task::kTopK, kSen, 1, 1,
-     "meter=3286762 it=161 cs=153 touched=11 stalled=0 co=0 gr=153 fi=8"
-     " ces=161 cd=158 raw=0000000000000000 cor=40c55243543e47d8"
-     " its=16,13,17,2,23,12,12,24,0,19,12,11, tie=0 w="
+     "meter=3286779 it=162 cs=154 touched=12 stalled=0 co=0 gr=154 fi=8"
+     " ces=162 cd=158 raw=0000000000000000 cor=40c55743543e47d8"
+     " its=16,13,17,2,23,12,12,24,1,19,12,11, tie=0 w="
      " 11@4042ccd81cef96de:4042d076bf307625"
      " 9@40423354cdf2ad2a:4042381052e1ec3b"
-     " 5@4040e35745600d81:4040e46b742ca2fd dec=161/7cfbb217211450be"
-     " fb=546d3cdf945dc7a9"},
+     " 5@4040e35745600d81:4040e46b742ca2fd dec=162/51df00d5c0da040c"
+     " fb=c840ef17977d17f8"},
     {"topk/coarse_greedy", Task::kTopK, kG, 1, 2,
      "meter=2389 it=67 cs=0 touched=12 stalled=0 co=36 gr=0 fi=31 ces=0"
      " cd=0 raw=0000000000000000 cor=0000000000000000"

@@ -237,13 +237,6 @@ TEST(ExecutionReportTest, ZeroSampleCalibrationNeverEmitsNaN) {
   EXPECT_EQ(empty.LoMae(), 0.0);
   EXPECT_EQ(empty.HiBias(), 0.0);
   EXPECT_EQ(empty.HiMae(), 0.0);
-  const CalibrationSnapshot::Kind live;
-  EXPECT_EQ(live.CostBias(), 0.0);
-  EXPECT_EQ(live.CostMae(), 0.0);
-  EXPECT_EQ(live.LoBias(), 0.0);
-  EXPECT_EQ(live.LoMae(), 0.0);
-  EXPECT_EQ(live.HiBias(), 0.0);
-  EXPECT_EQ(live.HiMae(), 0.0);
 }
 
 TEST(ExecutionReportTest, PoisonedCalibrationSumsStillRoundTripAsJson) {

@@ -296,7 +296,7 @@ TEST(CalibrationTest, SamplesAccumulateAndNonFiniteDropsWhole) {
                         -std::numeric_limits<double>::infinity(), 0.0, 2.0,
                         11.0, 0.0, 2.0);
 
-  const CalibrationSnapshot::Kind delta =
+  const CalibrationKindStats delta =
       CalibrationSnapshot::Capture()
           .DeltaSince(before)
           .kinds[static_cast<int>(SolverKind::kOde)];
@@ -308,7 +308,7 @@ TEST(CalibrationTest, SamplesAccumulateAndNonFiniteDropsWhole) {
   EXPECT_DOUBLE_EQ(delta.hi_err_sum, -0.5 + 0.5);
   EXPECT_DOUBLE_EQ(delta.hi_abs_err_sum, 0.5 + 0.5);
 
-  const CalibrationSnapshot::Kind untouched =
+  const CalibrationKindStats untouched =
       CalibrationSnapshot::Capture()
           .DeltaSince(before)
           .kinds[static_cast<int>(SolverKind::kPde2d)];
