@@ -1,13 +1,20 @@
 // Unit tests for src/common: Status, Result, macros, Bounds, Rng, stats,
-// WorkMeter, TableWriter.
+// WorkMeter, TableWriter, number text.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdlib>
+#include <iomanip>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/bounds.h"
 #include "common/macros.h"
+#include "common/number_text.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -339,6 +346,72 @@ TEST(StopwatchTest, ElapsedIsMonotonicAndRestartable) {
               second * 1e3 * 0.5 + 1.0);
   stopwatch.Restart();
   EXPECT_LE(stopwatch.ElapsedSeconds(), second + 1.0);
+}
+
+// The formatter the wire protocol, the SQL printer and scenario files used
+// before number_text: one stream and one strtod per precision 1..17.
+std::string StreamRoundTrip(double value) {
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::ostringstream os;
+    os << std::setprecision(precision) << value;
+    if (std::strtod(os.str().c_str(), nullptr) == value) return os.str();
+  }
+  return std::to_string(value);
+}
+
+TEST(NumberTextTest, MatchesTheStreamLoopByteForByte) {
+  std::vector<double> values;
+  Rng rng(20261019);
+  for (int i = 0; i < 200000; ++i) {
+    values.push_back(std::bit_cast<double>(rng.NextUint64()));
+  }
+  for (int i = 0; i < 50000; ++i) values.push_back(rng.Uniform(50.0, 150.0));
+  for (int exponent = -1074; exponent <= 1023; ++exponent) {
+    const double power = std::ldexp(1.0, exponent);
+    values.push_back(power);
+    values.push_back(-power);
+    values.push_back(std::nextafter(power, 0.0));
+    values.push_back(std::nextafter(power, HUGE_VAL));
+  }
+  for (int i = 0; i < 1000; ++i) {  // subnormals: exponent bits all zero
+    values.push_back(
+        std::bit_cast<double>(rng.NextUint64() & ((1ULL << 52) - 1)));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double special :
+       {0.0, -0.0, 100.0, 1e16, 1e17, 1e21, 1e-5, 1e-7, DBL_MAX, -DBL_MAX,
+        DBL_MIN, DBL_TRUE_MIN, inf, -inf, nan, -nan, 0.1, 1.0 / 3.0}) {
+    values.push_back(special);
+  }
+
+  std::size_t mismatches = 0;
+  std::string first;
+  for (const double value : values) {
+    const std::string expected = StreamRoundTrip(value);
+    const std::string actual = RoundTripNumber(value);
+    if (actual == expected) continue;
+    if (mismatches++ == 0) {
+      std::ostringstream os;
+      os << std::hexfloat << value << ": '" << actual << "' vs '" << expected
+         << "'";
+      first = os.str();
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << ", first " << first;
+}
+
+TEST(NumberTextTest, ShortestGeneralNotation) {
+  EXPECT_EQ(RoundTripNumber(100.0), "1e+02");
+  EXPECT_EQ(RoundTripNumber(-0.0), "-0");
+  EXPECT_EQ(RoundTripNumber(0.1), "0.1");
+  EXPECT_EQ(RoundTripNumber(101.25), "101.25");
+  EXPECT_EQ(RoundTripNumber(1.0 / 3.0), "0.3333333333333333");
+  EXPECT_EQ(RoundTripNumber(-std::numeric_limits<double>::infinity()), "-inf");
+  EXPECT_EQ(RoundTripNumber(std::numeric_limits<double>::quiet_NaN()), "nan");
+  std::string out = "lo=";
+  AppendRoundTripNumber(DBL_MAX, &out);
+  EXPECT_EQ(out, "lo=1.7976931348623157e+308");
 }
 
 }  // namespace
