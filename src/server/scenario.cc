@@ -1,10 +1,10 @@
 #include "server/scenario.h"
 
 #include <cstdlib>
-#include <iomanip>
 #include <sstream>
 
 #include "common/macros.h"
+#include "common/number_text.h"
 #include "server/protocol.h"
 
 namespace vaolib::server {
@@ -33,19 +33,6 @@ Result<double> ParseNumber(std::string_view word, std::size_t line_no,
                                   "' is not a number");
   }
   return value;
-}
-
-void AppendNumber(std::ostream& os, double value) {
-  // Shortest representation that round-trips; matches loadgen.py's repr().
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream probe;
-    probe << std::setprecision(precision) << value;
-    if (std::strtod(probe.str().c_str(), nullptr) == value) {
-      os << probe.str();
-      return;
-    }
-  }
-  os << value;
 }
 
 }  // namespace
@@ -171,9 +158,8 @@ std::string FormatScenario(const std::vector<ScenarioStep>& steps) {
         break;
       case ScenarioStep::Kind::kTicks:
         os << "TICKS " << step.session << ' ' << step.count << ' ';
-        AppendNumber(os, step.base);
-        os << ' ';
-        AppendNumber(os, step.step);
+        // Shortest text that round-trips, like loadgen.py's repr().
+        os << RoundTripNumber(step.base) << ' ' << RoundTripNumber(step.step);
         break;
       case ScenarioStep::Kind::kExpect:
         os << "EXPECT " << step.session << ' ' << step.payload;

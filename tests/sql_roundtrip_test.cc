@@ -43,7 +43,7 @@ class SqlRoundTripTest : public ::testing::Test {
       EXPECT_EQ(a.args[i].source, b.args[i].source) << "arg " << i;
       EXPECT_EQ(a.args[i].field, b.args[i].field) << "arg " << i;
       if (a.args[i].source == ArgRef::Source::kConstant) {
-        // Bit-exact: FormatNumber prints enough digits to round-trip.
+        // Bit-exact: FormatQuery prints enough digits to round-trip.
         EXPECT_EQ(a.args[i].constant, b.args[i].constant) << "arg " << i;
       }
     }
