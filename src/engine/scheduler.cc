@@ -138,14 +138,13 @@ std::size_t WorkScheduler::PickFairShare(
 
 std::size_t WorkScheduler::PickDeadline(
     const std::vector<Entry>& entries,
-    const std::vector<TaskScheduleStats>& stats,
-    std::uint64_t total_spent) const {
+    const std::vector<TaskScheduleStats>& stats, std::uint64_t total_spent,
+    std::uint64_t live_unmet) const {
   // A task may consume budget only while what remains still covers every
   // OTHER unfinished task's unmet reserve; its own reserve is excluded, so
   // a task whose reserve is unmet always has headroom of exactly that
   // reserve. With Sum(reserves) <= budget this guarantees each query its
   // reserved share no matter the deadline order.
-  const std::uint64_t live_unmet = LiveUnmet(entries, stats);
   auto eligible = [&](std::size_t q) {
     if (!Live(entries[q], stats[q])) return false;
     if (options_.budget == 0) return true;
@@ -199,15 +198,15 @@ std::uint64_t WorkScheduler::AllowanceFor(
 
 std::size_t WorkScheduler::PickNext(
     const std::vector<Entry>& entries,
-    const std::vector<TaskScheduleStats>& stats,
-    std::uint64_t total_spent) const {
+    const std::vector<TaskScheduleStats>& stats, std::uint64_t total_spent,
+    std::uint64_t live_unmet) const {
   switch (options_.policy) {
     case SchedulerPolicy::kGreedyGlobal:
       break;  // Run() keeps the lazy heap
     case SchedulerPolicy::kFairShare:
       return PickFairShare(entries, stats);
     case SchedulerPolicy::kDeadline:
-      return PickDeadline(entries, stats, total_spent);
+      return PickDeadline(entries, stats, total_spent, live_unmet);
   }
   return kNone;
 }
@@ -284,6 +283,10 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
     std::uint64_t total_spent = 0;
   };
   std::vector<Park> parks(entries.size());
+  // Returns the LiveUnmet() total of the state it leaves wherever that is
+  // read (kDeadline under a budget): reviving a task adds its unmet
+  // reserve back. Nothing else moves the total before the next step, so
+  // the pick, the step's allowance and prepaying all use this one sum.
   auto revive_parked = [&]() {
     std::uint64_t live_unmet = LiveUnmet(entries, stats);
     for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -297,6 +300,7 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
       live_unmet += Unmet(entries[i], stats[i]);
       if (use_heap) heap.push({score(i), i});
     }
+    return live_unmet;
   };
 
   // Exact accounting: the meter's work since \p before / \p work_before is
@@ -319,10 +323,10 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
   // step's uncertainty drop and work become the task's estimates and the
   // heap gets the fresh score (a parked step keeps the last estimates). A
   // step that parks the task takes it out of the run until it revives.
-  auto step_one = [&](std::size_t idx) -> Status {
+  auto step_one = [&](std::size_t idx, std::uint64_t live_unmet) -> Status {
     operators::IterationTask* task = entries[idx].task;
-    const std::uint64_t allowance = AllowanceFor(
-        entries, stats, idx, total_spent, LiveUnmet(entries, stats));
+    const std::uint64_t allowance =
+        AllowanceFor(entries, stats, idx, total_spent, live_unmet);
     const std::uint64_t before = meter->Total();
     const obs::WorkByKind work_before = obs::WorkByKind::Capture(*meter);
     const double uncertainty_before =
@@ -360,10 +364,9 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
   // (IterationTask::Prepay): a solve dearer than the whole budget is then
   // paid for over several runs instead of never. Returns whether anything
   // was spent; each such round spends at least one unit, so it ends.
-  auto prepay_parked = [&]() {
+  auto prepay_parked = [&](std::uint64_t live_unmet) {
     bool spent = false;
     // Prepaying moves only parked tasks' spending, so the live total holds.
-    const std::uint64_t live_unmet = LiveUnmet(entries, stats);
     for (std::size_t i = 0; i < entries.size(); ++i) {
       if (!stats[i].parked || entries[i].task->Done()) continue;
       const std::uint64_t allowance =
@@ -384,20 +387,22 @@ Result<std::vector<TaskScheduleStats>> WorkScheduler::Run(
           [](const Entry& e) { return !e.task->Done(); });
       break;
     }
-    revive_parked();
-    const std::size_t pick =
-        use_heap ? pop_greedy() : PickNext(entries, stats, total_spent);
+    const std::uint64_t live_unmet = revive_parked();
+    const std::size_t pick = use_heap
+                                 ? pop_greedy()
+                                 : PickNext(entries, stats, total_spent,
+                                            live_unmet);
     if (pick == kNone) {
       // No task eligible: everyone is done or parked, or (kDeadline) the
       // remaining budget is fully committed to reserves nobody can use.
-      if (prepay_parked()) continue;
+      if (prepay_parked(live_unmet)) continue;
       budget_exhausted = std::any_of(
           entries.begin(), entries.end(),
           [](const Entry& e) { return !e.task->Done(); });
       break;
     }
 
-    const Status status = step_one(pick);
+    const Status status = step_one(pick, live_unmet);
     if (!status.ok()) return status;
   }
 

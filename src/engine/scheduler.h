@@ -135,16 +135,19 @@ class WorkScheduler {
   /// reserves block everyone). kGreedyGlobal picks from Run()'s heap.
   std::size_t PickNext(const std::vector<Entry>& entries,
                        const std::vector<TaskScheduleStats>& stats,
-                       std::uint64_t total_spent) const;
+                       std::uint64_t total_spent,
+                       std::uint64_t live_unmet) const;
 
   std::size_t PickFairShare(const std::vector<Entry>& entries,
                             const std::vector<TaskScheduleStats>& stats) const;
   std::size_t PickDeadline(const std::vector<Entry>& entries,
                            const std::vector<TaskScheduleStats>& stats,
-                           std::uint64_t total_spent) const;
+                           std::uint64_t total_spent,
+                           std::uint64_t live_unmet) const;
 
   /// kDeadline under a budget: the unmet reserves of the live entries,
-  /// summed once per pick (0 otherwise: no allowance reads it). An entry's
+  /// summed once per step of Run() and handed to the pick and the
+  /// allowance (0 otherwise: neither reads it). An entry's
   /// "others' unmet reserves" are this total less its own.
   std::uint64_t LiveUnmet(const std::vector<Entry>& entries,
                           const std::vector<TaskScheduleStats>& stats) const;

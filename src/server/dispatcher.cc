@@ -10,6 +10,7 @@
 #include "engine/query_plan.h"
 #include "engine/report_capture.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "server/protocol.h"
 
 namespace vaolib::server {
@@ -303,6 +304,22 @@ Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
                             group.executor->ProcessTick(stream_tuple));
     summary.work_units += group.executor->meter().Total() - before;
 
+    {
+      // One span per group: the encode layer of a traced tick.
+      const obs::ScopedSpan encode_span("encode", "results");
+      for (std::size_t i = 0; i < group.members.size(); ++i) {
+        const QueryKey& member = group.members[i];
+        deliveries->push_back(
+            {member.first, FormatResult(member.second, tick_seq_, results[i])});
+        if (standing_.at(member).want_reports) {
+          std::ostringstream os;
+          os << "REPORT " << member.second << " seq=" << tick_seq_ << " ";
+          results[i].report.RenderJson(os);
+          deliveries->push_back({member.first, os.str()});
+        }
+      }
+    }
+
     for (std::size_t i = 0; i < group.members.size(); ++i) {
       const QueryKey& member = group.members[i];
       StandingQuery& standing = standing_.at(member);
@@ -310,14 +327,6 @@ Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
       ++summary.queries;
       if (result.converged) ++summary.converged;
 
-      deliveries->push_back(
-          {member.first, FormatResult(member.second, tick_seq_, result)});
-      if (standing.want_reports) {
-        std::ostringstream os;
-        os << "REPORT " << member.second << " seq=" << tick_seq_ << " ";
-        result.report.RenderJson(os);
-        deliveries->push_back({member.first, os.str()});
-      }
       Metrics().results->Increment();
       if (!result.converged) Metrics().unconverged->Increment();
       if (result.report.missed_deadline) {

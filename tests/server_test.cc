@@ -19,6 +19,7 @@
 #include "finance/bond_model.h"
 #include "obs/execution_report.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "server/admission.h"
 #include "server/dispatcher.h"
 #include "server/frame.h"
@@ -673,6 +674,41 @@ TEST_F(ServerTest, DispatcherRegisterValidatesQueriesTheParserCannotSee) {
   ASSERT_TRUE(summary.ok()) << summary.status();
   EXPECT_EQ(summary->queries, 1u);
 }
+
+#ifndef VAOLIB_OBS_DISABLED
+TEST_F(ServerTest, TracedTickRecordsOneEncodeSpanPerGroup) {
+  Dispatcher dispatcher(relation_.get(),
+                        engine::Schema({{"rate", engine::ColumnType::kDouble}}),
+                        registry_.get(), DispatcherConfig{});
+  for (const char* id : {"a", "b"}) {
+    const auto query = dispatcher.ParseSql(
+        "SELECT MAX(bond_model(rate, bond_index)) FROM bd PRECISION 0.5");
+    ASSERT_TRUE(query.ok()) << query.status();
+    ASSERT_EQ(dispatcher.Register(1, "desk", id, *query, /*want_reports=*/true)
+                  .outcome,
+              AdmissionDecision::Outcome::kAdmitted);
+  }
+  const obs::TraceMode previous = obs::CurrentTraceMode();
+  obs::SetTraceMode(obs::TraceMode::kFlight);
+  obs::ClearTrace();
+  std::vector<Delivery> deliveries;
+  const auto summary = dispatcher.Tick({0.05}, &deliveries);
+  const obs::TraceSnapshot snapshot = obs::SnapshotTrace();
+  obs::SetTraceMode(previous);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+
+  // Both queries share one group: one span covers their four frames.
+  EXPECT_EQ(deliveries.size(), 4u);
+  std::size_t encode_spans = 0;
+  for (const obs::TraceEvent& event : snapshot.events) {
+    if (event.kind == obs::TraceEvent::Kind::kSpan &&
+        std::string_view(event.cat) == "encode") {
+      ++encode_spans;
+    }
+  }
+  EXPECT_EQ(encode_spans, 1u);
+}
+#endif  // VAOLIB_OBS_DISABLED
 
 TEST_F(ServerTest, SecondTickSolvesOnlyGridsTheFirstDidNot) {
   // A selection refines every undecided row one grid per step, so each
