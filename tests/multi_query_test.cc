@@ -8,6 +8,8 @@
 #include "engine/executor.h"
 #include "engine/multi_query.h"
 #include "finance/bond_model.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "workload/portfolio_gen.h"
 
 namespace vaolib::engine {
@@ -407,6 +409,49 @@ TEST_F(MultiQueryTest, ApproxValidationRejectsBadSpecs) {
                                           {max})
                    .ok());
 }
+
+#ifndef VAOLIB_OBS_DISABLED
+TEST_F(MultiQueryTest, EachQueryReportCarriesItsOwnCalibrationSamples) {
+  // A MAX and an AVE share one group's PDE objects. Each query's report
+  // carries the calibration samples of its own task's iterates -- every
+  // greedy and finalize iterate is sampled at one thread -- and the tick
+  // report is their sum, added in query order.
+  obs::SetEnabled(true);
+  Query best = BaseQuery(QueryKind::kMax);
+  best.epsilon = 0.01;
+  Query mean = BaseQuery(QueryKind::kAve);
+  mean.epsilon = 0.01;
+  auto group = MultiQueryExecutor::Create(relation_.get(), StreamSchema(),
+                                          {best, mean});
+  ASSERT_TRUE(group.ok()) << group.status();
+  const auto results = (*group)->ProcessTick({0.0575});
+  ASSERT_TRUE(results.ok()) << results.status();
+
+  constexpr int kPde = static_cast<int>(obs::SolverKind::kPde);
+  obs::CalibrationKindStats summed[obs::kNumSolverKinds] = {};
+  for (const TickResult& result : *results) {
+    const obs::ExecutionReport& report = result.report;
+    SCOPED_TRACE(report.query_kind);
+    EXPECT_GT(report.calibration[kPde].samples, 0u);
+    EXPECT_EQ(report.calibration[kPde].samples,
+              report.greedy_iterations + report.finalize_iterations);
+    for (int k = 0; k < obs::kNumSolverKinds; ++k) {
+      const obs::CalibrationKindStats& c = report.calibration[k];
+      summed[k].samples += c.samples;
+      summed[k].cost_err_sum += c.cost_err_sum;
+      summed[k].cost_abs_err_sum += c.cost_abs_err_sum;
+      summed[k].lo_err_sum += c.lo_err_sum;
+      summed[k].lo_abs_err_sum += c.lo_abs_err_sum;
+      summed[k].hi_err_sum += c.hi_err_sum;
+      summed[k].hi_abs_err_sum += c.hi_abs_err_sum;
+    }
+  }
+  for (int k = 0; k < obs::kNumSolverKinds; ++k) {
+    EXPECT_EQ((*group)->last_tick_report().calibration[k], summed[k])
+        << "solver kind " << k;
+  }
+}
+#endif  // VAOLIB_OBS_DISABLED
 
 TEST_F(MultiQueryTest, ProcessTickValidatesTuple) {
   auto shared = MultiQueryExecutor::Create(
