@@ -7,7 +7,9 @@
 # row quarantine on the pooled StepAll notch at threads > 1 (chaos_test,
 # selection_pin_test), and the PDE profile cache's single-flight solves
 # under InvokeAll and StepAll at threads 2 and 3 (parallel_test
-# ProfileCacheWorkIsThreadCountInvariant, vao_test PdeProfileCacheTest).
+# ProfileCacheWorkIsThreadCountInvariant, vao_test PdeProfileCacheTest),
+# and the process-wide estimator-calibration account under two recording
+# threads (trace_test CalibrationTest.ConcurrentSamplesAddUpExactly).
 #
 # Usage:
 #   scripts/check_tsan.sh [build_dir]          # default build-tsan/
@@ -22,7 +24,7 @@ sanitizer="${VAOLIB_SANITIZE:-thread}"
 build_dir="${1:-${repo_root}/build-tsan}"
 
 targets=(thread_pool_test parallel_test vao_test extensions_test obs_test
-         engine_test chaos_test selection_pin_test)
+         engine_test chaos_test selection_pin_test trace_test)
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -202,6 +202,9 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
     tick.objects_touched += report.objects_touched;
     tick.stalled_objects += report.stalled_objects;
     tick.rows_quarantined += report.rows_quarantined;
+    for (int k = 0; k < obs::kNumSolverKinds; ++k) {
+      tick.calibration[k].Merge(report.calibration[k]);
+    }
     if (plans_[q].query().approx.has_value()) {
       tick.rows_scanned += report.rows_scanned;
     }

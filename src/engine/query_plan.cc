@@ -1,5 +1,7 @@
 #include "engine/query_plan.h"
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -98,6 +100,8 @@ void FillOperatorSection(const operators::OperatorStats& stats,
   report->choose_steps = stats.choose_steps;
   report->objects_touched = stats.objects_touched;
   report->stalled_objects = stats.stalled_objects;
+  std::copy(std::begin(stats.calibration), std::end(stats.calibration),
+            std::begin(report->calibration));
 }
 
 Result<QueryPlan> QueryPlan::Create(const Query& query,

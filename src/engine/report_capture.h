@@ -17,7 +17,6 @@
 #include "engine/query.h"
 #include "obs/execution_report.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "vao/function_cache.h"
 
 namespace vaolib::engine {
@@ -44,7 +43,6 @@ class ReportCapture {
   ReportCapture(const WorkMeter& meter, const vao::BoundsCache* cache)
       : work_before_(obs::WorkByKind::Capture(meter)),
         solver_before_(obs::SolverWorkSnapshot::Capture()),
-        calibration_before_(obs::CalibrationSnapshot::Capture()),
         pool_before_(ThreadPool::Shared().stats()),
         cache_(cache) {
     if (cache_ != nullptr) shards_before_ = cache_->PerShardStats();
@@ -59,12 +57,6 @@ class ReportCapture {
         obs::SolverWorkSnapshot::Capture().DeltaSince(solver_before_);
     for (int k = 0; k < obs::kNumSolverKinds; ++k) {
       report->solver_work[k] = solver_delta.units[k];
-    }
-
-    const obs::CalibrationSnapshot calibration_delta =
-        obs::CalibrationSnapshot::Capture().DeltaSince(calibration_before_);
-    for (int k = 0; k < obs::kNumSolverKinds; ++k) {
-      report->calibration[k] = calibration_delta.kinds[k];
     }
 
     const ThreadPool::Stats pool_after = ThreadPool::Shared().stats();
@@ -109,7 +101,6 @@ class ReportCapture {
  private:
   obs::WorkByKind work_before_;
   obs::SolverWorkSnapshot solver_before_;
-  obs::CalibrationSnapshot calibration_before_;
   ThreadPool::Stats pool_before_;
   const vao::BoundsCache* cache_;
   std::vector<vao::BoundsCache::ShardStats> shards_before_;

@@ -135,155 +135,6 @@ void ExecutionReport::RenderJson(std::ostream& os) const {
   os << "}";
 }
 
-void ExecutionReport::RenderPrometheus(std::ostream& os) const {
-  const std::string kind_label = "{kind=\"" + query_kind + "\"}";
-  os << "# TYPE vaolib_query_work_units gauge\n";
-  os << "vaolib_query_work_units{kind=\"" << query_kind
-     << "\",work=\"exec\"} " << work.exec << "\n";
-  os << "vaolib_query_work_units{kind=\"" << query_kind
-     << "\",work=\"get_state\"} " << work.get_state << "\n";
-  os << "vaolib_query_work_units{kind=\"" << query_kind
-     << "\",work=\"store_state\"} " << work.store_state << "\n";
-  os << "vaolib_query_work_units{kind=\"" << query_kind
-     << "\",work=\"choose_iter\"} " << work.choose_iter << "\n";
-  os << "# TYPE vaolib_query_solver_work_units gauge\n";
-  for (int k = 0; k < kNumSolverKinds; ++k) {
-    os << "vaolib_query_solver_work_units{kind=\"" << query_kind
-       << "\",solver=\"" << SolverKindName(static_cast<SolverKind>(k))
-       << "\"} " << solver_work[k] << "\n";
-  }
-  os << "# TYPE vaolib_query_iterations gauge\n";
-  os << "vaolib_query_iterations{kind=\"" << query_kind
-     << "\",phase=\"coarse\"} " << coarse_iterations << "\n";
-  os << "vaolib_query_iterations{kind=\"" << query_kind
-     << "\",phase=\"greedy\"} " << greedy_iterations << "\n";
-  os << "vaolib_query_iterations{kind=\"" << query_kind
-     << "\",phase=\"finalize\"} " << finalize_iterations << "\n";
-  os << "# TYPE vaolib_query_choose_steps gauge\n";
-  os << "vaolib_query_choose_steps" << kind_label << " " << choose_steps
-     << "\n";
-  os << "# TYPE vaolib_query_objects_touched gauge\n";
-  os << "vaolib_query_objects_touched" << kind_label << " " << objects_touched
-     << "\n";
-  os << "# TYPE vaolib_query_stalled_objects gauge\n";
-  os << "vaolib_query_stalled_objects" << kind_label << " " << stalled_objects
-     << "\n";
-  os << "# TYPE vaolib_query_rows gauge\n";
-  os << "vaolib_query_rows{kind=\"" << query_kind
-     << "\",outcome=\"scanned\"} " << rows_scanned << "\n";
-  os << "vaolib_query_rows{kind=\"" << query_kind
-     << "\",outcome=\"short_circuited\"} " << rows_short_circuited << "\n";
-  os << "vaolib_query_rows{kind=\"" << query_kind
-     << "\",outcome=\"quarantined\"} " << rows_quarantined << "\n";
-  if (has_cache) {
-    os << "# TYPE vaolib_query_cache_events gauge\n";
-    os << "vaolib_query_cache_events{kind=\"" << query_kind
-       << "\",event=\"hit\"} " << cache_hits << "\n";
-    os << "vaolib_query_cache_events{kind=\"" << query_kind
-       << "\",event=\"miss\"} " << cache_misses << "\n";
-    os << "vaolib_query_cache_events{kind=\"" << query_kind
-       << "\",event=\"eviction\"} " << cache_evictions << "\n";
-  }
-  os << "# TYPE vaolib_query_pool_parallel_fors gauge\n";
-  os << "vaolib_query_pool_parallel_fors" << kind_label << " "
-     << pool_parallel_fors << "\n";
-  os << "# TYPE vaolib_query_pool_tasks_enqueued gauge\n";
-  os << "vaolib_query_pool_tasks_enqueued" << kind_label << " "
-     << pool_tasks_enqueued << "\n";
-  os << "# TYPE vaolib_query_pool_chunks_executed gauge\n";
-  os << "vaolib_query_pool_chunks_executed" << kind_label << " "
-     << pool_chunks_executed << "\n";
-  os << "# TYPE vaolib_query_pool_queue_wait_nanos gauge\n";
-  os << "vaolib_query_pool_queue_wait_nanos" << kind_label << " "
-     << pool_queue_wait_nanos << "\n";
-  if (scheduled) {
-    const std::string sched_label = "{kind=\"" + query_kind + "\",policy=\"" +
-                                    scheduler_policy + "\"}";
-    os << "# TYPE vaolib_query_scheduler_budget gauge\n";
-    os << "vaolib_query_scheduler_budget" << sched_label << " "
-       << scheduler_budget << "\n";
-    os << "# TYPE vaolib_query_scheduler_spent gauge\n";
-    os << "vaolib_query_scheduler_spent" << sched_label << " "
-       << scheduler_spent << "\n";
-    os << "# TYPE vaolib_query_scheduler_steps gauge\n";
-    os << "vaolib_query_scheduler_steps" << sched_label << " "
-       << scheduler_steps << "\n";
-    os << "# TYPE vaolib_query_scheduler_converged gauge\n";
-    os << "vaolib_query_scheduler_converged" << sched_label << " "
-       << (converged ? 1 : 0) << "\n";
-    os << "# TYPE vaolib_query_scheduler_starved gauge\n";
-    os << "vaolib_query_scheduler_starved" << sched_label << " "
-       << (starved ? 1 : 0) << "\n";
-    os << "# TYPE vaolib_query_scheduler_missed_deadline gauge\n";
-    os << "vaolib_query_scheduler_missed_deadline" << sched_label << " "
-       << (missed_deadline ? 1 : 0) << "\n";
-  }
-  if (answer_mode == "approximate") {
-    os << "# TYPE vaolib_query_answer_confidence gauge\n";
-    os << "vaolib_query_answer_confidence" << kind_label << " ";
-    AppendExactDouble(os, answer_confidence);
-    os << "\n";
-    os << "# TYPE vaolib_query_sample_size gauge\n";
-    os << "vaolib_query_sample_size" << kind_label << " " << sample_size
-       << "\n";
-    os << "# TYPE vaolib_query_sample_population gauge\n";
-    os << "vaolib_query_sample_population" << kind_label << " "
-       << sample_population << "\n";
-    os << "# TYPE vaolib_query_answer_width gauge\n";
-    os << "vaolib_query_answer_width{kind=\"" << query_kind
-       << "\",component=\"deterministic\"} ";
-    AppendExactDouble(os, deterministic_width);
-    os << "\n";
-    os << "vaolib_query_answer_width{kind=\"" << query_kind
-       << "\",component=\"sampling\"} ";
-    AppendExactDouble(os, sampling_width);
-    os << "\n";
-  }
-  bool any_calibration = false;
-  for (int k = 0; k < kNumSolverKinds; ++k) {
-    any_calibration = any_calibration || calibration[k].samples > 0;
-  }
-  if (any_calibration) {
-    os << "# TYPE vaolib_query_estimator_samples gauge\n";
-    for (int k = 0; k < kNumSolverKinds; ++k) {
-      if (calibration[k].samples == 0) continue;
-      os << "vaolib_query_estimator_samples{kind=\"" << query_kind
-         << "\",solver=\"" << SolverKindName(static_cast<SolverKind>(k))
-         << "\"} " << calibration[k].samples << "\n";
-    }
-    os << "# TYPE vaolib_query_estimator_bias gauge\n";
-    for (int k = 0; k < kNumSolverKinds; ++k) {
-      const CalibrationKindStats& c = calibration[k];
-      if (c.samples == 0) continue;
-      const char* solver = SolverKindName(static_cast<SolverKind>(k));
-      const double bias[3] = {c.CostBias(), c.LoBias(), c.HiBias()};
-      const char* estimate[3] = {"cost", "lo", "hi"};
-      for (int e = 0; e < 3; ++e) {
-        os << "vaolib_query_estimator_bias{kind=\"" << query_kind
-           << "\",solver=\"" << solver << "\",estimate=\"" << estimate[e]
-           << "\"} ";
-        AppendExactDouble(os, bias[e]);
-        os << "\n";
-      }
-    }
-    os << "# TYPE vaolib_query_estimator_mae gauge\n";
-    for (int k = 0; k < kNumSolverKinds; ++k) {
-      const CalibrationKindStats& c = calibration[k];
-      if (c.samples == 0) continue;
-      const char* solver = SolverKindName(static_cast<SolverKind>(k));
-      const double mae[3] = {c.CostMae(), c.LoMae(), c.HiMae()};
-      const char* estimate[3] = {"cost", "lo", "hi"};
-      for (int e = 0; e < 3; ++e) {
-        os << "vaolib_query_estimator_mae{kind=\"" << query_kind
-           << "\",solver=\"" << solver << "\",estimate=\"" << estimate[e]
-           << "\"} ";
-        AppendExactDouble(os, mae[e]);
-        os << "\n";
-      }
-    }
-  }
-}
-
 Result<ExecutionReport> ExecutionReport::FromJson(const std::string& text) {
   // The shared obs/json_util.h reader (also used by the flight-recorder
   // replay path and trace_inspect) covers everything RenderJson emits.

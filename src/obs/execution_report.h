@@ -158,16 +158,14 @@ struct ExecutionReport {
   bool limited_by_min_width = false;
   /// @}
 
-  /// Estimator-calibration deltas for this query, indexed by SolverKind
-  /// (all zero when obs is disabled or the function never iterated).
+  /// Estimator-calibration account of this query's own task, indexed by
+  /// SolverKind: the sums of the samples its iterates took (copied from
+  /// operators::OperatorStats::calibration; a multi-query tick report sums
+  /// its queries'). All zero when obs is disabled or no iterate was sampled.
   CalibrationKindStats calibration[kNumSolverKinds] = {};
 
   /// Writes the report as one JSON object (TableWriter-style renderer).
   void RenderJson(std::ostream& os) const;
-
-  /// Writes the report as Prometheus text (vaolib_query_* gauges), suitable
-  /// for scraping the most recent query's profile.
-  void RenderPrometheus(std::ostream& os) const;
 
   /// Parses a report previously written by RenderJson (round-trip inverse).
   static Result<ExecutionReport> FromJson(const std::string& json);

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 
@@ -151,48 +152,9 @@ void AppendMicros(std::ostream& os, std::uint64_t ns) {
   os << buf;
 }
 
-const char* EstimateName(int estimate) {
-  switch (estimate) {
-    case 0:
-      return "cost";
-    case 1:
-      return "lo";
-    default:
-      return "hi";
-  }
-}
-
-// vaolib_estimator_error{solver,estimate} (signed: bias = sum/count) and
-// vaolib_estimator_abs_error{solver,estimate} (MAE = sum/count), registered
-// once on first sample.
-struct CalibrationHistograms {
-  Histogram* err[kNumSolverKinds][3];
-  Histogram* abs_err[kNumSolverKinds][3];
-};
-
-const CalibrationHistograms& CalibrationFamilies() {
-  static CalibrationHistograms* families = [] {
-    auto* f = new CalibrationHistograms();
-    const std::vector<double> signed_buckets = {-1e6, -1e3, -1.0, -1e-3, 0.0,
-                                                1e-3, 1.0,  1e3,  1e6};
-    const std::vector<double> abs_buckets = {1e-6, 1e-3, 0.1, 1.0,
-                                             10.0, 1e3,  1e6};
-    for (int k = 0; k < kNumSolverKinds; ++k) {
-      const char* solver = SolverKindName(static_cast<SolverKind>(k));
-      for (int e = 0; e < 3; ++e) {
-        f->err[k][e] = MetricsRegistry::Global().GetHistogram(
-            "vaolib_estimator_error",
-            {{"solver", solver}, {"estimate", EstimateName(e)}},
-            signed_buckets);
-        f->abs_err[k][e] = MetricsRegistry::Global().GetHistogram(
-            "vaolib_estimator_abs_error",
-            {{"solver", solver}, {"estimate", EstimateName(e)}}, abs_buckets);
-      }
-    }
-    return f;
-  }();
-  return *families;
-}
+// The process-wide estimator-calibration account (RecordEstimatorSample).
+std::mutex g_calibration_mutex;
+CalibrationKindStats g_calibration[kNumSolverKinds];
 
 }  // namespace
 
@@ -411,6 +373,36 @@ void ExportChromeTrace(std::ostream& os) {
   ExportChromeTrace(SnapshotTrace(), os);
 }
 
+void CalibrationKindStats::Add(double est_cost, double est_lo, double est_hi,
+                               double actual_cost, double actual_lo,
+                               double actual_hi) {
+  const double errors[3] = {actual_cost - est_cost, actual_lo - est_lo,
+                            actual_hi - est_hi};
+  // Chaos-injected NaN/Inf bounds would poison the sums, and a partially
+  // recorded sample would skew the shared sample count that turns the six
+  // sums into means -- so a sample records all three errors or none.
+  for (const double error : errors) {
+    if (!std::isfinite(error)) return;
+  }
+  ++samples;
+  cost_err_sum += errors[0];
+  cost_abs_err_sum += std::abs(errors[0]);
+  lo_err_sum += errors[1];
+  lo_abs_err_sum += std::abs(errors[1]);
+  hi_err_sum += errors[2];
+  hi_abs_err_sum += std::abs(errors[2]);
+}
+
+void CalibrationKindStats::Merge(const CalibrationKindStats& other) {
+  samples += other.samples;
+  cost_err_sum += other.cost_err_sum;
+  cost_abs_err_sum += other.cost_abs_err_sum;
+  lo_err_sum += other.lo_err_sum;
+  lo_abs_err_sum += other.lo_abs_err_sum;
+  hi_err_sum += other.hi_err_sum;
+  hi_abs_err_sum += other.hi_abs_err_sum;
+}
+
 void RecordEstimatorSample(SolverKind kind, double est_cost, double est_lo,
                            double est_hi, double actual_cost,
                            double actual_lo, double actual_hi) {
@@ -424,61 +416,18 @@ void RecordEstimatorSample(SolverKind kind, double est_cost, double est_lo,
   (void)actual_hi;
 #else
   if (!Enabled()) return;
-  const double errors[3] = {actual_cost - est_cost, actual_lo - est_lo,
-                            actual_hi - est_hi};
-  // Chaos-injected NaN/Inf bounds would poison the running sums, and a
-  // partially recorded sample would skew the shared per-kind sample count
-  // that turns the six sums into means -- so a sample records all three
-  // errors or none.
-  for (const double error : errors) {
-    if (!std::isfinite(error)) return;
-  }
-  const CalibrationHistograms& families = CalibrationFamilies();
-  const int k = static_cast<int>(kind);
-  for (int e = 0; e < 3; ++e) {
-    families.err[k][e]->Observe(errors[e]);
-    families.abs_err[k][e]->Observe(std::abs(errors[e]));
-  }
+  const std::lock_guard<std::mutex> lock(g_calibration_mutex);
+  g_calibration[static_cast<int>(kind)].Add(est_cost, est_lo, est_hi,
+                                            actual_cost, actual_lo, actual_hi);
 #endif
 }
 
 CalibrationSnapshot CalibrationSnapshot::Capture() {
   CalibrationSnapshot snapshot;
-#ifndef VAOLIB_OBS_DISABLED
-  const CalibrationHistograms& families = CalibrationFamilies();
-  for (int k = 0; k < kNumSolverKinds; ++k) {
-    CalibrationKindStats& out = snapshot.kinds[k];
-    out.samples = families.err[k][0]->TotalCount();
-    out.cost_err_sum = families.err[k][0]->Sum();
-    out.lo_err_sum = families.err[k][1]->Sum();
-    out.hi_err_sum = families.err[k][2]->Sum();
-    out.cost_abs_err_sum = families.abs_err[k][0]->Sum();
-    out.lo_abs_err_sum = families.abs_err[k][1]->Sum();
-    out.hi_abs_err_sum = families.abs_err[k][2]->Sum();
-  }
-#endif
+  const std::lock_guard<std::mutex> lock(g_calibration_mutex);
+  std::copy(std::begin(g_calibration), std::end(g_calibration),
+            std::begin(snapshot.kinds));
   return snapshot;
-}
-
-CalibrationSnapshot CalibrationSnapshot::DeltaSince(
-    const CalibrationSnapshot& before) const {
-  CalibrationSnapshot delta;
-  for (int k = 0; k < kNumSolverKinds; ++k) {
-    delta.kinds[k].samples = kinds[k].samples - before.kinds[k].samples;
-    delta.kinds[k].cost_err_sum =
-        kinds[k].cost_err_sum - before.kinds[k].cost_err_sum;
-    delta.kinds[k].cost_abs_err_sum =
-        kinds[k].cost_abs_err_sum - before.kinds[k].cost_abs_err_sum;
-    delta.kinds[k].lo_err_sum =
-        kinds[k].lo_err_sum - before.kinds[k].lo_err_sum;
-    delta.kinds[k].lo_abs_err_sum =
-        kinds[k].lo_abs_err_sum - before.kinds[k].lo_abs_err_sum;
-    delta.kinds[k].hi_err_sum =
-        kinds[k].hi_err_sum - before.kinds[k].hi_err_sum;
-    delta.kinds[k].hi_abs_err_sum =
-        kinds[k].hi_abs_err_sum - before.kinds[k].hi_abs_err_sum;
-  }
-  return delta;
 }
 
 }  // namespace vaolib::obs

@@ -24,12 +24,13 @@
 // order is a global atomic sequence number; on a single driving thread the
 // decision sequence is exactly the iterate sequence.
 //
-// The estimator-calibration audit (RecordEstimatorSample) is independent of
-// the trace mode: like the solver work counters it is active whenever
-// obs::Enabled(), feeding per-solver-kind bias/MAE histograms in the global
-// registry and the calibration section of ExecutionReport. Both decision
-// events and calibration samples are published from one record per
-// iterate, taken at the operators' IterationTask seam.
+// The estimator-calibration audit is independent of the trace mode: like
+// the solver work counters it is active whenever obs::Enabled(). Its
+// per-solver-kind sums are kept twice, from the same samples: per task (the
+// calibration section of its ExecutionReport) and once per process
+// (RecordEstimatorSample, read through CalibrationSnapshot::Capture()).
+// Both decision events and calibration samples are published from one
+// record per iterate, taken at the operators' IterationTask seam.
 
 #ifndef VAOLIB_OBS_TRACE_H_
 #define VAOLIB_OBS_TRACE_H_
@@ -197,38 +198,18 @@ void ExportChromeTrace(std::ostream& os);
 /// \name Estimator-calibration audit.
 /// @{
 
-/// \brief Records one Iterate() outcome against the estimates that preceded
-/// it: signed error and absolute error of the predicted cost and predicted
-/// [L,H] bounds, accumulated per solver kind into the global registry's
-/// vaolib_estimator_error / vaolib_estimator_abs_error histograms (bias =
-/// sum/count of the signed family, MAE = sum/count of the absolute family).
-/// A sample with any non-finite error is dropped whole, so the per-kind
-/// sample count stays valid as the denominator for all six sums. Active
-/// whenever obs::Enabled(); gate call sites on it.
-///
-/// The one caller is the operators' observed-iterate seam
-/// (operators::IterationTask::IterateObserved / IterateObservedBatch): it
-/// samples task iterates of objects with calibration_kind() >= 0 whose
-/// cost is attributable -- the step meter's delta on serial scalar steps,
-/// the per-object spend on batch steps. Threaded selection notches and
-/// iterates outside any task (parallel coarse pre-phase,
-/// ConvergeAllToMinWidth, black-box calibration, the optimal-extreme
-/// oracle) are never sampled, so the account is thread-count invariant.
-void RecordEstimatorSample(SolverKind kind, double est_cost, double est_lo,
-                           double est_hi, double actual_cost, double actual_lo,
-                           double actual_hi);
-
 /// \brief Estimator-calibration account for one solver kind: signed and
 /// absolute error sums of the UDF's estCPU/estL/estH predictions against
-/// the actuals of sampled iterates (RecordEstimatorSample). A
-/// CalibrationSnapshot holds the running totals; the per-query deltas land
-/// in ExecutionReport::calibration. Samples are the operator tasks'
+/// the actuals of sampled iterates. Samples are the operator tasks'
 /// attributable iterates -- serial steps costed by the step meter, batch
 /// steps by per-object spend, blocking selections by the row meter -- each
 /// taken from the one record that also feeds the decision trace; the
 /// parallel coarse pre-phase and threaded selection notches are not
-/// sampled, so `samples` never depends on the thread count. Stored as sums
-/// so the JSON round-trip is exact; bias and MAE are derived views.
+/// sampled, so `samples` never depends on the thread count. Each task adds
+/// its samples to its own OperatorStats, which becomes its query's
+/// ExecutionReport::calibration; RecordEstimatorSample adds the same
+/// samples to the process-wide account. Stored as sums so the JSON
+/// round-trip is exact; bias and MAE are derived views.
 struct CalibrationKindStats {
   std::uint64_t samples = 0;
   double cost_err_sum = 0.0;
@@ -237,6 +218,17 @@ struct CalibrationKindStats {
   double lo_abs_err_sum = 0.0;
   double hi_err_sum = 0.0;
   double hi_abs_err_sum = 0.0;
+
+  /// Adds one Iterate() outcome against the estimates that preceded it:
+  /// the signed and absolute errors (actual - est) of the predicted cost
+  /// and the predicted [L,H] bounds. A sample with any non-finite error is
+  /// dropped whole, so `samples` stays valid as the denominator for all
+  /// six sums.
+  void Add(double est_cost, double est_lo, double est_hi, double actual_cost,
+           double actual_lo, double actual_hi);
+
+  /// Adds \p other's samples and sums to this one's (e.g. a tick's queries).
+  void Merge(const CalibrationKindStats& other);
 
   /// \name Guarded bias/MAE accessors (error convention: actual - est).
   /// Zero-sample kinds return 0.0 -- never NaN -- so consumers (the
@@ -259,13 +251,27 @@ struct CalibrationKindStats {
   }
 };
 
-/// \brief Snapshot of the per-kind calibration accumulators; DeltaSince()
-/// gives per-query attribution exactly like SolverWorkSnapshot.
+/// \brief Adds one sample (CalibrationKindStats::Add) of solver kind
+/// \p kind to the process-wide account, under its one mutex. Active
+/// whenever obs::Enabled(); gate call sites on it.
+///
+/// The one caller is the operators' observed-iterate seam
+/// (operators::IterationTask::IterateObserved / IterateObservedBatch), which
+/// adds the same sample to the task's own account. Threaded selection
+/// notches and iterates outside any task (parallel coarse pre-phase,
+/// ConvergeAllToMinWidth, black-box calibration, the optimal-extreme
+/// oracle) are never sampled.
+void RecordEstimatorSample(SolverKind kind, double est_cost, double est_lo,
+                           double est_hi, double actual_cost, double actual_lo,
+                           double actual_hi);
+
+/// \brief Copy of the process-wide account: every sample recorded since the
+/// process started. The calibrated scoring path (operators::ScoreCorrector)
+/// reads its per-kind biases.
 struct CalibrationSnapshot {
   CalibrationKindStats kinds[kNumSolverKinds] = {};
 
   static CalibrationSnapshot Capture();
-  CalibrationSnapshot DeltaSince(const CalibrationSnapshot& before) const;
 };
 
 /// @}

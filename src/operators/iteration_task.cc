@@ -169,6 +169,9 @@ void IterationTask::Publish(const IterateRecord& record, const char* phase,
   }
   if (correct) sink_corrector_->Record(record, &stats_);
   if (record.kind >= 0 && record.actual_cost >= 0.0 && obs::Enabled()) {
+    stats_.calibration[record.kind].Add(record.est_cost, record.est.lo,
+                                        record.est.hi, record.actual_cost,
+                                        record.after.lo, record.after.hi);
     obs::RecordEstimatorSample(static_cast<obs::SolverKind>(record.kind),
                                record.est_cost, record.est.lo, record.est.hi,
                                record.actual_cost, record.after.lo,

@@ -146,8 +146,10 @@ class IterationTask {
   /// work) once per iterate and hands it to every active sink: the decision
   /// trace (op name(), \p phase, scores), the corrector set by
   /// ObserveWith() (feedback store, sentinel fit, OperatorStats MAE audit),
-  /// and the estimator-calibration histograms for objects with
-  /// calibration_kind() >= 0 and an attributed cost. With no sink active
+  /// and, for objects with calibration_kind() >= 0 and an attributed cost,
+  /// the estimator-calibration accounts: the task's own
+  /// OperatorStats::calibration and the process-wide one
+  /// (obs::RecordEstimatorSample). With no sink active
   /// nothing is captured. A failed iterate records nothing.
   /// @{
 
@@ -225,8 +227,9 @@ class IterationTask {
   /// Marks this task as a reader of notices; call from the constructor.
   void SubscribeToNotices() { reads_notices_ = true; }
 
-  /// Running stats: Settle() counts iterations here and the corrector's
-  /// audit lands here; subclasses add their phase counters.
+  /// Running stats: Settle() counts iterations here, the corrector's audit
+  /// and the calibration samples land here; subclasses add their phase
+  /// counters.
   OperatorStats stats_;
 
  private:

@@ -13,6 +13,7 @@
 #include "common/stall_guard.h"
 #include "common/status.h"
 #include "common/work_meter.h"
+#include "obs/trace.h"
 #include "operators/cost_feedback.h"
 #include "vao/result_object.h"
 
@@ -111,7 +112,7 @@ struct OperatorOptions {
   /// when scoring. Entries are keyed by the object's position, so a store
   /// kept across runs must see the same rows in the same order each run.
   /// The observation is the one record IterationTask takes per iterate
-  /// (which also feeds the decision trace and the calibration histograms);
+  /// (which also feeds the decision trace and the calibration accounts);
   /// its cost is the delta of `meter`, so `meter` must be the meter the
   /// objects charge. Iterates of the parallel coarse pre-phase run outside
   /// the task and are never recorded; selection-row tasks record nothing.
@@ -160,6 +161,13 @@ struct OperatorStats {
   double corrected_cost_abs_err = 0.0;    ///< sum |actual - corrected est|
   /// @}
 
+  /// Estimator-calibration account of this task's sampled iterates,
+  /// indexed by obs::SolverKind: each observed iterate of an object with
+  /// calibration_kind() >= 0 and an attributed cost, taken while
+  /// obs::Enabled() (obs::CalibrationKindStats::Add drops a sample with a
+  /// non-finite error). The query's ExecutionReport::calibration copies it.
+  obs::CalibrationKindStats calibration[obs::kNumSolverKinds] = {};
+
   /// Accumulates \p other into this (e.g. per-row selection outcomes).
   void Merge(const OperatorStats& other) {
     iterations += other.iterations;
@@ -173,6 +181,9 @@ struct OperatorStats {
     corrected_decisions += other.corrected_decisions;
     raw_cost_abs_err += other.raw_cost_abs_err;
     corrected_cost_abs_err += other.corrected_cost_abs_err;
+    for (int k = 0; k < obs::kNumSolverKinds; ++k) {
+      calibration[k].Merge(other.calibration[k]);
+    }
   }
 };
 

@@ -82,8 +82,8 @@ ScoreCorrector::Corrected ScoreCorrector::Correct(std::size_t i,
                        group_of_[i]->shrink_ratio);
   }
 
-  // (3) Global calibration bias for the object's solver kind (additive:
-  // the histograms accumulate actual - est errors).
+  // (3) Process-wide calibration bias for the object's solver kind
+  // (additive: the account sums actual - est errors).
   if (kind >= 0 && kind < obs::kNumSolverKinds &&
       snapshot_.kinds[kind].samples > 0) {
     const auto& k = snapshot_.kinds[kind];

@@ -45,7 +45,7 @@ namespace vaolib::operators {
 /// \brief One observed Iterate(): the object's estimates just before it and
 /// what it actually did. IterationTask::IterateObserved captures it once
 /// and hands the same record to every active sink -- the decision trace,
-/// the ScoreCorrector and the estimator-calibration histograms.
+/// the ScoreCorrector and the estimator-calibration accounts.
 struct IterateRecord {
   std::size_t index = 0;  ///< the object's position in the task
   int kind = -1;          ///< its calibration_kind()

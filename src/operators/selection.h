@@ -39,7 +39,7 @@ class SelectionVao {
 
   /// Iterates \p object just enough to decide the predicate. \p meter, when
   /// it is the meter \p object charges, costs each refinement for the
-  /// decision trace and the calibration histograms.
+  /// decision trace and the calibration accounts.
   Result<SelectionOutcome> Evaluate(vao::ResultObject* object,
                                     WorkMeter* meter = nullptr) const;
 

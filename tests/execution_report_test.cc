@@ -1,6 +1,6 @@
 // Unit tests for src/obs/execution_report and its engine wiring: the
 // WorkByKind meter snapshots, the JSON round-trip (RenderJson -> FromJson),
-// the Prometheus rendering, and -- the acceptance criterion of the
+// and -- the acceptance criterion of the
 // observability layer -- that a SELECT query through CqExecutor yields a
 // report whose work-unit total equals the legacy WorkMeter total exactly.
 
@@ -129,7 +129,7 @@ TEST(ExecutionReportTest, JsonRoundTripOfDefaultReport) {
   EXPECT_TRUE(parsed->cache_shards.empty());
 }
 
-TEST(ExecutionReportTest, AnswerSectionRoundTripsAndGatesPrometheus) {
+TEST(ExecutionReportTest, AnswerSectionRoundTrips) {
   // A sampled aggregate's provenance survives JSON print/parse...
   ExecutionReport approx;
   approx.query_kind = "sum";
@@ -146,22 +146,10 @@ TEST(ExecutionReportTest, AnswerSectionRoundTripsAndGatesPrometheus) {
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(*parsed, approx);
 
-  // ...and only approximate answers emit the sampling gauges.
-  std::ostringstream prom_approx;
-  approx.RenderPrometheus(prom_approx);
-  EXPECT_NE(prom_approx.str().find("vaolib_query_answer_confidence"),
-            std::string::npos);
-  EXPECT_NE(prom_approx.str().find("vaolib_query_sample_size"),
-            std::string::npos);
-
+  // ...and exact reports round-trip with the default answer section
+  // untouched.
   ExecutionReport exact;
   exact.query_kind = "sum";
-  std::ostringstream prom_exact;
-  exact.RenderPrometheus(prom_exact);
-  EXPECT_EQ(prom_exact.str().find("vaolib_query_answer_confidence"),
-            std::string::npos);
-
-  // Exact reports round-trip with the default answer section untouched.
   std::ostringstream exact_os;
   exact.RenderJson(exact_os);
   const auto exact_parsed = ExecutionReport::FromJson(exact_os.str());
@@ -270,40 +258,6 @@ TEST(ExecutionReportTest, FromJsonRejectsMalformedInput) {
   std::ostringstream os;
   FullySetReport().RenderJson(os);
   EXPECT_FALSE(ExecutionReport::FromJson(os.str() + "x").ok());
-}
-
-TEST(ExecutionReportTest, RenderPrometheusEmitsLabeledGauges) {
-  const ExecutionReport report = FullySetReport();
-  std::ostringstream os;
-  report.RenderPrometheus(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# TYPE vaolib_query_work_units gauge"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(
-      text.find("vaolib_query_work_units{kind=\"select\",work=\"exec\"} 101"),
-      std::string::npos)
-      << text;
-  EXPECT_NE(text.find(
-                "vaolib_query_solver_work_units{kind=\"select\",solver=\"pde\"}"
-                " 200"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(
-      text.find("vaolib_query_rows{kind=\"select\",outcome=\"scanned\"} 401"),
-      std::string::npos)
-      << text;
-  EXPECT_NE(text.find(
-                "vaolib_query_cache_events{kind=\"select\",event=\"hit\"} 501"),
-            std::string::npos)
-      << text;
-
-  // The cache family is omitted entirely when no cache was attached.
-  ExecutionReport no_cache = report;
-  no_cache.has_cache = false;
-  std::ostringstream os2;
-  no_cache.RenderPrometheus(os2);
-  EXPECT_EQ(os2.str().find("vaolib_query_cache_events"), std::string::npos);
 }
 
 #ifndef VAOLIB_OBS_DISABLED

@@ -532,6 +532,41 @@ TEST_F(ServerTest, ReportSubscriptionDeliversParseableReports) {
   EXPECT_TRUE(report->converged);
 }
 
+#ifndef VAOLIB_OBS_DISABLED
+TEST_F(ServerTest, ReportFramesCarryEachQuerysCalibrationSamples) {
+  // A MAX and an AVE over the same bonds share one group. Each REPORT
+  // frame carries the PDE calibration samples of its own query's iterates.
+  obs::SetEnabled(true);
+  auto server = MakeServer(ServerConfig{});
+  const std::uint64_t session = server->OpenSession();
+  ASSERT_EQ(Send(*server, session, "HELLO desk1 reports")[0],
+            "OK HELLO desk1 reports");
+  ASSERT_EQ(Send(*server, session,
+                 "REGISTER best SELECT MAX(bond_model(rate, bond_index)) "
+                 "FROM bd PRECISION 0.01")[0],
+            "OK REGISTER best");
+  ASSERT_EQ(Send(*server, session,
+                 "REGISTER mean SELECT AVE(bond_model(rate, bond_index)) "
+                 "FROM bd PRECISION 0.01")[0],
+            "OK REGISTER mean");
+
+  constexpr int kPde = static_cast<int>(obs::SolverKind::kPde);
+  std::size_t reports = 0;
+  for (const std::string& reply : Send(*server, session, "TICK 0.0575")) {
+    if (reply.rfind("REPORT ", 0) != 0) continue;
+    ++reports;
+    const auto report =
+        obs::ExecutionReport::FromJson(reply.substr(reply.find('{')));
+    ASSERT_TRUE(report.ok()) << report.status();
+    SCOPED_TRACE(report->query_kind);
+    EXPECT_GT(report->calibration[kPde].samples, 0u);
+    EXPECT_EQ(report->calibration[kPde].samples,
+              report->greedy_iterations + report->finalize_iterations);
+  }
+  EXPECT_EQ(reports, 2u);
+}
+#endif  // VAOLIB_OBS_DISABLED
+
 TEST_F(ServerTest, ApproxQueryRoundTripsOverTheWire) {
   auto server = MakeServer(ServerConfig{});
   const std::uint64_t session = server->OpenSession();

@@ -281,38 +281,83 @@ TEST(TraceExportTest, NonFiniteDecisionFieldsStayValidJson) {
 
 #ifndef VAOLIB_OBS_DISABLED
 TEST(CalibrationTest, SamplesAccumulateAndNonFiniteDropsWhole) {
-  SetEnabled(true);
-  const CalibrationSnapshot before = CalibrationSnapshot::Capture();
+  // A local account: the two finite samples add up exactly; any non-finite
+  // error drops a sample whole, so the shared sample count stays a valid
+  // denominator for all six sums.
+  CalibrationKindStats local;
+  local.Add(/*est_cost=*/10.0, /*est_lo=*/0.0, /*est_hi=*/2.0,
+            /*actual_cost=*/12.0, /*actual_lo=*/0.5, /*actual_hi=*/1.5);
+  local.Add(10.0, 0.0, 2.0, 9.0, -0.5, 2.5);
+  local.Add(10.0, 0.0, 2.0, std::numeric_limits<double>::quiet_NaN(), 0.0,
+            2.0);
+  local.Add(-std::numeric_limits<double>::infinity(), 0.0, 2.0, 11.0, 0.0,
+            2.0);
+  EXPECT_EQ(local.samples, 2u);
+  EXPECT_EQ(local.cost_err_sum, 2.0 + -1.0);
+  EXPECT_EQ(local.cost_abs_err_sum, 2.0 + 1.0);
+  EXPECT_EQ(local.lo_err_sum, 0.5 + -0.5);
+  EXPECT_EQ(local.lo_abs_err_sum, 0.5 + 0.5);
+  EXPECT_EQ(local.hi_err_sum, -0.5 + 0.5);
+  EXPECT_EQ(local.hi_abs_err_sum, 0.5 + 0.5);
 
-  RecordEstimatorSample(SolverKind::kOde, /*est_cost=*/10.0, /*est_lo=*/0.0,
-                        /*est_hi=*/2.0, /*actual_cost=*/12.0,
-                        /*actual_lo=*/0.5, /*actual_hi=*/1.5);
+  // The process-wide account adds the same samples to the totals it held,
+  // with the same arithmetic, and touches no other solver kind.
+  SetEnabled(true);
+  constexpr int kOde = static_cast<int>(SolverKind::kOde);
+  constexpr int kPde2d = static_cast<int>(SolverKind::kPde2d);
+  const CalibrationSnapshot before = CalibrationSnapshot::Capture();
+  RecordEstimatorSample(SolverKind::kOde, 10.0, 0.0, 2.0, 12.0, 0.5, 1.5);
   RecordEstimatorSample(SolverKind::kOde, 10.0, 0.0, 2.0, 9.0, -0.5, 2.5);
-  // Any non-finite error drops the sample whole, so the shared sample
-  // count stays a valid denominator for all six sums.
   RecordEstimatorSample(SolverKind::kOde, 10.0, 0.0, 2.0,
                         std::numeric_limits<double>::quiet_NaN(), 0.0, 2.0);
   RecordEstimatorSample(SolverKind::kOde,
                         -std::numeric_limits<double>::infinity(), 0.0, 2.0,
                         11.0, 0.0, 2.0);
+  CalibrationKindStats expected = before.kinds[kOde];
+  expected.Add(10.0, 0.0, 2.0, 12.0, 0.5, 1.5);
+  expected.Add(10.0, 0.0, 2.0, 9.0, -0.5, 2.5);
+  const CalibrationSnapshot after = CalibrationSnapshot::Capture();
+  EXPECT_EQ(after.kinds[kOde], expected);
+  EXPECT_EQ(after.kinds[kOde].samples, before.kinds[kOde].samples + 2);
+  EXPECT_EQ(after.kinds[kPde2d], before.kinds[kPde2d]);
+}
 
-  const CalibrationKindStats delta =
-      CalibrationSnapshot::Capture()
-          .DeltaSince(before)
-          .kinds[static_cast<int>(SolverKind::kOde)];
-  EXPECT_EQ(delta.samples, 2u);
-  EXPECT_DOUBLE_EQ(delta.cost_err_sum, 2.0 + -1.0);
-  EXPECT_DOUBLE_EQ(delta.cost_abs_err_sum, 2.0 + 1.0);
-  EXPECT_DOUBLE_EQ(delta.lo_err_sum, 0.5 + -0.5);
-  EXPECT_DOUBLE_EQ(delta.lo_abs_err_sum, 0.5 + 0.5);
-  EXPECT_DOUBLE_EQ(delta.hi_err_sum, -0.5 + 0.5);
-  EXPECT_DOUBLE_EQ(delta.hi_abs_err_sum, 0.5 + 0.5);
+TEST(CalibrationTest, ConcurrentSamplesAddUpExactly) {
+  // Two threads record into the process-wide account at once while this
+  // one reads it. Every sample is the same, so the totals do not depend on
+  // the interleaving: they must equal the same samples added one by one.
+  SetEnabled(true);
+  constexpr int kRoot = static_cast<int>(SolverKind::kRoot);
+  constexpr int kPerThread = 20000;
+  auto record = [] {
+    for (int i = 0; i < kPerThread; ++i) {
+      RecordEstimatorSample(SolverKind::kRoot, /*est_cost=*/4.0,
+                            /*est_lo=*/1.0, /*est_hi=*/3.0,
+                            /*actual_cost=*/6.5, /*actual_lo=*/1.25,
+                            /*actual_hi=*/2.5);
+    }
+  };
+  const CalibrationSnapshot before = CalibrationSnapshot::Capture();
+  std::thread first(record);
+  std::thread second(record);
+  std::uint64_t seen = before.kinds[kRoot].samples;
+  for (int i = 0; i < 100; ++i) {
+    const std::uint64_t now =
+        CalibrationSnapshot::Capture().kinds[kRoot].samples;
+    EXPECT_GE(now, seen);
+    seen = now;
+  }
+  first.join();
+  second.join();
 
-  const CalibrationKindStats untouched =
-      CalibrationSnapshot::Capture()
-          .DeltaSince(before)
-          .kinds[static_cast<int>(SolverKind::kPde2d)];
-  EXPECT_EQ(untouched.samples, 0u);
+  CalibrationKindStats expected = before.kinds[kRoot];
+  for (int i = 0; i < 2 * kPerThread; ++i) {
+    expected.Add(4.0, 1.0, 3.0, 6.5, 1.25, 2.5);
+  }
+  const CalibrationKindStats after =
+      CalibrationSnapshot::Capture().kinds[kRoot];
+  EXPECT_EQ(after.samples, before.kinds[kRoot].samples + 2 * kPerThread);
+  EXPECT_EQ(after, expected);
 }
 #endif  // VAOLIB_OBS_DISABLED
 
