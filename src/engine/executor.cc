@@ -27,10 +27,12 @@ bool IsDegradableFailure(const Status& status) {
 }  // namespace
 
 CqExecutor::CqExecutor(const Relation* relation, Schema stream_schema,
-                       QueryPlan plan)
+                       ExecutionMode mode,
+                       std::unique_ptr<MultiQueryExecutor> group)
     : relation_(relation),
       stream_schema_(std::move(stream_schema)),
-      plan_(std::move(plan)) {}
+      mode_(mode),
+      group_(std::move(group)) {}
 
 Result<std::unique_ptr<CqExecutor>> CqExecutor::Create(
     const Relation* relation, Schema stream_schema, Query query,
@@ -38,27 +40,26 @@ Result<std::unique_ptr<CqExecutor>> CqExecutor::Create(
   if (query.approx.has_value() && mode == ExecutionMode::kTraditional) {
     return Status::InvalidArgument("approximate execution requires VAO mode");
   }
-  VAOLIB_ASSIGN_OR_RETURN(QueryPlan plan,
-                          QueryPlan::Create(query, stream_schema, relation));
-  auto executor = std::unique_ptr<CqExecutor>(
-      new CqExecutor(relation, stream_schema, std::move(plan)));
-  if (mode == ExecutionMode::kTraditional) {
-    executor->black_box_ =
-        std::make_unique<vao::CalibratedBlackBox>(executor->query().function);
-    return executor;
-  }
   MultiQueryOptions options;
   options.threads = threads;
   options.resilience = resilience;
   VAOLIB_ASSIGN_OR_RETURN(
-      executor->group_,
-      MultiQueryExecutor::Create(relation, std::move(stream_schema),
-                                 {std::move(query)}, options));
+      std::unique_ptr<MultiQueryExecutor> group,
+      MultiQueryExecutor::Create(relation, stream_schema, {std::move(query)},
+                                 options));
+  auto executor = std::unique_ptr<CqExecutor>(new CqExecutor(
+      relation, std::move(stream_schema), mode, std::move(group)));
+  if (mode == ExecutionMode::kTraditional) {
+    executor->black_box_ =
+        std::make_unique<vao::CalibratedBlackBox>(executor->query().function);
+  }
   return executor;
 }
 
 Result<TickResult> CqExecutor::ProcessTick(const Tuple& stream_tuple) {
-  if (group_ == nullptr) return RunTraditional(stream_tuple);
+  if (mode_ == ExecutionMode::kTraditional) {
+    return RunTraditional(stream_tuple);
+  }
   group_->ResetMeter();
   const WorkMeter& tick_meter = group_->meter();
   const ReportCapture capture(tick_meter,
@@ -102,7 +103,7 @@ Result<TickResult> CqExecutor::RunTraditional(const Tuple& stream_tuple) {
   if (relation_->size() == 0) {
     return Status::FailedPrecondition("relation is empty");
   }
-  const Query& query = plan_.query();
+  const Query& query = group_->plan(0).query();
   const obs::ScopedSpan tick_span("tick", "traditional");
   TickResult result;
   result.kind = query.kind;
@@ -111,7 +112,7 @@ Result<TickResult> CqExecutor::RunTraditional(const Tuple& stream_tuple) {
   const std::size_t n = relation_->size();
 
   VAOLIB_ASSIGN_OR_RETURN(const std::vector<std::vector<double>> rows,
-                          plan_.BuildRows(stream_tuple));
+                          group_->plan(0).BuildRows(stream_tuple));
 
   switch (query.kind) {
     case QueryKind::kSelect: {
@@ -150,7 +151,7 @@ Result<TickResult> CqExecutor::RunTraditional(const Tuple& stream_tuple) {
     case QueryKind::kSum:
     case QueryKind::kAve: {
       VAOLIB_ASSIGN_OR_RETURN(const std::vector<double> weights,
-                              plan_.ResolveWeights());
+                              group_->plan(0).ResolveWeights());
       VAOLIB_ASSIGN_OR_RETURN(
           const operators::TraditionalSumOutcome outcome,
           operators::TraditionalWeightedSum(*black_box_, rows, weights,

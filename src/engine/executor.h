@@ -54,14 +54,12 @@ class CqExecutor {
   const WorkMeter& meter() const { return meter_; }
   void ResetMeter() { meter_.Reset(); }
 
-  ExecutionMode mode() const {
-    return group_ != nullptr ? ExecutionMode::kVao
-                             : ExecutionMode::kTraditional;
-  }
-  const Query& query() const { return plan_.query(); }
+  ExecutionMode mode() const { return mode_; }
+  const Query& query() const { return group_->plan(0).query(); }
 
  private:
-  CqExecutor(const Relation* relation, Schema stream_schema, QueryPlan plan);
+  CqExecutor(const Relation* relation, Schema stream_schema,
+             ExecutionMode mode, std::unique_ptr<MultiQueryExecutor> group);
 
   Result<TickResult> RunTraditional(const Tuple& stream_tuple);
 
@@ -75,10 +73,11 @@ class CqExecutor {
 
   const Relation* relation_;
   Schema stream_schema_;
-  QueryPlan plan_;
+  ExecutionMode mode_;
   WorkMeter meter_;
 
-  /// VAO mode's one-query group; its meter holds one tick's work.
+  /// The one-query group: it holds the query's plan in both modes and runs
+  /// VAO mode's ticks. Its meter holds one tick's work.
   std::unique_ptr<MultiQueryExecutor> group_;
   /// Calibrated baseline for traditional mode (lazy per-args cache inside).
   std::unique_ptr<vao::CalibratedBlackBox> black_box_;

@@ -19,23 +19,13 @@ bool SameBinding(const ArgRef& a, const ArgRef& b) {
          a.constant == b.constant;
 }
 
-// Exact aggregates read every shared object; selections and approximate
-// queries do not.
-bool NeedsEveryObject(const QueryPlan& plan) {
-  const Query& query = plan.query();
-  return !query.approx.has_value() && query.kind != QueryKind::kSelect &&
-         query.kind != QueryKind::kSelectRange;
-}
-
 }  // namespace
 
 MultiQueryExecutor::MultiQueryExecutor(const Relation* relation,
                                        Schema stream_schema,
-                                       std::vector<QueryPlan> plans,
                                        MultiQueryOptions options)
     : relation_(relation),
       stream_schema_(std::move(stream_schema)),
-      plans_(std::move(plans)),
       options_(std::move(options)) {
   options_.threads = std::max(options_.threads, 1);
 }
@@ -49,13 +39,23 @@ Result<std::unique_ptr<MultiQueryExecutor>> MultiQueryExecutor::Create(
   if (queries.empty()) {
     return Status::InvalidArgument("multi-query executor with no queries");
   }
-  const Query& first = queries.front();
-  std::vector<QueryPlan> plans;
-  plans.reserve(queries.size());
-  for (const Query& query : queries) {
-    VAOLIB_ASSIGN_OR_RETURN(QueryPlan plan,
-                            QueryPlan::Create(query, stream_schema, relation));
+  auto executor = std::make_unique<MultiQueryExecutor>(
+      relation, std::move(stream_schema), options);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    VAOLIB_ASSIGN_OR_RETURN(
+        QueryPlan plan,
+        QueryPlan::Create(queries[q], executor->stream_schema_, relation));
+    VAOLIB_RETURN_IF_ERROR(executor->Insert(q, std::move(plan)));
+  }
+  return executor;
+}
+
+Status MultiQueryExecutor::Insert(std::size_t q, QueryPlan plan,
+                                  const std::string& owner) {
+  if (!members_.empty()) {
     // Same function means same arity, so the bindings line up one to one.
+    const Query& query = plan.query();
+    const Query& first = members_.front().plan.query();
     if (query.function != first.function) {
       return Status::InvalidArgument(
           "shared execution requires all queries to use the same function");
@@ -66,24 +66,19 @@ Result<std::unique_ptr<MultiQueryExecutor>> MultiQueryExecutor::Create(
             "shared execution requires identical argument bindings");
       }
     }
-    plans.push_back(std::move(plan));
   }
-  if (!options.schedules.empty() &&
-      options.schedules.size() != queries.size()) {
-    return Status::InvalidArgument(
-        "schedules must be empty or parallel to the query list");
+  obs::Counter* owner_work = nullptr;
+  if (!owner.empty()) {
+    owner_work = obs::MetricsRegistry::Global().GetCounter(
+        "vaolib_owner_work_units_total", {{"owner", owner}});
   }
-  for (const QuerySchedule& schedule : options.schedules) {
-    if (!(schedule.priority > 0.0)) {
-      return Status::InvalidArgument("scheduler priorities must be positive");
-    }
-  }
-  if (!options.owners.empty() && options.owners.size() != queries.size()) {
-    return Status::InvalidArgument(
-        "owners must be empty or parallel to the query list");
-  }
-  return std::unique_ptr<MultiQueryExecutor>(new MultiQueryExecutor(
-      relation, std::move(stream_schema), std::move(plans), options));
+  members_.insert(members_.begin() + q,
+                  Member{std::move(plan), {}, owner, owner_work});
+  return Status::OK();
+}
+
+void MultiQueryExecutor::Remove(std::size_t q) {
+  members_.erase(members_.begin() + q);
 }
 
 Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
@@ -91,12 +86,15 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   if (stream_tuple.size() != stream_schema_.size()) {
     return Status::InvalidArgument("stream tuple does not match schema");
   }
+  if (members_.empty()) {
+    return Status::FailedPrecondition("multi-query executor with no queries");
+  }
   const std::size_t n = relation_->size();
   if (n == 0) {
     return Status::FailedPrecondition("relation is empty");
   }
   const obs::ScopedSpan tick_span("tick", "multi");
-  const QueryPlan& lead = plans_.front();
+  const QueryPlan& lead = members_.front().plan;
   const ReportCapture tick_capture(
       meter_, ReportCapture::CacheOf(lead.query().function));
 
@@ -104,10 +102,16 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   // on the shared pool when threads > 1; work totals are identical either
   // way). Sampled aggregates materialize private objects for their sampled
   // rows instead, so a tick whose queries are all approximate skips this.
-  const bool need_shared =
-      std::any_of(plans_.begin(), plans_.end(), [](const QueryPlan& plan) {
-        return !plan.query().approx.has_value();
-      });
+  bool need_shared = false;
+  bool need_every_object = false;
+  for (const Member& member : members_) {
+    const Query& query = member.plan.query();
+    if (query.approx.has_value()) continue;
+    need_shared = true;
+    need_every_object = need_every_object ||
+                        (query.kind != QueryKind::kSelect &&
+                         query.kind != QueryKind::kSelectRange);
+  }
   // A selection settles a row whose Invoke() failed like any other row
   // failure; the other exact kinds need every object, so there the lowest
   // failed row fails the tick.
@@ -121,8 +125,7 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
                               &meter_, &invoke_status));
     const auto failed = std::find_if_not(
         invoke_status.begin(), invoke_status.end(), std::mem_fn(&Status::ok));
-    if (failed != invoke_status.end() &&
-        std::any_of(plans_.begin(), plans_.end(), NeedsEveryObject)) {
+    if (failed != invoke_status.end() && need_every_object) {
       return *failed;
     }
   }
@@ -143,15 +146,14 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   inputs.threads = options_.threads;
   inputs.invoke_status = std::move(invoke_status);
   std::vector<CompiledQuery> compiled;
-  compiled.reserve(plans_.size());
-  std::vector<WorkScheduler::Entry> entries(plans_.size());
-  for (std::size_t q = 0; q < plans_.size(); ++q) {
-    VAOLIB_ASSIGN_OR_RETURN(CompiledQuery query, plans_[q].Compile(inputs));
+  compiled.reserve(members_.size());
+  std::vector<WorkScheduler::Entry> entries(members_.size());
+  for (std::size_t q = 0; q < members_.size(); ++q) {
+    VAOLIB_ASSIGN_OR_RETURN(CompiledQuery query,
+                            members_[q].plan.Compile(inputs));
     compiled.push_back(std::move(query));
     entries[q].task = compiled[q].task();
-    if (!options_.schedules.empty()) {
-      entries[q].schedule = options_.schedules[q];
-    }
+    entries[q].schedule = members_[q].schedule;
   }
   WorkScheduler scheduler(options_.scheduler);
   VAOLIB_ASSIGN_OR_RETURN(const std::vector<TaskScheduleStats> sched_stats,
@@ -166,8 +168,9 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
   tick.scheduled = true;
   tick.scheduler_policy = policy_name;
   tick.scheduler_budget = options_.scheduler.budget;
-  std::vector<TickResult> results(plans_.size());
-  for (std::size_t q = 0; q < plans_.size(); ++q) {
+  std::vector<TickResult> results(members_.size());
+  for (std::size_t q = 0; q < members_.size(); ++q) {
+    const Member& member = members_[q];
     TickResult& result = results[q];
     VAOLIB_RETURN_IF_ERROR(compiled[q].Decode(options_.resilience, &result));
     const TaskScheduleStats& stats = sched_stats[q];
@@ -185,12 +188,9 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
     report.converged = result.converged;
     report.starved = stats.starved;
     report.missed_deadline = stats.missed_deadline;
-    if (!options_.owners.empty()) {
-      report.tenant = options_.owners[q];
-      obs::MetricsRegistry::Global()
-          .GetCounter("vaolib_owner_work_units_total",
-                      {{"owner", options_.owners[q]}})
-          ->Add(stats.spent);
+    if (member.owner_work != nullptr) {
+      report.tenant = member.owner;
+      member.owner_work->Add(stats.spent);
     }
 
     // Tick-wide account: operator section summed over every query.
@@ -205,7 +205,7 @@ Result<std::vector<TickResult>> MultiQueryExecutor::ProcessTick(
     for (int k = 0; k < obs::kNumSolverKinds; ++k) {
       tick.calibration[k].Merge(report.calibration[k]);
     }
-    if (plans_[q].query().approx.has_value()) {
+    if (member.plan.query().approx.has_value()) {
       tick.rows_scanned += report.rows_scanned;
     }
     tick.rows_short_circuited =

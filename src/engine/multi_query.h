@@ -31,6 +31,7 @@
 #include "engine/relation.h"
 #include "engine/schema.h"
 #include "engine/scheduler.h"
+#include "obs/metrics.h"
 
 namespace vaolib::engine {
 
@@ -45,15 +46,6 @@ struct MultiQueryOptions {
   /// to completion in query order; greedy interleaving would let a broad
   /// SUM lock onto objects other queries refined deeply (DESIGN.md 4d).
   SchedulerOptions scheduler{.policy = SchedulerPolicy::kDeadline};
-  /// Per-query scheduling parameters, parallel to the query list; empty
-  /// means defaults (priority 1, no deadline, no reserve) for every query.
-  std::vector<QuerySchedule> schedules;
-
-  /// Per-query owner labels (tenant ids in multi-tenant serving), parallel
-  /// to the query list or empty. Each owner's exact per-tick spend is
-  /// attributed on the query's ExecutionReport (`tenant`) and accumulated
-  /// into the vaolib_owner_work_units_total{owner=...} counter.
-  std::vector<std::string> owners;
 
   /// How a failed selection row decodes: kStrict fails the tick with the
   /// lowest failed row's status, kDegrade quarantines the row.
@@ -74,8 +66,30 @@ class MultiQueryExecutor {
       const Relation* relation, Schema stream_schema,
       std::vector<Query> queries, const MultiQueryOptions& options = {});
 
+  /// An executor with no queries yet, edited with Insert() and Remove().
+  /// \p relation is borrowed, non-null, and must outlive the executor.
+  MultiQueryExecutor(const Relation* relation, Schema stream_schema,
+                     MultiQueryOptions options);
+
+  /// Inserts \p plan (built over this executor's relation and stream
+  /// schema) as query \p q <= query_count(), with the default schedule. A
+  /// non-empty \p owner (a tenant id) gets the query's exact per-tick spend
+  /// on its report (`tenant`) and in vaolib_owner_work_units_total{owner}.
+  /// InvalidArgument, leaving the executor as is, when the plan's function
+  /// or argument bindings differ from those of the queries already in.
+  Status Insert(std::size_t q, QueryPlan plan, const std::string& owner = {});
+  /// Removes query \p q < query_count(); ticks fail while none is left.
+  void Remove(std::size_t q);
+
+  /// The scheduler's per-tick budget and query \p q's schedule, from the
+  /// next tick on (a non-positive priority fails that tick).
+  void set_budget(std::uint64_t budget) { options_.scheduler.budget = budget; }
+  void set_schedule(std::size_t q, const QuerySchedule& schedule) {
+    members_[q].schedule = schedule;
+  }
+
   /// Re-evaluates every query for \p stream_tuple over shared result
-  /// objects. Results are parallel to the constructor's query list. Each
+  /// objects. Results are parallel to the current query list. Each
   /// TickResult's work_units is the exact work the scheduler granted that
   /// query (the spends sum to the scheduler run's meter delta); creating
   /// the shared objects is accounted only in last_tick_report(). converged
@@ -100,17 +114,23 @@ class MultiQueryExecutor {
     return last_tick_report_;
   }
 
-  std::size_t query_count() const { return plans_.size(); }
-  int threads() const { return options_.threads; }
+  std::size_t query_count() const { return members_.size(); }
+  const QueryPlan& plan(std::size_t q) const { return members_[q].plan; }
   const MultiQueryOptions& options() const { return options_; }
 
  private:
-  MultiQueryExecutor(const Relation* relation, Schema stream_schema,
-                     std::vector<QueryPlan> plans, MultiQueryOptions options);
+  struct Member {
+    QueryPlan plan;
+    QuerySchedule schedule;
+    std::string owner;
+    /// vaolib_owner_work_units_total{owner}, resolved once at Insert();
+    /// null without an owner.
+    obs::Counter* owner_work = nullptr;
+  };
 
   const Relation* relation_;
   Schema stream_schema_;
-  std::vector<QueryPlan> plans_;
+  std::vector<Member> members_;
   MultiQueryOptions options_;
   WorkMeter meter_;
   obs::ExecutionReport last_tick_report_;

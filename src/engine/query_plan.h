@@ -1,10 +1,11 @@
 // Copyright 2026 The vaolib Authors.
 // QueryPlan: the engine's one query compiler.
 //
-// Both executors hand each Query to a QueryPlan once, at creation: it
-// validates the query against the stream and relation schemas (function,
-// arity, argument bindings, weight column, APPROX spec) and binds the
-// arguments. On every tick the plan compiles the query into a resumable
+// Each query is planned once -- by MultiQueryExecutor::Create (and so by
+// CqExecutor), or by the server's dispatcher at REGISTER -- and the plan
+// then lives in its group's executor. Planning validates the query against
+// the stream and relation schemas (function, arity, argument bindings,
+// weight column, APPROX spec) and binds the arguments. On every tick the plan compiles the query into a resumable
 // IterationTask over that tick's result objects, plus the decoder that
 // turns the task's state into the query's TickResult and report sections.
 // Approximate queries compile into tasks over private row samples instead

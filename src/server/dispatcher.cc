@@ -1,5 +1,6 @@
 #include "server/dispatcher.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -89,6 +90,35 @@ void AppendDouble(std::ostream& os, double v) {
   os << buf;
 }
 
+// Shared-execution signature: two queries sharing a key satisfy
+// MultiQueryExecutor's sharing precondition (same function instance, same
+// argument bindings).
+std::string GroupKeyOf(const engine::Query& query) {
+  std::ostringstream os;
+  os << static_cast<const void*>(query.function);
+  for (const engine::ArgRef& arg : query.args) {
+    os << '|';
+    switch (arg.source) {
+      case engine::ArgRef::Source::kStreamField:
+        os << 's' << arg.field;
+        break;
+      case engine::ArgRef::Source::kRelationField:
+        os << 'r' << arg.field;
+        break;
+      case engine::ArgRef::Source::kConstant:
+        os << 'c' << std::setprecision(17) << arg.constant;
+        break;
+    }
+  }
+  return os.str();
+}
+
+// Every INSPECT scope's answer while the health plane is off.
+Status HealthPlaneDisabled() {
+  return Status::FailedPrecondition(
+      "health plane disabled on this server (DispatcherConfig::health)");
+}
+
 }  // namespace
 
 std::vector<obs::SloSpec> DefaultServerSlos(const HealthConfig& health,
@@ -155,61 +185,56 @@ Result<engine::Query> Dispatcher::ParseSql(const std::string& sql) const {
                             relation_->schema());
 }
 
-std::string Dispatcher::GroupKeyOf(const engine::Query& query) {
-  // Two queries sharing a key satisfy MultiQueryExecutor's sharing
-  // precondition: same function instance, same argument bindings.
-  std::ostringstream os;
-  os << static_cast<const void*>(query.function);
-  for (const engine::ArgRef& arg : query.args) {
-    os << '|';
-    switch (arg.source) {
-      case engine::ArgRef::Source::kStreamField:
-        os << 's' << arg.field;
-        break;
-      case engine::ArgRef::Source::kRelationField:
-        os << 'r' << arg.field;
-        break;
-      case engine::ArgRef::Source::kConstant:
-        os << 'c' << std::setprecision(17) << arg.constant;
-        break;
-    }
-  }
-  return os.str();
-}
-
 AdmissionDecision Dispatcher::Register(std::uint64_t session,
                                        const std::string& tenant,
                                        const std::string& query_id,
                                        const engine::Query& query,
                                        bool want_reports) {
   AdmissionDecision decision;
+  const auto reject = [&decision](Status reason) {
+    decision.outcome = AdmissionDecision::Outcome::kRejected;
+    decision.reason = std::move(reason);
+    return decision;
+  };
   const QueryKey key{session, query_id};
   if (standing_.count(key) > 0) {
-    decision.outcome = AdmissionDecision::Outcome::kRejected;
-    decision.reason = Status::AlreadyExists(
-        "query id '" + query_id + "' is already registered on this session");
-    return decision;
+    return reject(Status::AlreadyExists(
+        "query id '" + query_id + "' is already registered on this session"));
   }
-  // Validate the query against this dispatcher's relation/schemas NOW, so a
-  // bad registration fails its own REGISTER instead of failing the whole
-  // group's next tick.
-  const auto validated =
-      engine::QueryPlan::Create(query, stream_schema_, relation_);
-  if (!validated.ok()) {
-    decision.outcome = AdmissionDecision::Outcome::kRejected;
-    decision.reason = validated.status();
-    return decision;
-  }
+  // Plan the query against this dispatcher's relation/schemas NOW, so a bad
+  // registration fails its own REGISTER instead of failing the whole
+  // group's next tick. This is the query's one plan: it moves into its
+  // group's executor and stays there until the query leaves.
+  auto plan = engine::QueryPlan::Create(query, stream_schema_, relation_);
+  if (!plan.ok()) return reject(plan.status());
   decision = admission_.AdmitQuery(tenant, relation_->size());
   if (decision.outcome != AdmissionDecision::Outcome::kAdmitted) {
     return decision;
   }
-  StandingQuery standing;
-  standing.tenant = tenant;
-  standing.query = query;
-  standing.want_reports = want_reports;
-  standing_.emplace(key, std::move(standing));
-  dirty_ = true;
+  const auto it = standing_.emplace(key, StandingQuery{}).first;
+  it->second.tenant = tenant;
+  it->second.group = GroupKeyOf(query);
+  it->second.want_reports = want_reports;
+  Group& group = groups_[it->second.group];
+  if (group.executor == nullptr) {
+    // The executor's default kDeadline policy is what honours the
+    // admission reserves. Budget and schedules are set on every tick.
+    engine::MultiQueryOptions options;
+    options.threads = config_.threads;
+    group.executor = std::make_unique<engine::MultiQueryExecutor>(
+        relation_, stream_schema_, std::move(options));
+  }
+  const std::size_t index = MemberIndex(group, *it);
+  const Status inserted =
+      group.executor->Insert(index, std::move(plan).value(), tenant);
+  if (!inserted.ok()) {
+    // Equal group keys, unequal bindings (a NaN constant): the group holds
+    // other queries, so only this one is undone.
+    admission_.ReleaseQuery(tenant, relation_->size(), /*shed=*/false);
+    standing_.erase(it);
+    return reject(inserted);
+  }
+  group.members.insert(group.members.begin() + index, &*it);
   Metrics().registrations->Increment();
   Metrics().standing_queries->Set(static_cast<std::int64_t>(
       standing_.size()));
@@ -223,65 +248,39 @@ Status Dispatcher::Withdraw(std::uint64_t session,
     return Status::NotFound("no standing query '" + query_id +
                             "' on this session");
   }
-  admission_.ReleaseQuery(it->second.tenant, relation_->size(),
-                          /*shed=*/false);
-  progress_.erase(it->first);
-  standing_.erase(it);
-  dirty_ = true;
-  Metrics().withdrawals->Increment();
-  Metrics().standing_queries->Set(static_cast<std::int64_t>(
-      standing_.size()));
+  Drop(it, /*shed=*/false);
   return Status::OK();
 }
 
 void Dispatcher::WithdrawSession(std::uint64_t session) {
-  for (auto it = standing_.lower_bound(QueryKey{session, ""});
-       it != standing_.end() && it->first.first == session;) {
-    admission_.ReleaseQuery(it->second.tenant, relation_->size(),
-                            /*shed=*/false);
-    progress_.erase(it->first);
-    it = standing_.erase(it);
-    dirty_ = true;
-    Metrics().withdrawals->Increment();
+  auto it = standing_.lower_bound(QueryKey{session, ""});
+  while (it != standing_.end() && it->first.first == session) {
+    Drop(it++, /*shed=*/false);
   }
-  Metrics().standing_queries->Set(static_cast<std::int64_t>(
-      standing_.size()));
 }
 
-Status Dispatcher::RebuildGroups() {
-  groups_.clear();
-  for (const auto& [key, standing] : standing_) {
-    groups_[GroupKeyOf(standing.query)].members.push_back(key);
-  }
-  const std::size_t total = standing_.size();
-  for (auto& [signature, group] : groups_) {
-    // Each group's scheduler gets the tick budget in proportion to its
-    // share of the standing-query set (integer division may strand a few
-    // units; they come back as soon as the mix changes).
-    group.budget =
-        config_.tick_budget > 0 && total > 0
-            ? config_.tick_budget * group.members.size() / total
-            : 0;
-    // The executor's default kDeadline policy is what honours the
-    // admission reserves.
-    engine::MultiQueryOptions options;
-    options.threads = config_.threads;
-    options.scheduler.budget = group.budget;
-    std::vector<engine::Query> queries;
-    queries.reserve(group.members.size());
-    for (const QueryKey& member : group.members) {
-      const StandingQuery& standing = standing_.at(member);
-      queries.push_back(standing.query);
-      options.schedules.push_back(
-          admission_.ScheduleFor(standing.tenant, group.budget));
-      options.owners.push_back(standing.tenant);
-    }
-    VAOLIB_ASSIGN_OR_RETURN(
-        group.executor,
-        engine::MultiQueryExecutor::Create(relation_, stream_schema_,
-                                           std::move(queries), options));
-  }
-  return Status::OK();
+std::size_t Dispatcher::MemberIndex(const Group& group,
+                                    const Standing& standing) {
+  const auto pos = std::lower_bound(
+      group.members.begin(), group.members.end(), standing.first,
+      [](const Standing* member, const QueryKey& key) {
+        return member->first < key;
+      });
+  return static_cast<std::size_t>(pos - group.members.begin());
+}
+
+void Dispatcher::Drop(StandingMap::iterator it, bool shed) {
+  admission_.ReleaseQuery(it->second.tenant, relation_->size(), shed);
+  const auto group_it = groups_.find(it->second.group);
+  Group& group = group_it->second;
+  const std::size_t index = MemberIndex(group, *it);
+  group.executor->Remove(index);
+  group.members.erase(group.members.begin() + index);
+  if (group.members.empty()) groups_.erase(group_it);
+  standing_.erase(it);
+  (shed ? Metrics().shed_overload : Metrics().withdrawals)->Increment();
+  Metrics().standing_queries->Set(static_cast<std::int64_t>(
+      standing_.size()));
 }
 
 Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
@@ -289,16 +288,25 @@ Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
   const auto start = std::chrono::steady_clock::now();
   const vao::PdeProfileCache::Scope profiles(
       config_.reuse_pde_profiles ? profile_cache_.get() : nullptr);
-  if (dirty_) {
-    VAOLIB_RETURN_IF_ERROR(RebuildGroups());
-    dirty_ = false;
-  }
   ++tick_seq_;
   TickSummary summary;
   summary.seq = tick_seq_;
 
-  std::vector<QueryKey> to_shed;
+  const std::size_t total = standing_.size();
+  std::vector<StandingMap::iterator> to_shed;
   for (auto& [signature, group] : groups_) {
+    // Budget shares (integer division may strand a few units until the
+    // mix changes) and schedules are recomputed every tick, so they always
+    // read the current query set and quotas.
+    const std::uint64_t budget =
+        config_.tick_budget > 0
+            ? config_.tick_budget * group.members.size() / total
+            : 0;
+    group.executor->set_budget(budget);
+    for (std::size_t i = 0; i < group.members.size(); ++i) {
+      group.executor->set_schedule(
+          i, admission_.ScheduleFor(group.members[i]->second.tenant, budget));
+    }
     const std::uint64_t before = group.executor->meter().Total();
     VAOLIB_ASSIGN_OR_RETURN(const std::vector<engine::TickResult> results,
                             group.executor->ProcessTick(stream_tuple));
@@ -308,10 +316,10 @@ Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
       // One span per group: the encode layer of a traced tick.
       const obs::ScopedSpan encode_span("encode", "results");
       for (std::size_t i = 0; i < group.members.size(); ++i) {
-        const QueryKey& member = group.members[i];
+        const auto& [member, standing] = *group.members[i];
         deliveries->push_back(
             {member.first, FormatResult(member.second, tick_seq_, results[i])});
-        if (standing_.at(member).want_reports) {
+        if (standing.want_reports) {
           std::ostringstream os;
           os << "REPORT " << member.second << " seq=" << tick_seq_ << " ";
           results[i].report.RenderJson(os);
@@ -321,8 +329,7 @@ Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
     }
 
     for (std::size_t i = 0; i < group.members.size(); ++i) {
-      const QueryKey& member = group.members[i];
-      StandingQuery& standing = standing_.at(member);
+      StandingQuery& standing = group.members[i]->second;
       const engine::TickResult& result = results[i];
       ++summary.queries;
       if (result.converged) ++summary.converged;
@@ -337,14 +344,8 @@ Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
                               result.report.missed_deadline);
 
       if (health_view_ != nullptr) {
-        auto progress_it = progress_.find(member);
-        if (progress_it == progress_.end()) {
-          ProgressEntry entry;
-          entry.tenant = standing.tenant;
-          entry.kind = result.kind;
-          entry.epsilon = standing.query.epsilon;
-          entry.ring = obs::ProgressRing(kProgressCapacity);
-          progress_it = progress_.emplace(member, std::move(entry)).first;
+        if (!standing.progress.has_value()) {
+          standing.progress.emplace(kProgressCapacity);
         }
         obs::ProgressSample sample;
         sample.tick = tick_seq_;
@@ -353,7 +354,7 @@ Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
         sample.work_spent = result.work_units;
         sample.converged = result.converged;
         sample.limited_by_min_width = result.report.limited_by_min_width;
-        progress_it->second.ring.Record(sample);
+        standing.progress->Record(sample);
       }
 
       if (result.converged) {
@@ -361,32 +362,22 @@ Result<TickSummary> Dispatcher::Tick(const engine::Tuple& stream_tuple,
       } else if (config_.shed_after_misses > 0 &&
                  !admission_.QuotaFor(standing.tenant).reserved() &&
                  ++standing.misses >= config_.shed_after_misses) {
-        to_shed.push_back(member);
+        to_shed.push_back(standing_.find(group.members[i]->first));
       }
     }
   }
 
-  for (const QueryKey& member : to_shed) {
-    const auto it = standing_.find(member);
-    admission_.ReleaseQuery(it->second.tenant, relation_->size(),
-                            /*shed=*/true);
-    progress_.erase(member);
+  for (const StandingMap::iterator it : to_shed) {
     deliveries->push_back(
-        {member.first,
-         FormatShed(member.second, config_.admission.retry_after_ticks,
+        {it->first.first,
+         FormatShed(it->first.second, config_.admission.retry_after_ticks,
                     "unconverged for " +
                         std::to_string(config_.shed_after_misses) +
                         " consecutive ticks; re-register after backoff")});
-    standing_.erase(it);
-    dirty_ = true;
-    Metrics().shed_overload->Increment();
-    ++summary.shed;
+    Drop(it, /*shed=*/true);
   }
+  summary.shed = to_shed.size();
   total_shed_ += summary.shed;
-  if (summary.shed > 0) {
-    Metrics().standing_queries->Set(static_cast<std::int64_t>(
-        standing_.size()));
-  }
 
   total_work_units_ += summary.work_units;
   summary.wall_seconds =
@@ -412,48 +403,45 @@ obs::HealthState Dispatcher::health_state() const {
                                     : obs::HealthState::kHealthy;
 }
 
-void Dispatcher::RenderQueryProgress(const QueryKey& key,
-                                     const ProgressEntry& entry,
+void Dispatcher::RenderQueryProgress(const Standing& entry,
                                      std::ostream& os) const {
+  const auto& [key, standing] = entry;
+  const Group& group = groups_.at(standing.group);
+  const engine::Query& query =
+      group.executor->plan(MemberIndex(group, entry)).query();
+  const obs::ProgressRing& ring = *standing.progress;  // never empty
+  const obs::ProgressSample& last = ring.newest();
   os << "{\"id\": \"" << key.second << "\", \"session\": " << key.first
-     << ", \"tenant\": \"" << entry.tenant << "\", \"kind\": \""
-     << engine::QueryKindName(entry.kind) << "\", \"epsilon\": ";
-  AppendDouble(os, entry.epsilon);
-  os << ", \"ticks_observed\": " << entry.ring.total_recorded();
-  if (entry.ring.size() > 0) {
-    const obs::ProgressSample& last = entry.ring.newest();
-    os << ", \"width\": ";
-    AppendDouble(os, last.width);
-    os << ", \"rel_width\": ";
-    AppendDouble(os, last.rel_width);
-    os << ", \"work_last_tick\": " << last.work_spent
-       << ", \"converged\": " << (last.converged ? "true" : "false")
-       << ", \"limited_by_min_width\": "
-       << (last.limited_by_min_width ? "true" : "false");
-    const obs::EtaEstimate eta = entry.ring.EstimateEta(entry.epsilon);
-    os << ", \"eta\": {\"known\": " << (eta.known ? "true" : "false")
-       << ", \"ticks\": ";
-    AppendDouble(os, eta.ticks);
-    os << ", \"work_units\": ";
-    AppendDouble(os, eta.work_units);
-    os << "}, \"trajectory\": [";
-    for (std::size_t i = 0; i < entry.ring.size(); ++i) {
-      const obs::ProgressSample& sample = entry.ring.at(i);
-      if (i > 0) os << ", ";
-      os << "{\"tick\": " << sample.tick << ", \"width\": ";
-      AppendDouble(os, sample.width);
-      os << ", \"work\": " << sample.work_spent << "}";
-    }
-    os << "]";
+     << ", \"tenant\": \"" << standing.tenant << "\", \"kind\": \""
+     << engine::QueryKindName(query.kind) << "\", \"epsilon\": ";
+  AppendDouble(os, query.epsilon);
+  os << ", \"ticks_observed\": " << ring.total_recorded() << ", \"width\": ";
+  AppendDouble(os, last.width);
+  os << ", \"rel_width\": ";
+  AppendDouble(os, last.rel_width);
+  os << ", \"work_last_tick\": " << last.work_spent
+     << ", \"converged\": " << (last.converged ? "true" : "false")
+     << ", \"limited_by_min_width\": "
+     << (last.limited_by_min_width ? "true" : "false");
+  const obs::EtaEstimate eta = ring.EstimateEta(query.epsilon);
+  os << ", \"eta\": {\"known\": " << (eta.known ? "true" : "false")
+     << ", \"ticks\": ";
+  AppendDouble(os, eta.ticks);
+  os << ", \"work_units\": ";
+  AppendDouble(os, eta.work_units);
+  os << "}, \"trajectory\": [";
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const obs::ProgressSample& sample = ring.at(i);
+    if (i > 0) os << ", ";
+    os << "{\"tick\": " << sample.tick << ", \"width\": ";
+    AppendDouble(os, sample.width);
+    os << ", \"work\": " << sample.work_spent << "}";
   }
-  os << "}";
+  os << "]}";
 }
 
 Result<std::string> Dispatcher::InspectServer() const {
-  if (health_monitor_ == nullptr) {
-    return Status::FailedPrecondition(
-        "health plane disabled on this server (DispatcherConfig::health)");
-  }
+  if (health_monitor_ == nullptr) return HealthPlaneDisabled();
   std::ostringstream os;
   os << "{\"scope\": \"server\", \"health\": \""
      << obs::HealthStateName(health_monitor_->state()) << "\""
@@ -490,42 +478,31 @@ Result<std::string> Dispatcher::InspectServer() const {
 Result<std::string> Dispatcher::InspectQuery(std::uint64_t session,
                                              const std::string& query_id)
     const {
-  if (health_monitor_ == nullptr) {
-    return Status::FailedPrecondition(
-        "health plane disabled on this server (DispatcherConfig::health)");
-  }
-  const QueryKey key{session, query_id};
-  const auto it = progress_.find(key);
-  if (it == progress_.end()) {
-    // Registered but never ticked: answer with identity only, no samples.
-    const auto standing_it = standing_.find(key);
-    if (standing_it == standing_.end()) {
-      return Status::NotFound("no standing query '" + query_id +
-                              "' on this session");
-    }
-    std::ostringstream os;
-    os << "{\"scope\": \"query\", \"health\": \""
-       << obs::HealthStateName(health_monitor_->state())
-       << "\", \"queries\": [{\"id\": \"" << query_id
-       << "\", \"session\": " << session << ", \"tenant\": \""
-       << standing_it->second.tenant << "\", \"ticks_observed\": 0}]}";
-    return os.str();
+  if (health_monitor_ == nullptr) return HealthPlaneDisabled();
+  const auto it = standing_.find(QueryKey{session, query_id});
+  if (it == standing_.end()) {
+    return Status::NotFound("no standing query '" + query_id +
+                            "' on this session");
   }
   std::ostringstream os;
   os << "{\"scope\": \"query\", \"health\": \""
      << obs::HealthStateName(health_monitor_->state())
      << "\", \"queries\": [";
-  RenderQueryProgress(key, it->second, os);
+  if (it->second.progress.has_value()) {
+    RenderQueryProgress(*it, os);
+  } else {
+    // Registered but never ticked: answer with identity only, no samples.
+    os << "{\"id\": \"" << query_id << "\", \"session\": " << session
+       << ", \"tenant\": \"" << it->second.tenant
+       << "\", \"ticks_observed\": 0}";
+  }
   os << "]}";
   return os.str();
 }
 
 Result<std::string> Dispatcher::InspectTenant(const std::string& tenant)
     const {
-  if (health_monitor_ == nullptr) {
-    return Status::FailedPrecondition(
-        "health plane disabled on this server (DispatcherConfig::health)");
-  }
+  if (health_monitor_ == nullptr) return HealthPlaneDisabled();
   const auto usage_map = admission_.AllUsage();
   const auto usage_it = usage_map.find(tenant);
   if (usage_it == usage_map.end()) {
@@ -545,11 +522,15 @@ Result<std::string> Dispatcher::InspectTenant(const std::string& tenant)
      << ", \"rejected\": " << usage.rejected_registrations
      << "}, \"queries\": [";
   bool first = true;
-  for (const auto& [key, entry] : progress_) {
-    if (entry.tenant != tenant) continue;
+  for (const Standing& standing : standing_) {
+    // Only queries that have ticked are listed.
+    if (standing.second.tenant != tenant ||
+        !standing.second.progress.has_value()) {
+      continue;
+    }
     if (!first) os << ", ";
     first = false;
-    RenderQueryProgress(key, entry, os);
+    RenderQueryProgress(standing, os);
   }
   os << "]}";
   return os.str();

@@ -1,9 +1,12 @@
 // Tests for the shared multi-query executor: result equivalence with
-// per-query executors, work savings from sharing, and validation.
+// per-query executors, work savings from sharing, in-place edits of the
+// query set, and validation.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "engine/executor.h"
 #include "engine/multi_query.h"
@@ -225,6 +228,110 @@ TEST_F(MultiQueryTest, ValidatesSharedBindings) {
   EXPECT_FALSE(MultiQueryExecutor::Create(relation_.get(), StreamSchema(),
                                           {bad_weights})
                    .ok());
+}
+
+// Field by field: answers, attribution and the per-query report.
+void ExpectSameTick(const TickResult& edited, const TickResult& fresh) {
+  EXPECT_EQ(edited.kind, fresh.kind);
+  EXPECT_EQ(edited.passing_rows, fresh.passing_rows);
+  EXPECT_EQ(edited.winner_row, fresh.winner_row);
+  EXPECT_EQ(edited.top_rows, fresh.top_rows);
+  ASSERT_EQ(edited.top_bounds.size(), fresh.top_bounds.size());
+  for (std::size_t i = 0; i < fresh.top_bounds.size(); ++i) {
+    EXPECT_EQ(edited.top_bounds[i].lo, fresh.top_bounds[i].lo);
+    EXPECT_EQ(edited.top_bounds[i].hi, fresh.top_bounds[i].hi);
+  }
+  EXPECT_EQ(edited.tie, fresh.tie);
+  EXPECT_EQ(edited.aggregate_bounds.lo, fresh.aggregate_bounds.lo);
+  EXPECT_EQ(edited.aggregate_bounds.hi, fresh.aggregate_bounds.hi);
+  EXPECT_EQ(edited.work_units, fresh.work_units);
+  EXPECT_EQ(edited.converged, fresh.converged);
+  EXPECT_TRUE(edited.report == fresh.report);
+}
+
+TEST_F(MultiQueryTest, InsertAndRemoveTickLikeAFreshExecutor) {
+  // A group edited in place -- inserts at the end, the front and the
+  // middle, then removes down to one query -- ticks exactly like an
+  // executor created fresh over the same queries in the same order: same
+  // answers, same per-query work and the same meter total over 3 ticks.
+  Query alert = BaseQuery(QueryKind::kSelect);
+  alert.constant = 100.0;
+  Query best = BaseQuery(QueryKind::kMax);
+  best.epsilon = 0.01;
+  Query portfolio = BaseQuery(QueryKind::kSum);
+  portfolio.weight_column = "position";
+  portfolio.epsilon = 0.10;
+  Query top2 = BaseQuery(QueryKind::kTopK);
+  top2.k = 2;
+  top2.epsilon = 0.01;
+  Query mean = BaseQuery(QueryKind::kAve);
+  mean.epsilon = 0.05;
+
+  const auto plan = [&](const Query& query) {
+    auto made = QueryPlan::Create(query, StreamSchema(), relation_.get());
+    EXPECT_TRUE(made.ok()) << made.status();
+    return std::move(made).value();
+  };
+  const auto expect_like_fresh = [&](MultiQueryExecutor& edited,
+                                     const std::vector<Query>& queries) {
+    ASSERT_EQ(edited.query_count(), queries.size());
+    auto fresh =
+        MultiQueryExecutor::Create(relation_.get(), StreamSchema(), queries);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    edited.ResetMeter();
+    for (const double rate : {0.05, 0.0575, 0.065}) {
+      SCOPED_TRACE(::testing::Message() << "rate " << rate);
+      const auto ours = edited.ProcessTick({rate});
+      const auto theirs = (*fresh)->ProcessTick({rate});
+      ASSERT_TRUE(ours.ok()) << ours.status();
+      ASSERT_TRUE(theirs.ok()) << theirs.status();
+      ASSERT_EQ(ours->size(), theirs->size());
+      for (std::size_t q = 0; q < ours->size(); ++q) {
+        SCOPED_TRACE(::testing::Message() << "query " << q);
+        ExpectSameTick((*ours)[q], (*theirs)[q]);
+      }
+    }
+    EXPECT_EQ(edited.meter().Total(), (*fresh)->meter().Total());
+  };
+
+  auto group = MultiQueryExecutor::Create(relation_.get(), StreamSchema(),
+                                          {best});
+  ASSERT_TRUE(group.ok()) << group.status();
+  MultiQueryExecutor& edited = **group;
+  ASSERT_TRUE(edited.Insert(1, plan(portfolio)).ok());  // end
+  ASSERT_TRUE(edited.Insert(0, plan(alert)).ok());      // front
+  ASSERT_TRUE(edited.Insert(2, plan(top2)).ok());       // middle
+  expect_like_fresh(edited, {alert, best, top2, portfolio});
+
+  ASSERT_TRUE(edited.Insert(1, plan(mean)).ok());
+  edited.Remove(0);  // front: {mean, best, top2, portfolio}
+  edited.Remove(3);  // end: {mean, best, top2}
+  edited.Remove(1);  // middle: {mean, top2}
+  expect_like_fresh(edited, {mean, top2});
+
+  edited.Remove(0);
+  expect_like_fresh(edited, {top2});
+}
+
+TEST_F(MultiQueryTest, InsertRejectsAnotherBindingAndLeavesTheGroupAsIs) {
+  auto group = MultiQueryExecutor::Create(relation_.get(), StreamSchema(),
+                                          {BaseQuery(QueryKind::kMax)});
+  ASSERT_TRUE(group.ok()) << group.status();
+  Query constant_rate = BaseQuery(QueryKind::kSelect);
+  constant_rate.args = {ArgRef::Constant(0.05),
+                        ArgRef::RelationField("bond_index")};
+  auto plan =
+      QueryPlan::Create(constant_rate, StreamSchema(), relation_.get());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ((*group)->Insert(1, std::move(plan).value()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*group)->query_count(), 1u);
+  EXPECT_TRUE((*group)->ProcessTick({0.05}).ok());
+
+  // Down to no query, the executor stays valid but has nothing to tick.
+  (*group)->Remove(0);
+  EXPECT_EQ((*group)->ProcessTick({0.05}).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(MultiQueryTest, ApproxQueriesRunWithAndWithoutBudget) {

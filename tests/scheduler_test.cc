@@ -778,12 +778,12 @@ TEST_F(ScheduledMultiQueryTest, BudgetExhaustionDegradesGracefully) {
   EXPECT_EQ(spent_sum, multi.scheduler_spent);
 }
 
-TEST_F(ScheduledMultiQueryTest, SchedulesMustMatchQueryCount) {
-  MultiQueryOptions options;
-  options.schedules.resize(queries_.size() + 1);
-  EXPECT_FALSE(MultiQueryExecutor::Create(&workload_.relation, Schema{},
-                                          queries_, options)
-                   .ok());
+TEST_F(ScheduledMultiQueryTest, NonPositivePriorityFailsTheTick) {
+  auto executor = MakeExecutor(SchedulerPolicy::kFairShare, 0);
+  ASSERT_TRUE(executor.ok()) << executor.status();
+  (*executor)->set_schedule(1, QuerySchedule{.priority = 0.0});
+  EXPECT_EQ((*executor)->ProcessTick({}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
